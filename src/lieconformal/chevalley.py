@@ -23,28 +23,13 @@ from .rootsys import (
     build,
     coroot,
     is_zero,
+    root_core,
     vadd,
     vdot,
-    vneg,
     vscale,
-    vsub,
 )
 
 ZERO = Fraction(0)
-
-
-def _order_key(rs: RootSystem, r: Vec):
-    return (sum(rs.expansions[r]), tuple(-c for c in r))
-
-
-def _string_down(rs: RootSystem, beta: Vec, alpha: Vec) -> int:
-    """Largest p with beta - p*alpha still a root."""
-    p = 0
-    cur = vsub(beta, alpha)
-    while cur in rs.root_set:
-        p += 1
-        cur = vsub(cur, alpha)
-    return p
 
 
 @dataclass(eq=False)
@@ -57,62 +42,70 @@ class StructureConstants:
         return self.n_table.get((a, b), ZERO)
 
 
+def _ratio(n: int, num: int, den: int) -> int:
+    q, r = divmod(n * num, den)
+    assert r == 0, "structure constants must be integers"
+    return q
+
+
 def structure_constants(rs: RootSystem) -> StructureConstants:
-    pos = sorted(rs.positives, key=lambda r: _order_key(rs, r))
-    pos_set = set(pos)
-    root_set = rs.root_set
+    core = root_core(rs)
+    add, neg, norm, is_pos = core.add, core.neg, core.norm, core.is_positive
+    # order: height, then lexicographically decreasing; index order is lex order
+    pos = sorted(core.positives, key=lambda i: (core.height[i], -i))
+    order = {r: k for k, r in enumerate(pos)}
     npp: dict = {}
 
-    def lookup_pp(a, b):
-        if (a, b) in npp:
-            return npp[(a, b)]
-        return -npp[(b, a)]
-
     def const(x, y):
-        """n(x, y) for arbitrary roots with x+y a root."""
-        xp, yp = x in pos_set, y in pos_set
+        """n(x, y) for arbitrary root indices with x+y a root."""
+        xp, yp = is_pos[x], is_pos[y]
         if xp and yp:
-            return lookup_pp(x, y)
+            if (x, y) in npp:
+                return npp[(x, y)]
+            return -npp[(y, x)]
         if not xp and not yp:
-            return -const(vneg(x), vneg(y))
-        z = vneg(vadd(x, y))
+            return -const(neg[x], neg[y])
+        z = neg[add[x][y]]
         # x + y + z = 0: n(x,y)/(z,z) = n(y,z)/(x,x) = n(z,x)/(y,y)
-        if (y in pos_set) == (z in pos_set):
-            return const(y, z) * vdot(z, z) / vdot(x, x)
-        return const(z, x) * vdot(z, z) / vdot(y, y)
+        if is_pos[y] == is_pos[z]:
+            return _ratio(const(y, z), norm[z], norm[x])
+        return _ratio(const(z, x), norm[z], norm[y])
 
-    for gamma in pos:
+    for k, gamma in enumerate(pos):
+        row = add[gamma]
         pairs = []
-        for a in pos:
-            if _order_key(rs, a) >= _order_key(rs, gamma):
-                break
-            b = vsub(gamma, a)
-            if b in pos_set and _order_key(rs, a) < _order_key(rs, b):
+        for a in pos[:k]:
+            b = row[neg[a]]
+            if b >= 0 and is_pos[b] and order[a] < order[b]:
                 pairs.append((a, b))
         if not pairs:
             continue
-        pairs.sort(key=lambda ab: _order_key(rs, ab[0]))
         xi, eta = pairs[0]
-        npp[(xi, eta)] = Fraction(_string_down(rs, eta, xi) + 1)
-        gg = vdot(gamma, gamma)
+        # p + 1, with p the length of the string eta - xi, eta - 2 xi, ...
+        p, cur = 0, add[eta][neg[xi]]
+        while cur >= 0:
+            p, cur = p + 1, add[cur][neg[xi]]
+        npp[(xi, eta)] = p + 1
         for alpha, beta in pairs[1:]:
             # four-root identity on (xi, eta, -alpha, -beta)
             total = ZERO
-            d1 = vsub(eta, alpha)
-            if d1 in root_set:
-                total += const(eta, vneg(alpha)) * const(xi, vneg(beta)) / vdot(d1, d1)
-            d2 = vsub(xi, alpha)
-            if d2 in root_set:
-                total += const(vneg(alpha), xi) * const(eta, vneg(beta)) / vdot(d2, d2)
-            npp[(alpha, beta)] = gg * total / npp[(xi, eta)]
+            d1 = add[eta][neg[alpha]]
+            if d1 >= 0:
+                total += Fraction(const(eta, neg[alpha]) * const(xi, neg[beta]), norm[d1])
+            d2 = add[xi][neg[alpha]]
+            if d2 >= 0:
+                total += Fraction(const(neg[alpha], xi) * const(eta, neg[beta]), norm[d2])
+            value = norm[gamma] * total / npp[(xi, eta)]
+            assert value.denominator == 1, "structure constants must be integers"
+            npp[(alpha, beta)] = value.numerator
 
     table = {}
-    for x in rs.roots:
-        for y in rs.roots:
-            if vadd(x, y) in root_set:
+    for x, (rx, row) in enumerate(zip(rs.roots, add)):
+        for y, ry in enumerate(rs.roots):
+            if row[y] >= 0:
                 val = const(x, y)
-                assert val.denominator == 1 and val != 0
-                table[(x, y)] = val
+                assert val != 0
+                table[(rx, ry)] = Fraction(val)
     return StructureConstants(system=rs, n_table=table)
 
 

@@ -17,6 +17,7 @@ combinatorics, then kernel closure, then the exact form solver.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import invform, isotropy
@@ -27,13 +28,13 @@ from .rootsys import (
     RootSystem,
     Vec,
     build,
-    is_zero,
+    dot,
+    doubled,
     minimal_root,
+    pair_orbit,
+    root_core,
     vadd,
-    vdot,
     vneg,
-    vsub,
-    weyl_reflect,
 )
 
 STAGE_ROOTS = "RootCombinatorics"
@@ -89,30 +90,23 @@ def enumerate_case1(rs: RootSystem):
     """Canonical representatives (-delta, alpha) of constrained pair orbits."""
     if rs.label == "A1xA1":
         raise Reducible("Case1 needs an irreducible system")
-    pairs = set()
-    for m in rs.roots:
-        for a in rs.roots:
-            if m != a and vdot(m, a) == 0 and vadd(m, a) in rs.root_set:
-                pairs.add((m, a))
+    core = root_core(rs)
+    coords = core.coords
+    pairs = [
+        (m, a)
+        for m, row in enumerate(core.add)
+        for a, total in enumerate(row)
+        if total >= 0 and dot(coords[m], coords[a]) == 0
+    ]
     reps = []
     seen = set()
-    for pair in sorted(pairs):
+    for pair in pairs:
         if pair in seen:
             continue
-        orbit = {pair}
-        frontier = [pair]
-        while frontier:
-            nxt = []
-            for x, y in frontier:
-                for s in rs.simples:
-                    img = (weyl_reflect(rs, s, x), weyl_reflect(rs, s, y))
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        orbit = pair_orbit(core, pair)
         seen |= orbit
         reps.append(max(orbit))
-    return sorted(reps, reverse=True)
+    return [(rs.roots[m], rs.roots[a]) for m, a in sorted(reps, reverse=True)]
 
 
 def _judge(rs: RootSystem, delta: Distortion, case_tag: str, base: dict) -> CandidateVerdict:
@@ -167,7 +161,9 @@ def enumerate_case2(rs: RootSystem):
     if rs.label == "A1xA1":
         raise Reducible("Case2 needs an irreducible system")
     low = minimal_root(rs)
-    span = [low] + [b for b in rs.positives if vdot(low, b) == 0]
+    core = root_core(rs)
+    d = core.index[low]
+    span = [d] + [b for b in core.positives if dot(core.coords[d], core.coords[b]) == 0]
     try:
         normal = isotropy._hyperplane_normal(rs, span)
     except Inconsistent:
@@ -213,13 +209,18 @@ def eliminate_parabolic(rs: RootSystem, candidate) -> CandidateVerdict:
     # must be paired, i.e. delta + beta must be a root or zero for every
     # positive beta whose expansion involves alpha
     a_index = rs.simples.index(alpha)
-    for beta in rs.positives:
-        if rs.expansions[beta][a_index] == 0:
+    core = root_core(rs)
+    d2 = doubled(dvec)
+    for beta in core.positives:
+        if core.expansions[beta][a_index] == 0:
             continue
-        s = vadd(dvec, beta)
-        if not is_zero(s) and s not in rs.root_set:
+        s = tuple(map(operator.add, d2, core.coords[beta]))
+        if any(s) and core.find(s) < 0:
             return CandidateVerdict(
-                stage=STAGE_ROOTS, eliminated=True, witness=("unpaired", vneg(beta)), **base
+                stage=STAGE_ROOTS,
+                eliminated=True,
+                witness=("unpaired", rs.roots[core.neg[beta]]),
+                **base,
             )
     verdict = _judge(rs, delta, case, base)
     if not verdict.eliminated:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import classify as classify_mod
@@ -81,32 +79,9 @@ def _survivor_sort_key(d):
     return (d["label"], d["rank"], d["case"], d["alpha"] or [], d["delta"] or [])
 
 
-def _classify_report(max_rank: int, cases: str, threads: int):
-    if threads > 1 and cases == "all":
-        with ThreadPoolExecutor(max_workers=min(threads, 3)) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: classify_mod.classify_all(max_rank, c),
-                    ("case1", "case2", "parabolic"),
-                )
-            )
-        report = classify_mod.ClassificationReport(max_rank=max_rank, cases="all")
-        for part in parts:
-            report.verdicts.extend(part.verdicts)
-        report.verdicts.sort(key=lambda v: (v.label, v.rank, v.case, v.alpha or (), v.delta or ()))
-        report.survivors = [v for v in report.verdicts if not v.eliminated]
-        report.expected = classify_mod.expected_survivors(max_rank, "all")
-        report.matches_expected = {
-            v.survivor_key() for v in report.survivors
-        } == report.expected
-        return report
-    return classify_mod.classify_all(max_rank, cases)
-
-
 def _cmd_classify(args) -> int:
-    threads = int(os.environ.get("LIE_CONFORMAL_THREADS", "1") or "1")
     try:
-        report = _classify_report(args.max_rank, args.case, threads)
+        report = classify_mod.classify_all(args.max_rank, args.case)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -176,15 +151,19 @@ def _cmd_solve(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         rs, delta, case = _config_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, InvalidRank) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         config = isotropy.derive_isotropy(rs, delta, case)
     except Inconsistent as exc:
+        # an elimination verdict, not an input error
         _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],
                "inconsistent": str(exc)})
         return 0
+    except ValueError as exc:  # Reducible system or unknown case tag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = isotropy.validate(config)
     if not report.ok:
         _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],

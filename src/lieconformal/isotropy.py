@@ -15,19 +15,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
 from .rootsys import (
+    RootCore,
     RootSystem,
     Vec,
     coroot,
+    dot,
+    doubled,
     is_zero,
     minimal_root,
+    root_core,
     vadd,
     vdot,
     vneg,
-    vscale,
     vsub,
     weyl_reflect,
 )
@@ -88,38 +92,40 @@ def pairing_partner(rs: RootSystem, delta: Distortion, alpha: Vec):
     return None
 
 
-def _paired_set(rs: RootSystem, dvec: Vec) -> set:
+def _paired(core: RootCore, d2) -> set:
+    """Indices of the roots r with delta - r zero or a root (d2 = doubled delta)."""
     out = set()
-    for r in rs.roots:
-        m = vsub(dvec, r)
-        if is_zero(m) or m in rs.root_set:
-            out.add(r)
+    for i, c in enumerate(core.coords):
+        m = tuple(map(sub, d2, c))
+        if not any(m) or core.find(m) >= 0:
+            out.add(i)
     return out
 
 
-def _cartan_basis(rs: RootSystem) -> list[Vec]:
-    """Coroots of the simple roots; a basis of the Cartan subspace."""
-    return [coroot(s) for s in rs.simples]
-
-
-def _hyperplane_normal(rs: RootSystem, span_rows: list[Vec]):
-    """Normal (inside the Cartan subspace) of the span; None if it fills it.
+def _hyperplane_normal(rs: RootSystem, span: list[int]):
+    """Normal (inside the Cartan subspace) of the span of the given root
+    indices; None if it fills it.
 
     Raises Inconsistent if the span has codimension greater than one,
     which does not occur for the canonical systems handled here.
     """
-    basis = _cartan_basis(rs)
-    # coordinates of the orthocomplement within the Cartan subspace
-    rows = [tuple(vdot(s, b) for b in basis) for s in span_rows]
-    null = linalg.nullspace(rows, len(basis))
+    core = root_core(rs)
+    simples = [core.coords[k] for k in core.simples]
+    # coordinates of the orthocomplement within the coroot basis of the Cartan
+    rows = [
+        tuple(Fraction(2 * dot(core.coords[i], b), dot(b, b)) for b in simples) for i in span
+    ]
+    null = linalg.nullspace(rows, len(simples))
     if not null:
         return None
     if len(null) > 1:
-        raise Inconsistent("forced Cartan part has codimension > 1", witness=span_rows)
+        raise Inconsistent(
+            "forced Cartan part has codimension > 1", witness=[rs.roots[i] for i in span]
+        )
     coeffs = null[0]
     normal = (Fraction(0),) * rs.dim
-    for c, b in zip(coeffs, basis):
-        normal = vadd(normal, tuple(c * x for x in b))
+    for c, b in zip(coeffs, rs.simples):
+        normal = vadd(normal, tuple(c * x for x in coroot(b)))
     # deterministic primitive scaling
     nz = [x for x in normal if x != 0]
     scale = Fraction(1) / nz[0]
@@ -135,109 +141,135 @@ def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
     return Distortion(vsub(low, alpha), as_sum=(low, vneg(alpha)))
 
 
-def _closure(rs, dvec, forced, cartan_normal):
-    """Close the forced kernel root set; return the stable set."""
-    pos = set(rs.positives)
-    s = set(forced)
-    changed = True
-    while changed:
-        changed = False
-        p_roots = pos | s
-        for beta in list(s):
-            for gamma in p_roots:
-                total = vadd(beta, gamma)
-                if total in rs.root_set and total not in s:
-                    s.add(total)
-                    changed = True
-        for beta in list(s):
-            if vdot(dvec, beta) == 0 and vneg(beta) not in s:
-                s.add(vneg(beta))  # the whole sl2 of beta sits inside h
-                changed = True
-        if cartan_normal is not None:
-            nu = cartan_normal
-            for lam in pos:
-                if lam in s:
-                    continue
-                # lam vanishes on the hyperplane nu-perp iff lam is
-                # proportional to nu; otherwise the ideal property forces
-                # its root space into the kernel
-                proj = vsub(lam, vscale(vdot(lam, nu) / vdot(nu, nu), nu))
-                if not is_zero(proj):
-                    s.add(lam)
-                    changed = True
-    return s
+def _closure(core: RootCore, d2, forced, nu2) -> set:
+    """Close the forced kernel root indices; return the stable set.
+
+    The kernel must be closed under brackets with p = positives + kernel,
+    contain the whole sl2 of each of its roots on which delta vanishes,
+    and (with a Cartan hyperplane nu-perp) contain every positive root
+    not proportional to nu.  All three rules only ever add roots, so a
+    worklist reaches the same least fixed point as repeated sweeps.  Every
+    kernel root joins p when it is added, so of two kernel roots the one
+    swept later meets the other in p.
+    """
+    add, neg, coords = core.add, core.neg, core.coords
+    seeds = list(forced)
+    if nu2 is not None:
+        # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
+        # the ideal property forces its root space into the kernel
+        nn = dot(nu2, nu2)
+        for lam in core.positives:
+            lc = dot(coords[lam], nu2)
+            if lc * lc != core.norm[lam] * nn:
+                seeds.append(lam)
+    in_s = bytearray(len(coords))
+    in_p = bytearray(core.is_positive)
+    p, work = list(core.positives), []
+
+    def put(x):
+        in_s[x] = 1
+        work.append(x)
+        if not in_p[x]:
+            in_p[x] = 1
+            p.append(x)
+
+    for x in seeds:
+        if not in_s[x]:
+            put(x)
+    while work:
+        x = work.pop()
+        row = add[x]
+        for g in p:
+            t = row[g]
+            if t >= 0 and not in_s[t]:
+                put(t)
+        if not in_s[neg[x]] and dot(d2, coords[x]) == 0:
+            put(neg[x])  # the whole sl2 of x sits inside h
+    return {i for i, flag in enumerate(in_s) if flag}
 
 
-def _final_checks(rs, dvec, s, cartan_normal, paired):
+def _final_checks(rs: RootSystem, core: RootCore, s: set, nu2, paired: set):
+    roots = rs.roots
     bad = sorted(s & paired)
     if bad:
         raise Inconsistent(
-            f"paired root {bad[0]} forced into the kernel", witness=bad[0]
+            f"paired root {roots[bad[0]]} forced into the kernel", witness=roots[bad[0]]
         )
-    unpaired = set(rs.roots) - paired
-    missing = sorted(unpaired - s)
+    missing = sorted(set(range(len(roots))) - paired - s)
     if missing:
         raise Inconsistent(
-            f"unpaired root {missing[0]} left outside the kernel", witness=missing[0]
+            f"unpaired root {roots[missing[0]]} left outside the kernel",
+            witness=roots[missing[0]],
         )
-    if len(s) == len(rs.roots):
+    if len(s) == len(roots):
         raise Inconsistent("kernel closure swallows the whole algebra")
-    pos = set(rs.positives)
-    if cartan_normal is not None:
-        for beta in s:
-            if (vneg(beta) in s or vneg(beta) in pos) and vdot(cartan_normal, beta) != 0:
+    if nu2 is not None:
+        for beta in sorted(s):
+            opposite = core.neg[beta]
+            if (opposite in s or core.is_positive[opposite]) and dot(nu2, core.coords[beta]) != 0:
                 raise Inconsistent(
-                    f"coroot of {beta} escapes the Cartan hyperplane", witness=beta
+                    f"coroot of {roots[beta]} escapes the Cartan hyperplane", witness=roots[beta]
                 )
+
+
+def _config(rs, core, case_tag, delta, s, cartan_normal, alpha) -> IsotropyConfig:
+    roots = rs.roots
+    return IsotropyConfig(
+        case_tag=case_tag,
+        system=rs,
+        delta=delta,
+        cartan_full=cartan_normal is None,
+        cartan_normal=cartan_normal,
+        h_roots=frozenset(roots[i] for i in s),
+        p_roots=frozenset(roots[i] for i in s.union(core.positives)),
+        alpha=alpha,
+    )
 
 
 def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> IsotropyConfig:
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
     dvec = delta.functional
-    pos = set(rs.positives)
-    paired = _paired_set(rs, dvec)
-    alpha = None
+    core = root_core(rs)
+    d2 = doubled(dvec)
+    paired = _paired(core, d2)
 
     if case_tag in (CASE1, CASE2):
         if rs.label == "A1xA1":
             raise Reducible("Case1/Case2 need an irreducible system")
-        if dvec not in rs.root_set:
+        d = core.find(d2)
+        if d < 0:
             raise Inconsistent("distortion must be a root in this case", witness=dvec)
-        if dvec in pos:
+        if core.is_positive[d]:
             raise Inconsistent("distortion root must be negative", witness=dvec)
-        forced = set(rs.roots) - paired
+        forced = set(range(len(rs.roots))) - paired
+        alpha = None
         if case_tag == CASE1:
             candidates = [
-                a for a in rs.positives if vdot(dvec, a) == 0 and vsub(dvec, a) in rs.root_set
+                a
+                for a in core.positives
+                if dot(d2, core.coords[a]) == 0 and core.add[d][core.neg[a]] >= 0
             ]
             if not candidates:
                 raise Inconsistent("no orthogonal pairing partner for the distortion")
             if len(candidates) > 1:
                 raise Inconsistent(
-                    "multiple orthogonal pairing partners", witness=tuple(candidates)
+                    "multiple orthogonal pairing partners",
+                    witness=tuple(rs.roots[a] for a in candidates),
                 )
-            alpha = candidates[0]
+            alpha = rs.roots[candidates[0]]
             cartan_normal = alpha
         else:
             if dvec != minimal_root(rs):
                 raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
-            span = [dvec] + [b for b in rs.positives if vdot(dvec, b) == 0]
+            span = [d] + [b for b in core.positives if dot(d2, core.coords[b]) == 0]
             cartan_normal = _hyperplane_normal(rs, span)
             if cartan_normal is None:
                 raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
-        s = _closure(rs, dvec, forced, cartan_normal)
-        _final_checks(rs, dvec, s, cartan_normal, paired)
-        return IsotropyConfig(
-            case_tag=case_tag,
-            system=rs,
-            delta=delta,
-            cartan_full=False,
-            cartan_normal=cartan_normal,
-            h_roots=frozenset(s),
-            p_roots=frozenset(pos | s),
-            alpha=alpha,
-        )
+        nu2 = doubled(cartan_normal)
+        s = _closure(core, d2, forced, nu2)
+        _final_checks(rs, core, s, nu2, paired)
+        return _config(rs, core, case_tag, delta, s, cartan_normal, alpha)
 
     if case_tag in (PARABOLIC, LOWRANK) and rs.label == "A1xA1":
         a, b = rs.simples
@@ -260,56 +292,56 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
     if alpha not in rs.simples:
         raise Inconsistent("distortion is not (minimal root - simple root)", witness=alpha)
     a_index = rs.simples.index(alpha)
-    forced = set(rs.positives)
-    for b in rs.positives:
-        if rs.expansions[b][a_index] == 0:
-            forced.add(vneg(b))
-    s = _closure(rs, dvec, forced, None)
-    _final_checks(rs, dvec, s, None, paired)
+    forced = set(core.positives)
+    forced.update(core.neg[b] for b in core.positives if core.expansions[b][a_index] == 0)
+    s = _closure(core, d2, forced, None)
+    _final_checks(rs, core, s, None, paired)
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
-    return IsotropyConfig(
-        case_tag=tag,
-        system=rs,
-        delta=delta,
-        cartan_full=True,
-        cartan_normal=None,
-        h_roots=frozenset(s),
-        p_roots=frozenset(pos | s),
-        alpha=alpha,
-    )
+    return _config(rs, core, tag, delta, s, None, alpha)
 
 
 def validate(config: IsotropyConfig) -> ValidationReport:
     """Independent re-check of all structural invariants of a configuration."""
     rs = config.system
+    core = root_core(rs)
     dvec = config.delta.functional
-    s = set(config.h_roots)
-    pos = set(rs.positives)
+    h_roots = set(config.h_roots)
+    h_idx = [core.index[r] for r in h_roots]
+    p_idx = [core.index[r] for r in config.p_roots]
+    s = set(h_idx)
+    pos = set(core.positives)
     checks = []
 
     def record(name, ok, witness=None):
         checks.append((name, ok, witness))
 
-    # h is a subalgebra and an ideal of p = (Cartan + positives + h)
+    # h is a subalgebra and an ideal of p = (Cartan + positives + h); the
+    # witness is the last failing pair in the order of the root sets
     ok, witness = True, None
-    for beta in s:
-        for gamma in config.p_roots:
-            total = vadd(beta, gamma)
-            if total in rs.root_set and total not in s:
+    closed = s | {-1}
+    for b, beta in zip(h_idx, h_roots):
+        row = core.add[b]
+        if closed.issuperset(map(row.__getitem__, p_idx)):
+            continue
+        for g, gamma in zip(p_idx, config.p_roots):
+            if row[g] not in closed:
                 ok, witness = False, (beta, gamma)
     record("bracket closure of h under p", ok, witness)
 
     ok, witness = True, None
     if not config.cartan_full:
-        nu = config.cartan_normal
-        for beta in s:
-            if (vneg(beta) in s or vneg(beta) in pos) and vdot(nu, beta) != 0:
+        nu2 = doubled(config.cartan_normal)
+        for b, beta in zip(h_idx, h_roots):
+            opposite = core.neg[b]
+            if (opposite in s or opposite in pos) and dot(nu2, core.coords[b]) != 0:
                 ok, witness = False, beta
     record("coroots of opposite kernel pairs stay in the Cartan part", ok, witness)
 
-    paired = _paired_set(rs, dvec)
-    bad = sorted(s & paired) + sorted((set(rs.roots) - paired) - s)
-    record("kernel matches the pairing rule exactly", not bad, bad[0] if bad else None)
+    paired = _paired(core, doubled(dvec))
+    bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
+    record(
+        "kernel matches the pairing rule exactly", not bad, rs.roots[bad[0]] if bad else None
+    )
 
     record("h is a proper subalgebra", len(s) < len(rs.roots))
     record("p is a proper subalgebra", len(config.p_roots) < len(rs.roots))
@@ -329,7 +361,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
         record("Case2 Cartan part is a hyperplane", not config.cartan_full)
     elif config.case_tag == PARABOLIC:
         record("Borel inside h", pos <= s and config.cartan_full)
-        missing = [a for a in rs.simples if vneg(a) not in s]
+        missing = [a for a, k in zip(rs.simples, core.simples) if core.neg[k] not in s]
         record("exactly one simple root escapes h", len(missing) == 1, missing)
     else:  # LowRank
         record("Borel(s) inside h", pos <= s and config.cartan_full)

@@ -8,10 +8,13 @@ read off the expansion in the canonical simple roots.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidRank, NotARoot, Reducible
@@ -189,6 +192,45 @@ def _raw_roots(label: str, rank: int) -> tuple[int, list[Vec], list[Vec]]:
     raise InvalidRank(f"unknown series label {label!r}")
 
 
+def doubled(v) -> tuple:
+    """Coordinates of 2v, as ints where integral: every root maps to ints."""
+    out = []
+    for x in v:
+        n, d = x.numerator, x.denominator
+        out.append(2 * n if d == 1 else n if d == 2 else Fraction(2 * n, d))
+    return tuple(out)
+
+
+def dot(a, b):
+    """Inner product of two coordinate tuples of ints or Fractions."""
+    return sum(map(mul, a, b))
+
+
+def _expander(simples: list[Vec]):
+    """Simple-root expansion r -> (numerators, common denominator), from one
+    exact inverse of the simple roots' Gram matrix; None off their span."""
+    rows = [doubled(s) for s in simples]
+    k = len(rows)
+    gram = [
+        tuple(Fraction(dot(a, b)) for b in rows) + tuple(Fraction(int(i == j)) for j in range(k))
+        for i, a in enumerate(rows)
+    ]
+    red, _ = linalg.rref(gram, 2 * k)
+    inverse = [row[k:] for row in red]
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    adj = [[int(x * den) for x in row] for row in inverse]
+
+    def expand(r2):
+        proj = [dot(s, r2) for s in rows]
+        num = [dot(row, proj) for row in adj]
+        recon = [dot(num, col) for col in zip(*rows)]
+        if recon != [den * x for x in r2]:
+            return None
+        return num, den
+
+    return expand
+
+
 @lru_cache(maxsize=None)
 def build(label: str, rank: int) -> RootSystem:
     """Construct the canonical root system for (label, rank)."""
@@ -196,30 +238,100 @@ def build(label: str, rank: int) -> RootSystem:
         if rank != EXCEPTIONAL_RANK[label]:
             raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
     dim, roots, simples = _raw_roots(label, rank)
-    simple_rows = [tuple(s[d] for s in simples) for d in range(dim)]
+    expand = _expander(simples)
     expansions = {}
     positives = []
-    for r in roots:
-        coeffs = linalg.solve(simple_rows, list(r))
-        if coeffs is None:
+    keyed = sorted((doubled(r), r) for r in roots)  # doubling keeps lex order
+    for r2, r in keyed:
+        solved = expand(r2)
+        if solved is None:
             raise NotARoot(f"root {r} outside the span of the simple roots")
-        if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        num, den = solved
+        if not (all(c >= 0 for c in num) or all(c <= 0 for c in num)):
             raise NotARoot(f"root {r} has mixed-sign simple expansion")
-        if any(c.denominator != 1 for c in coeffs):
+        if any(c % den for c in num):
             raise NotARoot(f"root {r} has non-integral simple expansion")
+        coeffs = tuple(Fraction(c // den) for c in num)
         expansions[r] = coeffs
-        if all(c >= 0 for c in coeffs) and not is_zero(r):
-            positives.append(r)
-    positives.sort(key=lambda r: (sum(expansions[r]), r))
+        if all(c >= 0 for c in num) and not is_zero(r):
+            positives.append((sum(num) // den, r2, r))
+    positives.sort()
     return RootSystem(
         label=label,
         rank=rank,
         dim=dim,
-        roots=tuple(sorted(roots)),
+        roots=tuple(r for _, r in keyed),
         simples=tuple(simples),
-        positives=tuple(positives),
+        positives=tuple(r for _, _, r in positives),
         root_set=frozenset(roots),
         expansions=expansions,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RootCore:
+    """Integer tables over the roots of one system.
+
+    Root i is ``rs.roots[i]``; as ``rs.roots`` is sorted, index order is
+    the lexicographic order of the vectors.  Coordinates are doubled
+    (see `doubled`) so that the half-integral F4/E roots become ints.
+    """
+
+    index: dict  # root vector -> i
+    at: dict  # doubled coordinates -> i
+    coords: tuple  # doubled coordinates of root i
+    neg: array  # index of -root i
+    add: tuple  # add[i][j]: index of root i + root j, or -1
+    refl: tuple  # refl[k][i]: root i reflected in simple root k
+    norm: array  # squared norm of the doubled root, 4 |r|^2
+    height: array
+    expansions: tuple  # integer simple-root expansion of root i
+    positives: tuple  # indices of rs.positives, in that order
+    is_positive: bytes
+    simples: tuple  # indices of rs.simples
+
+    def find(self, v2) -> int:
+        """Index of the root with doubled coordinates v2, or -1."""
+        return self.at.get(v2, -1)
+
+
+@lru_cache(maxsize=None)
+def root_core(rs: RootSystem) -> RootCore:
+    """The integer tables of rs, built on first use (cached per system)."""
+    roots = rs.roots
+    coords = tuple(doubled(r) for r in roots)
+    at = {c: i for i, c in enumerate(coords)}
+    # doubled coordinates of a sum of two roots lie in [-8, 8], so these
+    # base-32 keys add like the vectors they encode
+    weights = [32**k for k in range(rs.dim)]
+    keys = [dot(c, weights) for c in coords]
+    by_key = {key: i for i, key in enumerate(keys)}
+    simples = tuple(at[doubled(s)] for s in rs.simples)
+    refl = []
+    for k in simples:
+        s, ks = coords[k], keys[k]
+        ss = dot(s, s)
+        image = [by_key[kr - 2 * dot(c, s) // ss * ks] for c, kr in zip(coords, keys)]
+        refl.append(array("h", image))
+    index = {r: i for i, r in enumerate(roots)}
+    expansions = tuple(tuple(c.numerator for c in rs.expansions[r]) for r in roots)
+    positives = tuple(index[r] for r in rs.positives)
+    is_positive = bytearray(len(roots))
+    for i in positives:
+        is_positive[i] = 1
+    return RootCore(
+        index=index,
+        at=at,
+        coords=coords,
+        neg=array("h", [by_key[-key] for key in keys]),
+        add=tuple(array("h", [by_key.get(ki + kj, -1) for kj in keys]) for ki in keys),
+        refl=tuple(refl),
+        norm=array("h", [dot(c, c) for c in coords]),
+        height=array("h", [sum(e) for e in expansions]),
+        expansions=expansions,
+        positives=positives,
+        is_positive=bytes(is_positive),
+        simples=simples,
     )
 
 
@@ -231,10 +343,6 @@ def _check_dim(rs: RootSystem, v: Vec) -> Vec:
 
 def is_root(rs: RootSystem, v: Vec) -> bool:
     return _check_dim(rs, v) in rs.root_set
-
-
-def inner(rs: RootSystem, v: Vec, w: Vec) -> Fraction:
-    return vdot(_check_dim(rs, v), _check_dim(rs, w))
 
 
 def height(rs: RootSystem, r: Vec) -> Fraction:
@@ -249,16 +357,12 @@ def expansion(rs: RootSystem, r: Vec) -> tuple[Fraction, ...]:
     return rs.expansions[r]
 
 
-def is_positive(rs: RootSystem, r: Vec) -> bool:
-    return all(c >= 0 for c in expansion(rs, r))
-
-
 def minimal_root(rs: RootSystem) -> Vec:
     """The lowest root (negative of the highest root)."""
     if rs.label == "A1xA1":
         raise Reducible("A1xA1 has no single minimal root")
-    top = max(rs.positives, key=lambda r: sum(rs.expansions[r]))
-    return vneg(top)
+    # positives are sorted by height, and the highest root is unique
+    return vneg(rs.positives[-1])
 
 
 def weyl_reflect(rs: RootSystem, mirror: Vec, v: Vec) -> Vec:
@@ -280,14 +384,15 @@ def random_weyl_word(rs: RootSystem, rng, length: int) -> list[Vec]:
     return [rng.choice(rs.simples) for _ in range(length)]
 
 
-def _pair_orbit(rs: RootSystem, pair) -> set:
+def pair_orbit(core: RootCore, pair: tuple[int, int]) -> set:
+    """Diagonal Weyl orbit of an index pair, as a set of index pairs."""
     seen = {pair}
     frontier = [pair]
     while frontier:
         nxt = []
         for a, b in frontier:
-            for s in rs.simples:
-                img = (weyl_reflect(rs, s, a), weyl_reflect(rs, s, b))
+            for perm in core.refl:
+                img = (perm[a], perm[b])
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -307,7 +412,9 @@ def canonical_pair_rep(rs: RootSystem, pair) -> tuple[Vec, Vec]:
     b = _check_dim(rs, b)
     if a not in rs.root_set or b not in rs.root_set:
         raise NotARoot(f"pair {pair} contains a non-root")
-    return max(_pair_orbit(rs, (a, b)))
+    core = root_core(rs)
+    i, j = max(pair_orbit(core, (core.index[a], core.index[b])))
+    return rs.roots[i], rs.roots[j]
 
 
 def format_vec(v: Vec) -> list[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -83,6 +84,25 @@ def test_classify_expect_mismatch(tmp_path, capsys):
     assert rc == 1
 
 
+def test_classify_full_report_golden(capsys):
+    """The whole rank-8 report, every verdict and witness, is byte-stable."""
+    rc, out = capture(capsys, ["classify", "--max-rank", "8", "--format", "json"])
+    assert rc == 0
+    assert out == (DATA / "classify_rank8_full.json").read_text(encoding="utf-8")
+
+
+CONSTANT_HASHES = json.loads((DATA / "constants_sha256.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("system", sorted(CONSTANT_HASHES))
+def test_dump_constants_hashes(capsys, system):
+    """dump-constants reproduces the pinned table of every system that
+    classify --max-rank 8 builds, including the rendering of each n."""
+    rc, out = capture(capsys, ["dump-constants", *system.split()])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTANT_HASHES[system]
+
+
 def test_classify_expect_golden(capsys):
     rc = run([
         "classify", "--max-rank", "8", "--format", "json",
@@ -116,6 +136,23 @@ def test_solve_missing_file(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"label": "A1xA1", "rank": 2, "case": "Case1", "delta": ["-1", "1", "0", "0"]},
+    {"label": "B", "rank": 3, "case": "Case9", "delta": ["-1", "0", "0"]},
+    ["not", "an", "object"],
+])
+def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
+    """A reducible Case1 system, an unknown case tag or a non-object config
+    ends with one error line and exit 2, never a traceback."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = run(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_check_examples_g2(capsys):
     rc, out = capture(capsys, ["check-examples", "--construction", "g2"])
     assert rc == 0
@@ -138,14 +175,6 @@ def test_check_examples_embeddings(capsys):
 def test_usage_error_exit_code():
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
-
-
-def test_threaded_classify_matches_serial(capsys, monkeypatch):
-    rc1, serial = capture(capsys, ["classify", "--max-rank", "3", "--format", "json"])
-    monkeypatch.setenv("LIE_CONFORMAL_THREADS", "3")
-    rc2, threaded = capture(capsys, ["classify", "--max-rank", "3", "--format", "json"])
-    assert rc1 == rc2 == 0
-    assert serial == threaded
 
 
 def test_console_script_subprocess():

@@ -15,6 +15,7 @@ from lieconformal.rootsys import (
     parse_vec,
     random_weyl_word,
     reflect_word,
+    root_core,
     vadd,
     vdot,
     vec,
@@ -154,3 +155,35 @@ def test_parse_format_roundtrip():
     v = (Fraction(1, 2), Fraction(-3), Fraction(0))
     assert parse_vec(format_vec(v)) == v
     assert format_vec(v) == ["1/2", "-3", "0"]
+
+
+# every system that classify --max-rank 8 builds
+CLASSIFY_SYSTEMS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8), ("A1xA1", 2)]
+)
+
+
+@pytest.mark.parametrize("label,rank", CLASSIFY_SYSTEMS)
+def test_root_core_matches_vector_ops(label, rank):
+    """The integer tables agree with vadd / vneg / weyl_reflect on vectors."""
+    rs = build(label, rank)
+    core = root_core(rs)
+    index = {r: i for i, r in enumerate(rs.roots)}
+    assert core.index == index
+    assert [rs.roots[i] for i in core.positives] == list(rs.positives)
+    assert [rs.roots[i] for i in core.simples] == list(rs.simples)
+    for i, r in enumerate(rs.roots):
+        assert rs.roots[core.neg[i]] == vneg(r)
+        assert core.norm[i] == 4 * vdot(r, r)
+        assert core.height[i] == height(rs, r)
+        assert core.expansions[i] == expansion(rs, r)
+        assert bool(core.is_positive[i]) == (r in rs.positives)
+        assert [core.add[i][j] for j in range(len(rs.roots))] == [
+            index.get(vadd(r, s), -1) for s in rs.roots
+        ]
+        for k, mirror in enumerate(rs.simples):
+            assert rs.roots[core.refl[k][i]] == weyl_reflect(rs, mirror, r)
