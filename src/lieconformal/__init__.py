@@ -4,7 +4,6 @@ conformal holomorphic Riemannian homogeneous structures."""
 from .chevalley import (
     AlgebraElement,
     StructureConstants,
-    ad_matrix,
     bracket,
     cached_constants,
     elem_e,
@@ -66,7 +65,6 @@ __all__ = [
     "StructureConstants",
     "SystemMismatch",
     "Unalignable",
-    "ad_matrix",
     "assemble",
     "bracket",
     "build",

@@ -11,12 +11,12 @@ length of the descending root string.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from . import linalg
-from .errors import NotInvariant, SystemMismatch
+from .errors import SystemMismatch
 from .rootsys import (
     RootSystem,
     Vec,
@@ -34,8 +34,22 @@ ZERO = Fraction(0)
 
 @dataclass(eq=False)
 class StructureConstants:
+    """Constants of one system; ``table[x][y]`` is n(root x, root y) on the
+    root indices of `root_core` (0 where root x + root y is not a root)."""
+
     system: RootSystem
-    n_table: dict = field(repr=False)
+    table: tuple = field(repr=False)
+
+    @cached_property
+    def n_table(self) -> dict:
+        """The nonzero constants keyed by root vectors, built on first read."""
+        roots = self.system.roots
+        return {
+            (roots[x], roots[y]): Fraction(v)
+            for x, row in enumerate(self.table)
+            for y, v in enumerate(row)
+            if v
+        }
 
     def n(self, a: Vec, b: Vec) -> Fraction:
         """Constant n(a, b) with [E_a, E_b] = n(a, b) E_{a+b}; 0 if no root."""
@@ -99,14 +113,15 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
             assert value.denominator == 1, "structure constants must be integers"
             npp[(alpha, beta)] = value.numerator
 
-    table = {}
-    for x, (rx, row) in enumerate(zip(rs.roots, add)):
-        for y, ry in enumerate(rs.roots):
-            if row[y] >= 0:
-                val = const(x, y)
-                assert val != 0
-                table[(rx, ry)] = Fraction(val)
-    return StructureConstants(system=rs, n_table=table)
+    table = []
+    for x, row in enumerate(add):
+        out = array("b", bytes(len(row)))
+        for y, z in enumerate(row):
+            if z >= 0:
+                out[y] = const(x, y)
+                assert out[y] != 0
+        table.append(out)
+    return StructureConstants(system=rs, table=tuple(table))
 
 
 @lru_cache(maxsize=None)
@@ -144,17 +159,6 @@ class AlgebraElement:
             coeffs[r] = coeffs.get(r, ZERO) + c
         return AlgebraElement(self.system, vadd(self.cartan, other.cartan), coeffs)
 
-    def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(
-            self.system,
-            vscale(c, self.cartan),
-            {r: c * v for r, v in self.coeffs.items()},
-        )
-
-    def sub(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.add(other.scale(-1))
-
 
 def elem_e(rs: RootSystem, root: Vec, c=1) -> AlgebraElement:
     return AlgebraElement(rs, coeffs={root: Fraction(c)})
@@ -187,30 +191,3 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
             elif s in rs.root_set:
                 coeffs[s] = coeffs.get(s, ZERO) + c1 * c2 * sc.n_table[(r1, r2)]
     return AlgebraElement(rs, tuple(cartan), coeffs)
-
-
-def _coords(rs: RootSystem, x: AlgebraElement, order) -> list[Fraction]:
-    return list(x.cartan) + [x.coeffs.get(r, ZERO) for r in order]
-
-
-def ad_matrix(sc: StructureConstants, p: AlgebraElement, domain, codomain) -> list:
-    """Matrix of ad_p: rows indexed by codomain, columns by domain.
-
-    Raises NotInvariant when some image leaves the span of codomain.
-    """
-    rs = sc.system
-    order = rs.roots
-    cod_rows = [_coords(rs, b, order) for b in codomain]
-    ncoords = len(cod_rows[0]) if cod_rows else 0
-    matrix_rows = [[ZERO] * len(domain) for _ in codomain]
-    # transpose of codomain coordinates: solve  sum_i t_i * cod[i] = image
-    a_rows = [tuple(cr[k] for cr in cod_rows) for k in range(ncoords)]
-    for j, b in enumerate(domain):
-        img = bracket(sc, p, b)
-        rhs = _coords(rs, img, order)
-        t = linalg.solve(a_rows, rhs)
-        if t is None:
-            raise NotInvariant(f"image of domain element {j} is outside the codomain span")
-        for i in range(len(codomain)):
-            matrix_rows[i][j] = t[i]
-    return matrix_rows

@@ -25,6 +25,7 @@ from .chevalley import cached_constants
 from .errors import Inconsistent, Reducible
 from .isotropy import CASE1, CASE2, LOWRANK, PARABOLIC, Distortion, derive_isotropy, validate
 from .rootsys import (
+    EXCEPTIONAL_RANK,
     RootSystem,
     Vec,
     build,
@@ -81,8 +82,11 @@ def _systems(max_rank: int):
     out += [build("B", n) for n in range(2, max_rank + 1)]
     out += [build("C", n) for n in range(2, max_rank + 1)]
     out += [build("D", n) for n in range(3, max_rank + 1)]
-    out += [build("G2", 2), build("F4", 4), build("E6", 6), build("E7", 7), build("E8", 8)]
-    out.append(build("A1xA1", 2))
+    out += [
+        build(label, EXCEPTIONAL_RANK[label])
+        for label in ("G2", "F4", "E6", "E7", "E8", "A1xA1")
+        if EXCEPTIONAL_RANK[label] <= max_rank
+    ]
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import sympy
 
@@ -22,7 +23,7 @@ from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket, elem_e, elem_h
 from .errors import NotValidated, ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import coroot, is_zero, vadd, vdot, vneg, vsub
+from .rootsys import RootCore, coroot, dot, doubled, is_zero, root_core, vdot
 
 ZERO = Fraction(0)
 
@@ -67,12 +68,6 @@ class FormSolution:
         return self.nondegenerate_witness is not None
 
 
-def _label_weight(config: IsotropyConfig, label):
-    if label == CARTAN_LABEL:
-        return (ZERO,) * config.system.dim
-    return label
-
-
 def _label_element(config: IsotropyConfig, label) -> AlgebraElement:
     rs = config.system
     if label == CARTAN_LABEL:
@@ -80,15 +75,21 @@ def _label_element(config: IsotropyConfig, label) -> AlgebraElement:
     return elem_e(rs, label)
 
 
+def _label_weights(core: RootCore, labels: list, dim: int) -> tuple[list, list]:
+    """Root index (None for the Cartan label) and doubled weight of each label."""
+    at = [None if l == CARTAN_LABEL else core.index[l] for l in labels]
+    return at, [(0,) * dim if r is None else core.coords[r] for r in at]
+
+
 def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
     labels = quotient_basis(config)
-    dvec = config.delta.functional
-    weights = [_label_weight(config, l) for l in labels]
+    d2 = doubled(config.delta.functional)
+    _, weights = _label_weights(root_core(config.system), labels, len(d2))
     pairs = [
         (i, j)
         for i in range(len(labels))
         for j in range(i, len(labels))
-        if vadd(weights[i], weights[j]) == dvec
+        if tuple(map(add, weights[i], weights[j])) == d2
     ]
     return FormUnknowns(labels=labels, pairs=pairs)
 
@@ -123,38 +124,54 @@ def _project(config: IsotropyConfig, elt: AlgebraElement, label_index):
 
 
 def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
+    """Invariance rows for the form unknowns, read off the root-core tables.
+
+    Only the root vectors E_g (g in p) contribute: for h in the Cartan the
+    row of an unknown pair (i, j) is (w_i + w_j - delta)(h) B_ij = 0.  As
+    ad E_g shifts weights by g, the row of a label pair (i, j) for E_g is
+    nonzero only if g = delta - w_i - w_j, so each label pair yields at
+    most one row, with entries on the unknowns (partner(j), j) and
+    (partner(i), i).
+    """
     if not config.validated:
         raise NotValidated("validate the configuration before assembling")
     unknowns = form_unknowns(config)
     labels = unknowns.labels
-    nunk = len(unknowns.pairs)
+    core = root_core(sc.system)
+    roots, neg, coords, norm = sc.system.roots, core.neg, core.coords, core.norm
+    d2 = doubled(config.delta.functional)
+    if not config.cartan_full:  # the Cartan label and nu exist
+        nu2 = doubled(config.cartan_normal)
+        nn = dot(nu2, nu2)
+    at, weights = _label_weights(core, labels, len(d2))
+    partner = {}
+    for i, j in unknowns.pairs:
+        partner[i], partner[j] = j, i
+
+    def image(g, a):
+        """Coefficient of [E_g, label a] on the quotient label it lands on."""
+        r = at[a]
+        if r is None:
+            return Fraction(-dot(coords[g], nu2), 4)  # [E_g, h_nu] = -(g.nu) E_g
+        if r == neg[g]:
+            # [E_g, E_-g] = coroot of g, projected onto nu
+            return Fraction(8 * dot(coords[g], nu2), norm[g] * nn)
+        return sc.table[g][r]
+
     rows = set()
-    basis_elems = [_label_element(config, l) for l in labels]
-    for p, dval in _generators(sc, config):
-        actions = [
-            _project(config, bracket(sc, p, b), unknowns.label_index) for b in basis_elems
-        ]
-        for i in range(len(labels)):
-            for j in range(i, len(labels)):
-                row = [ZERO] * nunk
-                used = False
-                for k, c in actions[i].items():
-                    u = unknowns.index(k, j)
-                    if u is not None:
-                        row[u] += c
-                        used = True
-                for k, c in actions[j].items():
-                    u = unknowns.index(i, k)
-                    if u is not None:
-                        row[u] += c
-                        used = True
-                if dval != 0:
-                    u = unknowns.index(i, j)
-                    if u is not None:
-                        row[u] -= dval
-                        used = True
-                if used and any(x != 0 for x in row):
-                    rows.add(tuple(row))
+    for i, wi in enumerate(weights):
+        for j in range(i, len(labels)):
+            g = core.find(tuple(d - a - b for d, a, b in zip(d2, wi, weights[j])))
+            if g < 0 or roots[g] not in config.p_roots:
+                continue
+            row = [0] * len(unknowns.pairs)
+            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
+                k = partner.get(b)
+                if k is not None:
+                    # the pair (i, i) takes the image of label i in both slots
+                    row[unknowns.index(k, b)] += image(g, a) * (2 if i == j else 1)
+            if any(row):
+                rows.add(tuple(row))
     return AssembledSystem(config=config, unknowns=unknowns, rows=sorted(rows))
 
 
@@ -174,7 +191,7 @@ def gram_matrix(system: AssembledSystem, coeffs):
 def _max_residual(system: AssembledSystem, coeffs) -> Fraction:
     worst = ZERO
     for row in system.rows:
-        r = abs(sum(a * b for a, b in zip(row, coeffs)))
+        r = abs(sum(a * b for a, b in zip(row, coeffs) if a))
         worst = max(worst, r)
     return worst
 

@@ -6,6 +6,7 @@ dozen columns at most) that plain Gaussian elimination is fine.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = tuple[Fraction, ...]
@@ -37,13 +38,45 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     return [tuple(row) for row in work[:r]], pivots
 
 
-def rank(rows: list[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+def _row_basis(rows: list[Row], ncols: int) -> list[Row]:
+    """A maximal independent subset of the rows, picked greedily in order.
+
+    Fraction-free: each row is scaled to integers and reduced against the
+    integer echelon rows kept so far by cross-multiplication, with the
+    content divided out; the pass stops once ncols rows are independent.
+    """
+    echelon: dict[int, list[int]] = {}  # leading column -> integer row
+    basis = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        for c in range(ncols):
+            a = v[c]
+            if not a:
+                continue
+            e = echelon.get(c)
+            if e is None:
+                echelon[c] = v
+                basis.append(row)
+                break
+            b = e[c]
+            v = [b * x - a * y for x, y in zip(v, e)]
+            g = math.gcd(*v)
+            if g > 1:
+                v = [x // g for x in v]
+        if len(basis) == ncols:
+            break
+    return basis
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of the right nullspace, one vector per free column."""
-    red, pivots = rref(rows, ncols)
+    """Basis of the right nullspace, one vector per free column.
+
+    Rows may hold ints or Fractions.  The RREF of a row space does not
+    depend on which spanning rows it is computed from, so reducing only a
+    row basis gives the same result as reducing every row.
+    """
+    red, pivots = rref(_row_basis(rows, ncols), ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -53,20 +86,6 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
             v[p] = -red[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows: list[Row], rhs: list[Fraction]) -> Row | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    # Free variables are set to zero, so each pivot row reads off directly.
-    x = [ZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return tuple(x)
 
 
 def det(rows: list[Row]) -> Fraction:
@@ -89,35 +108,3 @@ def det(rows: list[Row]) -> Fraction:
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
     return result * sign
-
-
-class RowAccumulator:
-    """Incremental echelon basis of a row space with few columns."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-
-    def add(self, row) -> bool:
-        """Reduce `row` against the basis; keep it if independent."""
-        work = list(row)
-        for r, p in zip(self.rows, self.pivots):
-            if work[p] != 0:
-                f = work[p]
-                work = [a - f * b for a, b in zip(work, r)]
-        lead = next((c for c in range(self.ncols) if work[c] != 0), None)
-        if lead is None:
-            return False
-        inv = ONE / work[lead]
-        work = [x * inv for x in work]
-        for r, p in zip(self.rows, self.pivots):
-            if r[lead] != 0:
-                f = r[lead]
-                r[:] = [a - f * b for a, b in zip(r, work)]
-        self.rows.append(work)
-        self.pivots.append(lead)
-        return True
-
-    def nullspace(self) -> list[Row]:
-        return nullspace([tuple(r) for r in self.rows], self.ncols)

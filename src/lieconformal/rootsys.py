@@ -341,22 +341,6 @@ def _check_dim(rs: RootSystem, v: Vec) -> Vec:
     return tuple(Fraction(x) for x in v)
 
 
-def is_root(rs: RootSystem, v: Vec) -> bool:
-    return _check_dim(rs, v) in rs.root_set
-
-
-def height(rs: RootSystem, r: Vec) -> Fraction:
-    if r not in rs.root_set:
-        raise NotARoot(f"{r} is not a root of {rs.label}{rs.rank}")
-    return sum(rs.expansions[r])
-
-
-def expansion(rs: RootSystem, r: Vec) -> tuple[Fraction, ...]:
-    if r not in rs.root_set:
-        raise NotARoot(f"{r} is not a root of {rs.label}{rs.rank}")
-    return rs.expansions[r]
-
-
 def minimal_root(rs: RootSystem) -> Vec:
     """The lowest root (negative of the highest root)."""
     if rs.label == "A1xA1":
@@ -372,12 +356,6 @@ def weyl_reflect(rs: RootSystem, mirror: Vec, v: Vec) -> Vec:
         raise NotARoot(f"mirror {mirror} is not a root")
     c = 2 * vdot(v, mirror) / vdot(mirror, mirror)
     return vsub(v, vscale(c, mirror))
-
-
-def reflect_word(rs: RootSystem, word, v: Vec) -> Vec:
-    for mirror in word:
-        v = weyl_reflect(rs, mirror, v)
-    return v
 
 
 def random_weyl_word(rs: RootSystem, rng, length: int) -> list[Vec]:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lieconformal.chevalley import (
-    ad_matrix,
+    StructureConstants,
     bracket,
     cached_constants,
     elem_e,
@@ -127,13 +127,20 @@ def test_e_minus_e_gives_coroot():
         assert out.cartan == coroot(r)
 
 
-def test_ad_matrix_action():
-    """ad_matrix reproduces the bracket in coordinates on a closed span."""
-    sc = cached_constants("A", 2)
-    rs = sc.system
-    domain = basis_elements(rs)
-    p = elem_h(rs, coroot(rs.simples[0]))
-    m = ad_matrix(sc, p, domain, domain)
-    assert len(m) == len(domain)
-    # trace of ad of a Cartan element is zero
-    assert sum(m[i][i] for i in range(len(domain))) == 0
+@pytest.mark.parametrize("label,rank", [("F4", 4), ("E7", 7)])
+def test_n_table_is_lazy_and_matches_eager(label, rank):
+    """The vector-keyed table is built on first read from the int table and
+    equals one filled eagerly from it."""
+    rs = build(label, rank)
+    sc = structure_constants(rs)
+    assert "n_table" not in vars(sc)
+    eager = {}
+    for x, row in enumerate(sc.table):
+        for y, n in enumerate(row):
+            if vadd(rs.roots[x], rs.roots[y]) in rs.root_set:
+                eager[(rs.roots[x], rs.roots[y])] = n
+            else:
+                assert n == 0
+    assert sc.n_table == eager
+    assert sc.n_table is sc.n_table
+    assert StructureConstants(rs, sc.table).n_table == cached_constants(label, rank).n_table

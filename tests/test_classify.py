@@ -110,3 +110,11 @@ def test_classify_rank8_matches_expected():
     assert report.matches_expected
     assert len(report.survivors) == 37
     assert len(report.verdicts) == 215
+
+
+def test_max_rank_bounds_exceptional_systems():
+    """Exceptional systems are judged only when their rank is within max_rank."""
+    report = classify_all(2)
+    systems = {(v.label, v.rank) for v in report.verdicts}
+    assert systems == {("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A1xA1", 2)}
+    assert report.matches_expected

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from lieconformal.chevalley import cached_constants
+from lieconformal import classify, invform
+from lieconformal.chevalley import bracket, cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
+    _generators,
+    _label_element,
+    _project,
     assemble,
     form_unknowns,
     gram_matrix,
@@ -13,6 +17,7 @@ from lieconformal.invform import (
     verify_invariance,
 )
 from lieconformal.isotropy import (
+    CARTAN_LABEL,
     CASE1,
     CASE2,
     PARABOLIC,
@@ -23,7 +28,7 @@ from lieconformal.isotropy import (
     translate_config,
     validate,
 )
-from lieconformal.rootsys import build, minimal_root, random_weyl_word, vec, vneg
+from lieconformal.rootsys import build, minimal_root, random_weyl_word, vadd, vec, vneg
 
 
 def make_config(label, rank, case, *, alpha_idx=None, m=None):
@@ -151,3 +156,75 @@ def test_feasibility_invariant_under_weyl_translation():
             moved = translate_config(cfg, word)
             sol = solve(assemble(sc, moved))
             assert (sol.dimension, sol.feasible) == (base.dimension, base.feasible)
+
+
+def vector_assemble(sc, config):
+    """Reference: the vector-path assembly, brackets over every generator of p."""
+    labels = quotient_basis(config)
+    dvec = config.delta.functional
+    zero = (Fraction(0),) * config.system.dim
+    weights = [zero if l == CARTAN_LABEL else l for l in labels]
+    pairs = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i, len(labels))
+        if vadd(weights[i], weights[j]) == dvec
+    ]
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    label_index = {l: i for i, l in enumerate(labels)}
+
+    def index(i, j):
+        return pair_index.get((i, j) if i <= j else (j, i))
+
+    rows = set()
+    basis_elems = [_label_element(config, l) for l in labels]
+    for p, dval in _generators(sc, config):
+        actions = [_project(config, bracket(sc, p, b), label_index) for b in basis_elems]
+        for i in range(len(labels)):
+            for j in range(i, len(labels)):
+                row = [Fraction(0)] * len(pairs)
+                for k, c in actions[i].items():
+                    if index(k, j) is not None:
+                        row[index(k, j)] += c
+                for k, c in actions[j].items():
+                    if index(i, k) is not None:
+                        row[index(i, k)] += c
+                if dval != 0 and index(i, j) is not None:
+                    row[index(i, j)] -= dval
+                if any(row):
+                    rows.add(tuple(row))
+    return pairs, sorted(rows)
+
+
+def _assembled_configs(monkeypatch):
+    """(constants, config) of every rank-8 candidate that reaches assembly."""
+    seen = []
+    real = invform.assemble
+
+    def record(sc, config):
+        seen.append((sc, config))
+        return real(sc, config)
+
+    monkeypatch.setattr(invform, "assemble", record)
+    report = classify.classify_all(8)
+    monkeypatch.undo()
+    return report, seen
+
+
+def test_assemble_matches_vector_path(monkeypatch):
+    """Index assembly equals the vector path on every rank-8 candidate that
+    reaches the solver and on seeded Weyl translates of each survivor."""
+    report, seen = _assembled_configs(monkeypatch)
+    assert len(seen) == 39
+    rng = random.Random(2024)
+    survivors = 0
+    for sc, cfg in seen:
+        configs = [cfg]
+        if solve(assemble(sc, cfg)).feasible:
+            survivors += 1
+            word = random_weyl_word(cfg.system, rng, rng.randint(1, 8))
+            configs.append(translate_config(cfg, word))
+        for c in configs:
+            system = assemble(sc, c)
+            assert (system.unknowns.pairs, system.rows) == vector_assemble(sc, c)
+    assert survivors == len(report.survivors) == 37

@@ -7,14 +7,10 @@ from lieconformal.rootsys import (
     build,
     canonical_pair_rep,
     coroot,
-    expansion,
     format_vec,
-    height,
-    is_root,
     minimal_root,
     parse_vec,
     random_weyl_word,
-    reflect_word,
     root_core,
     vadd,
     vdot,
@@ -23,6 +19,17 @@ from lieconformal.rootsys import (
     vsub,
     weyl_reflect,
 )
+
+
+def height(rs, r):
+    return sum(rs.expansions[r])
+
+
+def reflect_word(rs, word, v):
+    for mirror in word:
+        v = weyl_reflect(rs, mirror, v)
+    return v
+
 
 ROOT_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 7): 56,
@@ -65,7 +72,7 @@ def test_expansions_are_integral_and_one_signed(label, rank):
     """Every root is an all-nonnegative or all-nonpositive integer combination of simples."""
     rs = build(label, rank)
     for r in rs.roots:
-        coeffs = expansion(rs, r)
+        coeffs = rs.expansions[r]
         assert all(c.denominator == 1 for c in coeffs)
         signs = {1 if c > 0 else -1 for c in coeffs if c != 0}
         assert len(signs) == 1
@@ -107,10 +114,12 @@ def test_coroot_values():
 
 def test_is_root_and_errors():
     rs = build("B", 2)
-    assert is_root(rs, vec(1, 1))
-    assert not is_root(rs, vec(2, 0))
+    assert vec(1, 1) in rs.root_set
+    assert vec(2, 0) not in rs.root_set
     with pytest.raises(NotARoot):
-        expansion(rs, vec(2, 0))
+        weyl_reflect(rs, vec(2, 0), vec(1, 1))
+    with pytest.raises(NotARoot):
+        canonical_pair_rep(rs, (vec(2, 0), vec(1, 1)))
 
 
 def test_invalid_rank():
@@ -180,7 +189,7 @@ def test_root_core_matches_vector_ops(label, rank):
         assert rs.roots[core.neg[i]] == vneg(r)
         assert core.norm[i] == 4 * vdot(r, r)
         assert core.height[i] == height(rs, r)
-        assert core.expansions[i] == expansion(rs, r)
+        assert core.expansions[i] == rs.expansions[r]
         assert bool(core.is_positive[i]) == (r in rs.positives)
         assert [core.add[i][j] for j in range(len(rs.roots))] == [
             index.get(vadd(r, s), -1) for s in rs.roots
