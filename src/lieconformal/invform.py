@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import add
 
 import sympy
@@ -226,15 +226,15 @@ def solve(system: AssembledSystem) -> FormSolution:
                 out[i] += Fraction(w) * x
         return tuple(out)
 
-    candidates = [tuple(_PRIMES[:dim])]
-    candidates.extend(product(range(1, dim + 3), repeat=dim))
-    for weights in candidates:
-        if poly.subs(dict(zip(ts, weights))) != 0:
-            witness = combine(weights)
-            if _max_residual(system, witness) != 0:
-                raise ResidualNonzero("witness fails the assembled constraints")
-            return FormSolution(dim, basis, witness, None, ZERO)
-    raise RuntimeError("nonzero generic determinant but no witness found")
+    # poly is nonzero with degree at most n in each variable, so by the
+    # Combinatorial Nullstellensatz (Alon 1999) it is nonzero somewhere on
+    # {1..n+1}^dim: the search always ends
+    candidates = chain([tuple(_PRIMES[:dim])], product(range(1, n + 2), repeat=dim))
+    weights = next(w for w in candidates if poly.subs(dict(zip(ts, w))) != 0)
+    witness = combine(weights)
+    if _max_residual(system, witness) != 0:
+        raise ResidualNonzero("witness fails the assembled constraints")
+    return FormSolution(dim, basis, witness, None, ZERO)
 
 
 def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
@@ -250,9 +250,8 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     labels = unknowns.labels
     dvec = config.delta.functional
 
-    def form(x: AlgebraElement, y: AlgebraElement) -> Fraction:
-        px = _project(config, x, unknowns.label_index)
-        py = _project(config, y, unknowns.label_index)
+    def form(px: dict, py: dict) -> Fraction:
+        """The form on two elements given by their label projections."""
         total = ZERO
         for i, ci in px.items():
             for j, cj in py.items():
@@ -262,12 +261,15 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         return total
 
     basis_elems = [_label_element(config, l) for l in labels]
+    own = [_project(config, u, unknowns.label_index) for u in basis_elems]
     checked = 0
     for p, dval in _generators(sc, config):
-        for i, u in enumerate(basis_elems):
-            for v in basis_elems[i:]:
-                lhs = form(bracket(sc, p, u), v) + form(u, bracket(sc, p, v))
-                rhs = dval * form(u, v)
+        # [p, u] is projected once per label u and reused in every pair
+        moved = [_project(config, bracket(sc, p, u), unknowns.label_index) for u in basis_elems]
+        for i in range(len(labels)):
+            for j in range(i, len(labels)):
+                lhs = form(moved[i], own[j]) + form(own[i], moved[j])
+                rhs = dval * form(own[i], own[j])
                 if lhs != rhs:
                     raise ResidualNonzero(
                         f"invariance fails for generator {p!r} on a label pair: "

@@ -28,6 +28,7 @@ from .rootsys import (
     doubled,
     is_zero,
     minimal_root,
+    mirror_index,
     root_core,
     vadd,
     vdot,
@@ -388,18 +389,35 @@ def quotient_basis(config: IsotropyConfig) -> list:
 def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     """Apply a Weyl word to every ingredient of a configuration.
 
+    The kernel and normalizer roots move on root indices; the distortion,
+    the Cartan normal and alpha move through `weyl_reflect`.
+
     The result is marked validated: Weyl elements are automorphisms, so
     every structural invariant transports along them (the translated
     positivity is no longer the canonical one, which is exactly the point
     of the feasibility-invariance property).
     """
     rs = config.system
+    core = root_core(rs)
+    mirrors = [mirror_index(rs, m) for m in word]
+    coords, norm = core.coords, core.norm
 
     def move(v):
-        for mirror in word:
-            v = weyl_reflect(rs, mirror, v)
+        for m in mirrors:
+            v = weyl_reflect(rs, rs.roots[m], v)
         return v
 
+    def move_root(r):
+        # s_m(r) = r - k m with k = 2 (r.m)/(m.m), an integer on doubled coordinates
+        c = coords[core.index[r]]
+        for m in mirrors:
+            mc = coords[m]
+            k = 2 * dot(c, mc) // norm[m]
+            if k:
+                c = tuple(a - k * b for a, b in zip(c, mc))
+        return rs.roots[core.at[c]]
+
+    image = {r: move_root(r) for r in config.h_roots | config.p_roots}
     delta = Distortion(
         move(config.delta.functional),
         as_root=move(config.delta.as_root) if config.delta.as_root else None,
@@ -409,8 +427,8 @@ def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
         config,
         delta=delta,
         cartan_normal=move(config.cartan_normal) if config.cartan_normal else None,
-        h_roots=frozenset(move(r) for r in config.h_roots),
-        p_roots=frozenset(move(r) for r in config.p_roots),
+        h_roots=frozenset(map(image.__getitem__, config.h_roots)),
+        p_roots=frozenset(map(image.__getitem__, config.p_roots)),
         alpha=move(config.alpha) if config.alpha is not None else None,
         validated=True,
     )

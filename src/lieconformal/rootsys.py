@@ -358,6 +358,15 @@ def weyl_reflect(rs: RootSystem, mirror: Vec, v: Vec) -> Vec:
     return vsub(v, vscale(c, mirror))
 
 
+def mirror_index(rs: RootSystem, mirror) -> int:
+    """Root index of a reflection mirror; raises as `weyl_reflect` does."""
+    mirror = _check_dim(rs, mirror)
+    k = root_core(rs).find(doubled(mirror))
+    if k < 0:
+        raise NotARoot(f"mirror {mirror} is not a root")
+    return k
+
+
 def random_weyl_word(rs: RootSystem, rng, length: int) -> list[Vec]:
     return [rng.choice(rs.simples) for _ in range(length)]
 

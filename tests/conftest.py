@@ -1,5 +1,30 @@
 import sys
 
+import pytest
+
+
+@pytest.fixture(scope="session")
+def rank8_survivors():
+    """(assembled system, solution) of each of the 37 rank-8 survivors, in
+    classify order, recorded from one `classify_all(8)` run."""
+    from lieconformal import invform
+    from lieconformal.classify import classify_all
+
+    seen = []
+    real = invform.solve
+
+    def record(system):
+        solution = real(system)
+        if solution.feasible:
+            seen.append((system, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invform, "solve", record)
+        report = classify_all(8)
+    assert len(seen) == len(report.survivors) == 37
+    return seen
+
 
 def pytest_terminal_summary(terminalreporter):
     """Print one line per acceptance criterion after capture ends."""

@@ -7,8 +7,11 @@ from lieconformal import classify, invform
 from lieconformal.chevalley import bracket, cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
+    AssembledSystem,
+    FormUnknowns,
     _generators,
     _label_element,
+    _max_residual,
     _project,
     assemble,
     form_unknowns,
@@ -28,6 +31,7 @@ from lieconformal.isotropy import (
     translate_config,
     validate,
 )
+from lieconformal.linalg import det
 from lieconformal.rootsys import build, minimal_root, random_weyl_word, vadd, vec, vneg
 
 
@@ -121,8 +125,6 @@ def test_gram_matrix_nondegenerate_on_witness():
     sc, cfg = make_config("B", 3, PARABOLIC, alpha_idx=2)
     sol = solve(assemble(sc, cfg))
     g = gram_matrix(assemble(sc, cfg), sol.nondegenerate_witness)
-    from lieconformal.linalg import det
-
     assert det(g) != 0
 
 
@@ -139,6 +141,62 @@ def test_verify_invariance_rejects_bad_coeffs():
     bad = (Fraction(1), Fraction(1), Fraction(1))
     with pytest.raises(ResidualNonzero):
         verify_invariance(sc, cfg, bad)
+
+
+def test_verify_invariance_guard(rank8_survivors):
+    """On every survivor of rank <= 4, verify_invariance checks every label
+    pair (i <= j) against every generator of p, and moving any one witness
+    coordinate off the solution space is caught."""
+    checked = 0
+    for system, sol in rank8_survivors:
+        cfg = system.config
+        if cfg.system.rank > 4:
+            continue
+        sc = cached_constants(cfg.system.label, cfg.system.rank)
+        n = len(system.unknowns.labels)
+        out = verify_invariance(sc, cfg, sol.nondegenerate_witness)
+        assert out["constraints_checked"] == len(_generators(sc, cfg)) * n * (n + 1) // 2
+        nunk = len(system.unknowns.pairs)
+        if sol.dimension < nunk:
+            for k in range(nunk):
+                bad = list(sol.nondegenerate_witness)
+                bad[k] += 1
+                with pytest.raises(ResidualNonzero):
+                    verify_invariance(sc, cfg, bad)
+                checked += 1
+    assert checked > 0
+
+
+def test_witness_search_is_total():
+    """A dim-2 system whose generic determinant vanishes on the prime point
+    and on all of {1..4}^2 still gets a witness from {1..n+1}^2.
+
+    The nullspace basis is (e12 + sum q e_k, e13 - sum p e_k), so the
+    generic Gram matrix is diagonal with entries q t0 - p t1 (one per
+    ratio p/q of a point of the old grid), t0 and t1."""
+    ratios = sorted({Fraction(a, b) for a in range(1, 5) for b in range(1, 5)} | {Fraction(3, 5)})
+    assert len(ratios) == 12
+    n = len(ratios) + 2
+    basis = [(*(r.denominator for r in ratios), 1, 0), (*(-r.numerator for r in ratios), 0, 1)]
+    rows = []
+    for k, r in enumerate(ratios):
+        row = [0] * n
+        row[k], row[n - 2], row[n - 1] = 1, -r.denominator, r.numerator
+        rows.append(tuple(row))
+    unknowns = FormUnknowns(labels=list(range(n)), pairs=[(i, i) for i in range(n)])
+    system = AssembledSystem(config=None, unknowns=unknowns, rows=rows)
+
+    def gram_det(t):
+        coeffs = [t[0] * a + t[1] * b for a, b in zip(*basis)]
+        return det(gram_matrix(system, coeffs))
+
+    old_grid = [(3, 5)] + [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    assert all(gram_det(t) == 0 for t in old_grid)
+    sol = solve(system)
+    assert sol.dimension == 2 and sol.feasible
+    assert sol.basis == basis
+    assert _max_residual(system, sol.nondegenerate_witness) == 0
+    assert det(gram_matrix(system, sol.nondegenerate_witness)) != 0
 
 
 def test_feasibility_invariant_under_weyl_translation():

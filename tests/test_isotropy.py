@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from lieconformal.errors import Inconsistent
+from lieconformal.errors import DimensionMismatch, Inconsistent, NotARoot
 from lieconformal.isotropy import (
     CASE1,
     ZERO_WEIGHT,
@@ -22,6 +23,7 @@ from lieconformal.rootsys import (
     random_weyl_word,
     vec,
     vneg,
+    weyl_reflect,
 )
 
 
@@ -124,3 +126,71 @@ def test_translate_config_preserves_validation():
         assert len(moved.h_roots) == len(cfg.h_roots)
         assert len(moved.p_roots) == len(cfg.p_roots)
         assert moved.h_roots <= rs.root_set
+
+
+def vector_translate(config, word):
+    """Reference: every ingredient moved through `weyl_reflect`, one mirror
+    at a time, as Weyl transport was done before it ran on root indices."""
+    rs = config.system
+
+    def move(v):
+        for mirror in word:
+            v = weyl_reflect(rs, mirror, v)
+        return v
+
+    delta = Distortion(
+        move(config.delta.functional),
+        as_root=move(config.delta.as_root) if config.delta.as_root else None,
+        as_sum=tuple(move(x) for x in config.delta.as_sum) if config.delta.as_sum else None,
+    )
+    return replace(
+        config,
+        delta=delta,
+        cartan_normal=move(config.cartan_normal) if config.cartan_normal else None,
+        h_roots=frozenset(move(r) for r in config.h_roots),
+        p_roots=frozenset(move(r) for r in config.p_roots),
+        alpha=move(config.alpha) if config.alpha is not None else None,
+        validated=True,
+    )
+
+
+def test_translate_config_matches_vector_path(rank8_survivors):
+    """Index transport equals the vector path on every rank-8 survivor, for
+    seeded words of simple mirrors and words of arbitrary root mirrors."""
+    rng = random.Random(4242)
+    non_simple = 0
+    for system, _ in rank8_survivors:
+        cfg = system.config
+        rs = cfg.system
+        words = [
+            random_weyl_word(rs, rng, rng.randint(1, 8)),
+            [rng.choice(rs.roots) for _ in range(rng.randint(1, 8))],
+        ]
+        non_simple += sum(m not in rs.simples for m in words[1])
+        for word in words:
+            new, old = translate_config(cfg, word), vector_translate(cfg, word)
+            assert new.h_roots == old.h_roots
+            assert new.p_roots == old.p_roots
+            assert new.delta.functional == old.delta.functional
+            assert new.delta.as_root == old.delta.as_root
+            assert new.delta.as_sum == old.delta.as_sum
+            assert new.cartan_normal == old.cartan_normal
+            assert new.alpha == old.alpha
+            assert new == old
+    assert non_simple > 37
+
+
+def test_translate_config_rejects_bad_mirrors():
+    rs = build("C", 3)
+    cfg = derive_isotropy(rs, case1_distortion(rs, vec(1, 1, 0)), CASE1)
+    validate(cfg)
+    good = rs.simples[0]
+    for translate in (translate_config, vector_translate):
+        with pytest.raises(NotARoot):
+            translate(cfg, [good, vec(1, 0, 0)])
+        with pytest.raises(NotARoot):
+            translate(cfg, [vec(1, 1, 1)])
+        with pytest.raises(DimensionMismatch):
+            translate(cfg, [good, vec(1, -1)])
+        with pytest.raises(DimensionMismatch):
+            translate(cfg, [vec(1, -1, 0, 0), vec(1, 0, 0)])
