@@ -17,7 +17,6 @@ from .errors import (
     InvalidRank,
     NoWitness,
     NotARoot,
-    NotInvariant,
     NotValidated,
     Reducible,
     ResidualNonzero,
@@ -56,7 +55,6 @@ __all__ = [
     "LOWRANK",
     "NoWitness",
     "NotARoot",
-    "NotInvariant",
     "NotValidated",
     "PARABOLIC",
     "Reducible",

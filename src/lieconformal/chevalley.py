@@ -17,17 +17,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import SystemMismatch
-from .rootsys import (
-    RootSystem,
-    Vec,
-    build,
-    coroot,
-    is_zero,
-    root_core,
-    vadd,
-    vdot,
-    vscale,
-)
+from .rootsys import RootSystem, Vec, build, coroot, is_zero, vadd, vdot, vscale
 
 ZERO = Fraction(0)
 
@@ -35,7 +25,7 @@ ZERO = Fraction(0)
 @dataclass(eq=False)
 class StructureConstants:
     """Constants of one system; ``table[x][y]`` is n(root x, root y) on the
-    root indices of `root_core` (0 where root x + root y is not a root)."""
+    root indices of the system (0 where root x + root y is not a root)."""
 
     system: RootSystem
     table: tuple = field(repr=False)
@@ -63,10 +53,9 @@ def _ratio(n: int, num: int, den: int) -> int:
 
 
 def structure_constants(rs: RootSystem) -> StructureConstants:
-    core = root_core(rs)
-    add, neg, norm, is_pos = core.add, core.neg, core.norm, core.is_positive
+    add, neg, norm, is_pos = rs.add, rs.neg, rs.norm, rs.is_positive
     # order: height, then lexicographically decreasing; index order is lex order
-    pos = sorted(core.positives, key=lambda i: (core.height[i], -i))
+    pos = sorted(rs.positive_idx, key=lambda i: (rs.height[i], -i))
     order = {r: k for k, r in enumerate(pos)}
     npp: dict = {}
 
@@ -188,6 +177,6 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
             if is_zero(s):
                 h = vscale(c1 * c2, coroot(r1))
                 cartan = [a + b for a, b in zip(cartan, h)]
-            elif s in rs.root_set:
+            elif rs.index_of(s) >= 0:
                 coeffs[s] = coeffs.get(s, ZERO) + c1 * c2 * sc.n_table[(r1, r2)]
     return AlgebraElement(rs, tuple(cartan), coeffs)

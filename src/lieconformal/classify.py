@@ -33,7 +33,6 @@ from .rootsys import (
     doubled,
     minimal_root,
     pair_orbit,
-    root_core,
     vadd,
     vneg,
 )
@@ -94,11 +93,10 @@ def enumerate_case1(rs: RootSystem):
     """Canonical representatives (-delta, alpha) of constrained pair orbits."""
     if rs.label == "A1xA1":
         raise Reducible("Case1 needs an irreducible system")
-    core = root_core(rs)
-    coords = core.coords
+    coords = rs.coords
     pairs = [
         (m, a)
-        for m, row in enumerate(core.add)
+        for m, row in enumerate(rs.add)
         for a, total in enumerate(row)
         if total >= 0 and dot(coords[m], coords[a]) == 0
     ]
@@ -107,7 +105,7 @@ def enumerate_case1(rs: RootSystem):
     for pair in pairs:
         if pair in seen:
             continue
-        orbit = pair_orbit(core, pair)
+        orbit = pair_orbit(rs, pair)
         seen |= orbit
         reps.append(max(orbit))
     return [(rs.roots[m], rs.roots[a]) for m, a in sorted(reps, reverse=True)]
@@ -164,16 +162,13 @@ def enumerate_case2(rs: RootSystem):
     coroots already fill the Cartan subalgebra."""
     if rs.label == "A1xA1":
         raise Reducible("Case2 needs an irreducible system")
-    low = minimal_root(rs)
-    core = root_core(rs)
-    d = core.index[low]
-    span = [d] + [b for b in core.positives if dot(core.coords[d], core.coords[b]) == 0]
     try:
-        normal = isotropy._hyperplane_normal(rs, span)
+        normal = isotropy.case2_normal(rs)
     except Inconsistent:
         return None
     if normal is None:
         return None
+    low = minimal_root(rs)
     return Distortion(low, as_root=low)
 
 
@@ -213,17 +208,16 @@ def eliminate_parabolic(rs: RootSystem, candidate) -> CandidateVerdict:
     # must be paired, i.e. delta + beta must be a root or zero for every
     # positive beta whose expansion involves alpha
     a_index = rs.simples.index(alpha)
-    core = root_core(rs)
     d2 = doubled(dvec)
-    for beta in core.positives:
-        if core.expansions[beta][a_index] == 0:
+    for beta in rs.positive_idx:
+        if rs.expansions[beta][a_index] == 0:
             continue
-        s = tuple(map(operator.add, d2, core.coords[beta]))
-        if any(s) and core.find(s) < 0:
+        s = tuple(map(operator.add, d2, rs.coords[beta]))
+        if any(s) and rs.find(s) < 0:
             return CandidateVerdict(
                 stage=STAGE_ROOTS,
                 eliminated=True,
-                witness=("unpaired", rs.roots[core.neg[beta]]),
+                witness=("unpaired", rs.roots[rs.neg[beta]]),
                 **base,
             )
     verdict = _judge(rs, delta, case, base)

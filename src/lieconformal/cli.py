@@ -137,7 +137,7 @@ def _config_from_json(data):
         delta = isotropy.parabolic_distortion(rs, alpha)
     elif data.get("delta"):
         dvec = parse_vec(data["delta"])
-        delta = Distortion(dvec, as_root=dvec if dvec in rs.root_set else None)
+        delta = Distortion(dvec, as_root=dvec if rs.index_of(dvec) >= 0 else None)
     elif case == CASE2:
         low = minimal_root(rs)
         delta = Distortion(low, as_root=low)
@@ -151,7 +151,7 @@ def _cmd_solve(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         rs, delta, case = _config_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
         _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],
                "inconsistent": str(exc)})
         return 0
-    except ValueError as exc:  # Reducible system or unknown case tag
+    except ValueError as exc:  # Reducible system, unknown case tag or wrong dimension
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = isotropy.validate(config)
@@ -174,7 +174,7 @@ def _cmd_solve(args) -> int:
     solution = invform.solve(system)
     labels = isotropy.quotient_basis(config)
     unknowns = [
-        [_label_str(labels[i]), _label_str(labels[j])] for i, j in system.unknowns.pairs
+        [_label_str(rs, labels[i]), _label_str(rs, labels[j])] for i, j in system.unknowns.pairs
     ]
     _emit(
         {
@@ -193,18 +193,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _label_str(label):
+def _label_str(rs, label):
+    """A quotient label as printed: the coordinates of its root, or "cartan"."""
     if label == isotropy.CARTAN_LABEL:
-        return isotropy.CARTAN_LABEL
-    return ",".join(format_vec(label))
+        return label
+    return ",".join(format_vec(rs.roots[label]))
 
 
 def _cmd_check_examples(args) -> int:
     results = {}
-    if args.construction in ("sp", "all"):
-        results["sp"] = constructions.check_sp_embedding(args.n, trials=args.trials, seed=args.seed)
-    if args.construction in ("sl", "all"):
-        results["sl"] = constructions.check_sl_embedding(args.n, trials=args.trials, seed=args.seed)
+    try:
+        if args.construction in ("sp", "all"):
+            results["sp"] = constructions.check_sp_embedding(
+                args.n, trials=args.trials, seed=args.seed
+            )
+        if args.construction in ("sl", "all"):
+            results["sl"] = constructions.check_sl_embedding(
+                args.n, trials=args.trials, seed=args.seed
+            )
+    except ValueError as exc:  # n or trials out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.construction in ("g2", "all"):
         rs = build("G2", 2)
         delta = isotropy.parabolic_distortion(rs, rs.simples[0])
@@ -218,7 +227,7 @@ def _cmd_check_examples(args) -> int:
             "ok": True,
             "form_dimension": solution.dimension,
             "global_scale": align["global_scale"],
-            "scalars": {_label_str(k): v for k, v in align["scalars"].items()},
+            "scalars": {",".join(format_vec(k)): v for k, v in align["scalars"].items()},
             "relations_checked": relations["relations"],
         }
     ok = all(r.get("ok") for r in results.values())

@@ -35,13 +35,6 @@ def _mat_vec(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def _identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -69,6 +62,10 @@ def _random_symplectic(rng, n):
 
 def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     """Diagonal symplectic action preserves the quadric pairing exactly."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
@@ -152,6 +149,8 @@ def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
         # a line in C^2 determines its hyperplane, so the point/flag
         # stabilizer gap below only exists from n = 3 on
         raise ValueError("need n >= 3")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
@@ -312,7 +311,9 @@ G2_REFERENCE_FORM = {
 def align_g2_form(system: AssembledSystem, coeffs) -> dict:
     """Match the solved form to the reference values by a diagonal
     rescaling of the quotient basis plus one global scale."""
-    labels = system.unknowns.labels
+    roots = system.config.system.roots
+    # the G2 parabolic quotient has no Cartan label: every label is a root index
+    labels = [roots[l] for l in system.unknowns.labels]
     gram = gram_matrix(system, coeffs)
     ref = {}
     for (a, b), v in G2_REFERENCE_FORM.items():

@@ -21,10 +21,6 @@ class SystemMismatch(ValueError):
     """Algebra elements belong to different root systems."""
 
 
-class NotInvariant(ValueError):
-    """An adjoint image leaves the span of the requested codomain."""
-
-
 class NotValidated(RuntimeError):
     """The isotropy configuration was not validated before use."""
 

@@ -23,7 +23,7 @@ from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket, elem_e, elem_h
 from .errors import NotValidated, ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import RootCore, coroot, dot, doubled, is_zero, root_core, vdot
+from .rootsys import RootSystem, coroot, dot, doubled, is_zero, vdot
 
 ZERO = Fraction(0)
 
@@ -35,13 +35,10 @@ class FormUnknowns:
     labels: list
     pairs: list  # index pairs (i, j), i <= j, with weight_i + weight_j = delta
     pair_index: dict = field(default_factory=dict, repr=False)
-    label_index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.pair_index:
             self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-        if not self.label_index:
-            self.label_index = {l: i for i, l in enumerate(self.labels)}
 
     def index(self, i: int, j: int):
         key = (i, j) if i <= j else (j, i)
@@ -72,19 +69,18 @@ def _label_element(config: IsotropyConfig, label) -> AlgebraElement:
     rs = config.system
     if label == CARTAN_LABEL:
         return elem_h(rs, config.cartan_normal)
-    return elem_e(rs, label)
+    return elem_e(rs, rs.roots[label])
 
 
-def _label_weights(core: RootCore, labels: list, dim: int) -> tuple[list, list]:
-    """Root index (None for the Cartan label) and doubled weight of each label."""
-    at = [None if l == CARTAN_LABEL else core.index[l] for l in labels]
-    return at, [(0,) * dim if r is None else core.coords[r] for r in at]
+def _label_weights(rs: RootSystem, labels: list) -> list:
+    """Doubled weight of each label (zero for the Cartan label)."""
+    return [(0,) * rs.dim if l == CARTAN_LABEL else rs.coords[l] for l in labels]
 
 
 def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
     labels = quotient_basis(config)
     d2 = doubled(config.delta.functional)
-    _, weights = _label_weights(root_core(config.system), labels, len(d2))
+    weights = _label_weights(config.system, labels)
     pairs = [
         (i, j)
         for i in range(len(labels))
@@ -103,28 +99,35 @@ def _generators(sc: StructureConstants, config: IsotropyConfig):
         h = coroot(s)
         gens.append((elem_h(rs, h), vdot(dvec, h)))
     for gamma in sorted(config.p_roots):
-        gens.append((elem_e(rs, gamma), ZERO))
+        gens.append((elem_e(rs, rs.roots[gamma]), ZERO))
     return gens
 
 
-def _project(config: IsotropyConfig, elt: AlgebraElement, label_index):
-    """Coefficients of an algebra element on the quotient labels."""
+def _label_positions(config: IsotropyConfig, labels: list) -> dict:
+    """Position of each quotient label, keyed by root vector (or the Cartan label)."""
+    roots = config.system.roots
+    return {l if l == CARTAN_LABEL else roots[l]: i for i, l in enumerate(labels)}
+
+
+def _project(config: IsotropyConfig, elt: AlgebraElement, positions: dict):
+    """Coefficients of an algebra element on the quotient labels; `positions`
+    is `_label_positions` of the labels, so the roots of h drop out."""
     out = {}
     for r, c in elt.coeffs.items():
-        if r not in config.h_roots:
-            i = label_index[r]
+        i = positions.get(r)
+        if i is not None:
             out[i] = out.get(i, ZERO) + c
     if not config.cartan_full and not is_zero(elt.cartan):
         nu = config.cartan_normal
         t = vdot(nu, elt.cartan) / vdot(nu, nu)
         if t != 0:
-            i = label_index[CARTAN_LABEL]
+            i = positions[CARTAN_LABEL]
             out[i] = out.get(i, ZERO) + t
     return out
 
 
 def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
-    """Invariance rows for the form unknowns, read off the root-core tables.
+    """Invariance rows for the form unknowns, read off the root tables.
 
     Only the root vectors E_g (g in p) contribute: for h in the Cartan the
     row of an unknown pair (i, j) is (w_i + w_j - delta)(h) B_ij = 0.  As
@@ -137,21 +140,21 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
         raise NotValidated("validate the configuration before assembling")
     unknowns = form_unknowns(config)
     labels = unknowns.labels
-    core = root_core(sc.system)
-    roots, neg, coords, norm = sc.system.roots, core.neg, core.coords, core.norm
+    rs = sc.system
+    neg, coords, norm = rs.neg, rs.coords, rs.norm
     d2 = doubled(config.delta.functional)
     if not config.cartan_full:  # the Cartan label and nu exist
         nu2 = doubled(config.cartan_normal)
         nn = dot(nu2, nu2)
-    at, weights = _label_weights(core, labels, len(d2))
+    weights = _label_weights(rs, labels)
     partner = {}
     for i, j in unknowns.pairs:
         partner[i], partner[j] = j, i
 
     def image(g, a):
         """Coefficient of [E_g, label a] on the quotient label it lands on."""
-        r = at[a]
-        if r is None:
+        r = labels[a]
+        if r == CARTAN_LABEL:
             return Fraction(-dot(coords[g], nu2), 4)  # [E_g, h_nu] = -(g.nu) E_g
         if r == neg[g]:
             # [E_g, E_-g] = coroot of g, projected onto nu
@@ -161,8 +164,8 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     rows = set()
     for i, wi in enumerate(weights):
         for j in range(i, len(labels)):
-            g = core.find(tuple(d - a - b for d, a, b in zip(d2, wi, weights[j])))
-            if g < 0 or roots[g] not in config.p_roots:
+            g = rs.find(tuple(d - a - b for d, a, b in zip(d2, wi, weights[j])))
+            if g < 0 or g not in config.p_roots:
                 continue
             row = [0] * len(unknowns.pairs)
             for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
@@ -260,12 +263,13 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
                     total += ci * cj * Fraction(coeffs[u])
         return total
 
+    positions = _label_positions(config, labels)
     basis_elems = [_label_element(config, l) for l in labels]
-    own = [_project(config, u, unknowns.label_index) for u in basis_elems]
+    own = [_project(config, u, positions) for u in basis_elems]
     checked = 0
     for p, dval in _generators(sc, config):
         # [p, u] is projected once per label u and reused in every pair
-        moved = [_project(config, bracket(sc, p, u), unknowns.label_index) for u in basis_elems]
+        moved = [_project(config, bracket(sc, p, u), positions) for u in basis_elems]
         for i in range(len(labels)):
             for j in range(i, len(labels)):
                 lhs = form(moved[i], own[j]) + form(own[i], moved[j])

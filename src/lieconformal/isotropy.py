@@ -20,16 +20,15 @@ from operator import sub
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
 from .rootsys import (
-    RootCore,
     RootSystem,
     Vec,
+    check_dim,
     coroot,
     dot,
     doubled,
     is_zero,
     minimal_root,
     mirror_index,
-    root_core,
     vadd,
     vdot,
     vneg,
@@ -44,7 +43,6 @@ LOWRANK = "LowRank"
 
 CASE_TAGS = (CASE1, CASE2, PARABOLIC, LOWRANK)
 
-ZERO_WEIGHT = "0"
 CARTAN_LABEL = "cartan"
 
 
@@ -68,8 +66,8 @@ class IsotropyConfig:
     delta: Distortion
     cartan_full: bool
     cartan_normal: Vec | None  # hyperplane normal inside the Cartan, if any
-    h_roots: frozenset
-    p_roots: frozenset
+    h_roots: frozenset  # root indices of the kernel
+    p_roots: frozenset  # root indices of the normalizer
     validated: bool = False
     alpha: Vec | None = None  # Case1 orthogonal root / parabolic simple root
 
@@ -83,39 +81,29 @@ class ValidationReport:
         return [c for c in self.checks if not c[1]]
 
 
-def pairing_partner(rs: RootSystem, delta: Distortion, alpha: Vec):
-    """Partner of a root label under the pairing rule, if any."""
-    m = vsub(delta.functional, alpha)
-    if is_zero(m):
-        return ZERO_WEIGHT
-    if m in rs.root_set:
-        return m
-    return None
-
-
-def _paired(core: RootCore, d2) -> set:
+def _paired(rs: RootSystem, d2) -> set:
     """Indices of the roots r with delta - r zero or a root (d2 = doubled delta)."""
     out = set()
-    for i, c in enumerate(core.coords):
+    for i, c in enumerate(rs.coords):
         m = tuple(map(sub, d2, c))
-        if not any(m) or core.find(m) >= 0:
+        if not any(m) or rs.find(m) >= 0:
             out.add(i)
     return out
 
 
-def _hyperplane_normal(rs: RootSystem, span: list[int]):
-    """Normal (inside the Cartan subspace) of the span of the given root
-    indices; None if it fills it.
+def case2_normal(rs: RootSystem):
+    """Cartan normal of the Case2 kernel: the normal, inside the Cartan,
+    of the coroots of the minimal root and of the positive roots orthogonal
+    to it; None if those coroots fill the Cartan.
 
-    Raises Inconsistent if the span has codimension greater than one,
+    Raises Inconsistent if their span has codimension greater than one,
     which does not occur for the canonical systems handled here.
     """
-    core = root_core(rs)
-    simples = [core.coords[k] for k in core.simples]
+    low = rs.neg[rs.positive_idx[-1]]  # the minimal root
+    span = [low] + [b for b in rs.positive_idx if dot(rs.coords[low], rs.coords[b]) == 0]
+    simples = [rs.coords[k] for k in rs.simple_idx]
     # coordinates of the orthocomplement within the coroot basis of the Cartan
-    rows = [
-        tuple(Fraction(2 * dot(core.coords[i], b), dot(b, b)) for b in simples) for i in span
-    ]
+    rows = [tuple(Fraction(2 * dot(rs.coords[i], b), dot(b, b)) for b in simples) for i in span]
     null = linalg.nullspace(rows, len(simples))
     if not null:
         return None
@@ -123,26 +111,24 @@ def _hyperplane_normal(rs: RootSystem, span: list[int]):
         raise Inconsistent(
             "forced Cartan part has codimension > 1", witness=[rs.roots[i] for i in span]
         )
-    coeffs = null[0]
     normal = (Fraction(0),) * rs.dim
-    for c, b in zip(coeffs, rs.simples):
+    for c, b in zip(null[0], rs.simples):
         normal = vadd(normal, tuple(c * x for x in coroot(b)))
     # deterministic primitive scaling
     nz = [x for x in normal if x != 0]
     scale = Fraction(1) / nz[0]
     normal = tuple(scale * x for x in normal)
-    den = 1
-    for x in normal:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in normal))
     return tuple(x * den for x in normal)
 
 
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
     low = minimal_root(rs)
+    alpha = check_dim(rs, alpha)
     return Distortion(vsub(low, alpha), as_sum=(low, vneg(alpha)))
 
 
-def _closure(core: RootCore, d2, forced, nu2) -> set:
+def _closure(rs: RootSystem, d2, forced, nu2) -> set:
     """Close the forced kernel root indices; return the stable set.
 
     The kernel must be closed under brackets with p = positives + kernel,
@@ -153,19 +139,19 @@ def _closure(core: RootCore, d2, forced, nu2) -> set:
     kernel root joins p when it is added, so of two kernel roots the one
     swept later meets the other in p.
     """
-    add, neg, coords = core.add, core.neg, core.coords
+    add, neg, coords = rs.add, rs.neg, rs.coords
     seeds = list(forced)
     if nu2 is not None:
         # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
         # the ideal property forces its root space into the kernel
         nn = dot(nu2, nu2)
-        for lam in core.positives:
+        for lam in rs.positive_idx:
             lc = dot(coords[lam], nu2)
-            if lc * lc != core.norm[lam] * nn:
+            if lc * lc != rs.norm[lam] * nn:
                 seeds.append(lam)
     in_s = bytearray(len(coords))
-    in_p = bytearray(core.is_positive)
-    p, work = list(core.positives), []
+    in_p = bytearray(rs.is_positive)
+    p, work = list(rs.positive_idx), []
 
     def put(x):
         in_s[x] = 1
@@ -189,7 +175,7 @@ def _closure(core: RootCore, d2, forced, nu2) -> set:
     return {i for i, flag in enumerate(in_s) if flag}
 
 
-def _final_checks(rs: RootSystem, core: RootCore, s: set, nu2, paired: set):
+def _final_checks(rs: RootSystem, s: set, nu2, paired: set):
     roots = rs.roots
     bad = sorted(s & paired)
     if bad:
@@ -206,23 +192,22 @@ def _final_checks(rs: RootSystem, core: RootCore, s: set, nu2, paired: set):
         raise Inconsistent("kernel closure swallows the whole algebra")
     if nu2 is not None:
         for beta in sorted(s):
-            opposite = core.neg[beta]
-            if (opposite in s or core.is_positive[opposite]) and dot(nu2, core.coords[beta]) != 0:
+            opposite = rs.neg[beta]
+            if (opposite in s or rs.is_positive[opposite]) and dot(nu2, rs.coords[beta]) != 0:
                 raise Inconsistent(
                     f"coroot of {roots[beta]} escapes the Cartan hyperplane", witness=roots[beta]
                 )
 
 
-def _config(rs, core, case_tag, delta, s, cartan_normal, alpha) -> IsotropyConfig:
-    roots = rs.roots
+def _config(rs, case_tag, delta, s, cartan_normal, alpha) -> IsotropyConfig:
     return IsotropyConfig(
         case_tag=case_tag,
         system=rs,
         delta=delta,
         cartan_full=cartan_normal is None,
         cartan_normal=cartan_normal,
-        h_roots=frozenset(roots[i] for i in s),
-        p_roots=frozenset(roots[i] for i in s.union(core.positives)),
+        h_roots=frozenset(s),
+        p_roots=frozenset(s.union(rs.positive_idx)),
         alpha=alpha,
     )
 
@@ -230,26 +215,25 @@ def _config(rs, core, case_tag, delta, s, cartan_normal, alpha) -> IsotropyConfi
 def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> IsotropyConfig:
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
-    dvec = delta.functional
-    core = root_core(rs)
+    dvec = check_dim(rs, delta.functional)
     d2 = doubled(dvec)
-    paired = _paired(core, d2)
+    paired = _paired(rs, d2)
 
     if case_tag in (CASE1, CASE2):
         if rs.label == "A1xA1":
             raise Reducible("Case1/Case2 need an irreducible system")
-        d = core.find(d2)
+        d = rs.find(d2)
         if d < 0:
             raise Inconsistent("distortion must be a root in this case", witness=dvec)
-        if core.is_positive[d]:
+        if rs.is_positive[d]:
             raise Inconsistent("distortion root must be negative", witness=dvec)
         forced = set(range(len(rs.roots))) - paired
         alpha = None
         if case_tag == CASE1:
             candidates = [
                 a
-                for a in core.positives
-                if dot(d2, core.coords[a]) == 0 and core.add[d][core.neg[a]] >= 0
+                for a in rs.positive_idx
+                if dot(d2, rs.coords[a]) == 0 and rs.add[d][rs.neg[a]] >= 0
             ]
             if not candidates:
                 raise Inconsistent("no orthogonal pairing partner for the distortion")
@@ -263,14 +247,13 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         else:
             if dvec != minimal_root(rs):
                 raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
-            span = [d] + [b for b in core.positives if dot(d2, core.coords[b]) == 0]
-            cartan_normal = _hyperplane_normal(rs, span)
+            cartan_normal = case2_normal(rs)
             if cartan_normal is None:
                 raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
         nu2 = doubled(cartan_normal)
-        s = _closure(core, d2, forced, nu2)
-        _final_checks(rs, core, s, nu2, paired)
-        return _config(rs, core, case_tag, delta, s, cartan_normal, alpha)
+        s = _closure(rs, d2, forced, nu2)
+        _final_checks(rs, s, nu2, paired)
+        return _config(rs, case_tag, delta, s, cartan_normal, alpha)
 
     if case_tag in (PARABOLIC, LOWRANK) and rs.label == "A1xA1":
         a, b = rs.simples
@@ -283,8 +266,8 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             delta=delta,
             cartan_full=True,
             cartan_normal=None,
-            h_roots=frozenset({a, b}),
-            p_roots=frozenset({a, b}),
+            h_roots=frozenset(rs.simple_idx),
+            p_roots=frozenset(rs.simple_idx),
         )
 
     # parabolic: delta = minimal root - alpha for a single simple root alpha
@@ -293,52 +276,52 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
     if alpha not in rs.simples:
         raise Inconsistent("distortion is not (minimal root - simple root)", witness=alpha)
     a_index = rs.simples.index(alpha)
-    forced = set(core.positives)
-    forced.update(core.neg[b] for b in core.positives if core.expansions[b][a_index] == 0)
-    s = _closure(core, d2, forced, None)
-    _final_checks(rs, core, s, None, paired)
+    forced = set(rs.positive_idx)
+    forced.update(rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0)
+    s = _closure(rs, d2, forced, None)
+    _final_checks(rs, s, None, paired)
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
-    return _config(rs, core, tag, delta, s, None, alpha)
+    return _config(rs, tag, delta, s, None, alpha)
 
 
 def validate(config: IsotropyConfig) -> ValidationReport:
-    """Independent re-check of all structural invariants of a configuration."""
+    """Independent re-check of all structural invariants of a configuration.
+
+    A failed check carries as witness its lexicographically least failing
+    root (or root pair), as vectors.
+    """
     rs = config.system
-    core = root_core(rs)
     dvec = config.delta.functional
-    h_roots = set(config.h_roots)
-    h_idx = [core.index[r] for r in h_roots]
-    p_idx = [core.index[r] for r in config.p_roots]
-    s = set(h_idx)
-    pos = set(core.positives)
+    s = config.h_roots
+    pos = set(rs.positive_idx)
     checks = []
 
     def record(name, ok, witness=None):
         checks.append((name, ok, witness))
 
-    # h is a subalgebra and an ideal of p = (Cartan + positives + h); the
-    # witness is the last failing pair in the order of the root sets
-    ok, witness = True, None
+    # h is a subalgebra and an ideal of p = (Cartan + positives + h)
+    witness = None
     closed = s | {-1}
-    for b, beta in zip(h_idx, h_roots):
-        row = core.add[b]
-        if closed.issuperset(map(row.__getitem__, p_idx)):
-            continue
-        for g, gamma in zip(p_idx, config.p_roots):
-            if row[g] not in closed:
-                ok, witness = False, (beta, gamma)
-    record("bracket closure of h under p", ok, witness)
+    p = sorted(config.p_roots)
+    for b in sorted(s):
+        row = rs.add[b]
+        g = next((g for g in p if row[g] not in closed), None)
+        if g is not None:
+            witness = (rs.roots[b], rs.roots[g])
+            break
+    record("bracket closure of h under p", witness is None, witness)
 
-    ok, witness = True, None
+    witness = None
     if not config.cartan_full:
         nu2 = doubled(config.cartan_normal)
-        for b, beta in zip(h_idx, h_roots):
-            opposite = core.neg[b]
-            if (opposite in s or opposite in pos) and dot(nu2, core.coords[b]) != 0:
-                ok, witness = False, beta
-    record("coroots of opposite kernel pairs stay in the Cartan part", ok, witness)
+        for b in sorted(s):
+            opposite = rs.neg[b]
+            if (opposite in s or opposite in pos) and dot(nu2, rs.coords[b]) != 0:
+                witness = rs.roots[b]
+                break
+    record("coroots of opposite kernel pairs stay in the Cartan part", witness is None, witness)
 
-    paired = _paired(core, doubled(dvec))
+    paired = _paired(rs, doubled(dvec))
     bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
     record(
         "kernel matches the pairing rule exactly", not bad, rs.roots[bad[0]] if bad else None
@@ -348,12 +331,12 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     record("p is a proper subalgebra", len(config.p_roots) < len(rs.roots))
 
     if config.case_tag == CASE1:
-        record("Case1 distortion is a root", dvec in rs.root_set)
+        record("Case1 distortion is a root", rs.index_of(dvec) >= 0)
         record(
             "Case1 orthogonal root",
             config.alpha is not None
             and vdot(dvec, config.alpha) == 0
-            and vsub(dvec, config.alpha) in rs.root_set,
+            and rs.index_of(vsub(dvec, config.alpha)) >= 0,
         )
         record("Case1 Cartan part is a hyperplane", not config.cartan_full)
     elif config.case_tag == CASE2:
@@ -362,7 +345,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
         record("Case2 Cartan part is a hyperplane", not config.cartan_full)
     elif config.case_tag == PARABOLIC:
         record("Borel inside h", pos <= s and config.cartan_full)
-        missing = [a for a, k in zip(rs.simples, core.simples) if core.neg[k] not in s]
+        missing = [a for a, k in zip(rs.simples, rs.simple_idx) if rs.neg[k] not in s]
         record("exactly one simple root escapes h", len(missing) == 1, missing)
     else:  # LowRank
         record("Borel(s) inside h", pos <= s and config.cartan_full)
@@ -374,20 +357,20 @@ def validate(config: IsotropyConfig) -> ValidationReport:
 
 
 def quotient_basis(config: IsotropyConfig) -> list:
-    """Labels of a basis of g/h: roots outside h (height, then lex) plus
-    one Cartan label when the Cartan part of h is a hyperplane."""
+    """Labels of a basis of g/h: the indices of the roots outside h (by
+    height, then lex) plus one Cartan label when the Cartan part of h is a
+    hyperplane."""
     if not config.validated:
         raise NotValidated("validate the configuration before using it")
     rs = config.system
-    labels = [r for r in rs.roots if r not in config.h_roots]
-    labels.sort(key=lambda r: (sum(rs.expansions[r]), r))
+    labels = sorted(set(range(len(rs.roots))) - config.h_roots, key=lambda i: (rs.height[i], i))
     if not config.cartan_full:
         labels.append(CARTAN_LABEL)
     return labels
 
 
 def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
-    """Apply a Weyl word to every ingredient of a configuration.
+    """Apply a Weyl word (of root vectors) to every ingredient of a configuration.
 
     The kernel and normalizer roots move on root indices; the distortion,
     the Cartan normal and alpha move through `weyl_reflect`.
@@ -398,26 +381,25 @@ def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     of the feasibility-invariance property).
     """
     rs = config.system
-    core = root_core(rs)
     mirrors = [mirror_index(rs, m) for m in word]
-    coords, norm = core.coords, core.norm
+    coords, norm = rs.coords, rs.norm
 
     def move(v):
         for m in mirrors:
             v = weyl_reflect(rs, rs.roots[m], v)
         return v
 
-    def move_root(r):
+    def move_root(i):
         # s_m(r) = r - k m with k = 2 (r.m)/(m.m), an integer on doubled coordinates
-        c = coords[core.index[r]]
+        c = coords[i]
         for m in mirrors:
             mc = coords[m]
             k = 2 * dot(c, mc) // norm[m]
             if k:
                 c = tuple(a - k * b for a, b in zip(c, mc))
-        return rs.roots[core.at[c]]
+        return rs.at[c]
 
-    image = {r: move_root(r) for r in config.h_roots | config.p_roots}
+    image = {i: move_root(i) for i in config.h_roots | config.p_roots}
     delta = Distortion(
         move(config.delta.functional),
         as_root=move(config.delta.as_root) if config.delta.as_root else None,

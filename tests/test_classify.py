@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from lieconformal.classify import (
@@ -118,3 +120,17 @@ def test_max_rank_bounds_exceptional_systems():
     systems = {(v.label, v.rank) for v in report.verdicts}
     assert systems == {("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A1xA1", 2)}
     assert report.matches_expected
+
+
+def test_classify_rank12_stress():
+    """Past the rank-8 contract, the closed-form survivor table still holds
+    and the stage mix keeps its shape (B/C/D 9-12 are built only here)."""
+    report = classify_all(12)
+    assert report.matches_expected
+    assert len(report.verdicts) == 407
+    assert Counter(v.stage for v in report.verdicts) == {
+        "RootCombinatorics": 341,
+        "IsotropyClosure": 11,
+        "SolverFeasibility": 2,
+        "Survivor": 53,
+    }

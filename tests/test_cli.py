@@ -136,21 +136,41 @@ def test_solve_missing_file(capsys):
     assert rc == 2
 
 
+def assert_usage_error(rc, captured):
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("config", [
     {"label": "A1xA1", "rank": 2, "case": "Case1", "delta": ["-1", "1", "0", "0"]},
     {"label": "B", "rank": 3, "case": "Case9", "delta": ["-1", "0", "0"]},
     ["not", "an", "object"],
+    pytest.param('{"label": "B", "rank": 3, "case": "Case1", "delta": [1e400, 0, 0]}', id="1e400"),
+    {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "1"]},
+    {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "0", "1", "0"]},
+    {"label": "B", "rank": 3, "case": "Case1", "delta": ["-1", "0"]},
 ])
 def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
-    """A reducible Case1 system, an unknown case tag or a non-object config
-    ends with one error line and exit 2, never a traceback."""
+    """A reducible Case1 system, an unknown case tag, a non-object config, a
+    number too large for a rational or a vector of the wrong length ends
+    with one error line and exit 2, never a traceback or a verdict."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_usage_error(rc, capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--construction", "sl", "--n", "2"],
+    ["--construction", "all", "--n", "2"],
+    ["--construction", "sp", "--n", "0"],
+    ["--trials", "-3"],
+    ["--construction", "sl", "--trials", "0"],
+])
+def test_check_examples_bad_input_is_a_usage_error(capsys, argv):
+    rc = run(["check-examples", *argv])
+    assert_usage_error(rc, capsys.readouterr())
 
 
 def test_check_examples_g2(capsys):

@@ -12,6 +12,7 @@ from lieconformal.invform import (
     _generators,
     _label_element,
     _max_residual,
+    _label_positions,
     _project,
     assemble,
     form_unknowns,
@@ -221,7 +222,7 @@ def vector_assemble(sc, config):
     labels = quotient_basis(config)
     dvec = config.delta.functional
     zero = (Fraction(0),) * config.system.dim
-    weights = [zero if l == CARTAN_LABEL else l for l in labels]
+    weights = [zero if l == CARTAN_LABEL else config.system.roots[l] for l in labels]
     pairs = [
         (i, j)
         for i in range(len(labels))
@@ -229,7 +230,7 @@ def vector_assemble(sc, config):
         if vadd(weights[i], weights[j]) == dvec
     ]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    label_index = {l: i for i, l in enumerate(labels)}
+    positions = _label_positions(config, labels)
 
     def index(i, j):
         return pair_index.get((i, j) if i <= j else (j, i))
@@ -237,7 +238,7 @@ def vector_assemble(sc, config):
     rows = set()
     basis_elems = [_label_element(config, l) for l in labels]
     for p, dval in _generators(sc, config):
-        actions = [_project(config, bracket(sc, p, b), label_index) for b in basis_elems]
+        actions = [_project(config, bracket(sc, p, b), positions) for b in basis_elems]
         for i in range(len(labels)):
             for j in range(i, len(labels)):
                 row = [Fraction(0)] * len(pairs)

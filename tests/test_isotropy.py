@@ -6,12 +6,11 @@ import pytest
 from lieconformal.errors import DimensionMismatch, Inconsistent, NotARoot
 from lieconformal.isotropy import (
     CASE1,
-    ZERO_WEIGHT,
     CASE2,
     PARABOLIC,
     Distortion,
+    _paired,
     derive_isotropy,
-    pairing_partner,
     parabolic_distortion,
     quotient_basis,
     translate_config,
@@ -19,10 +18,13 @@ from lieconformal.isotropy import (
 )
 from lieconformal.rootsys import (
     build,
+    doubled,
     minimal_root,
     random_weyl_word,
+    vadd,
     vec,
     vneg,
+    vsub,
     weyl_reflect,
 )
 
@@ -32,13 +34,20 @@ def case1_distortion(rs, m):
     return Distortion(d, as_root=d)
 
 
+def as_vectors(rs, indices):
+    return {rs.roots[i] for i in indices}
+
+
 def test_pairing_partner_rule():
-    """Partner of r is delta - r when that difference is a root."""
+    """r is paired exactly when delta - r is a root or zero."""
     rs = build("C", 3)
     d = case1_distortion(rs, vec(1, 1, 0))
-    assert pairing_partner(rs, d, vec(1, -1, 0)) == vec(-2, 0, 0)
-    assert pairing_partner(rs, d, vec(-1, -1, 0)) == ZERO_WEIGHT
-    assert pairing_partner(rs, d, vec(0, 1, -1)) is None
+    paired = _paired(rs, doubled(d.functional))
+    r = vec(1, -1, 0)
+    assert rs.index_of(r) in paired
+    assert vsub(d.functional, r) == vec(-2, 0, 0) and rs.index_of(vec(-2, 0, 0)) >= 0
+    assert rs.index_of(vec(-1, -1, 0)) in paired  # delta - r is zero
+    assert rs.index_of(vec(0, 1, -1)) not in paired
 
 
 def test_case1_c3_derives_and_validates():
@@ -49,7 +58,7 @@ def test_case1_c3_derives_and_validates():
     assert report.ok, report.checks
     assert cfg.case_tag == CASE1
     assert cfg.alpha == vec(1, -1, 0)
-    assert cfg.alpha not in cfg.h_roots
+    assert rs.index_of(cfg.alpha) not in cfg.h_roots
     assert cfg.cartan_normal == cfg.alpha
 
 
@@ -88,8 +97,9 @@ def test_parabolic_derives_and_validates(label, rank, idx):
     assert report.ok, report.checks
     assert cfg.alpha == rs.simples[idx]
     # h contains the Borel: every positive root except none is in h plus Cartan
-    assert set(rs.positives) <= set(cfg.h_roots)
-    missing = [r for r in rs.positives if vneg(r) not in set(cfg.h_roots)]
+    h = as_vectors(rs, cfg.h_roots)
+    assert set(rs.positives) <= h
+    missing = [r for r in rs.positives if vneg(r) not in h]
     assert all(r is not None for r in missing) and missing
 
 
@@ -98,9 +108,9 @@ def test_parabolic_h_is_maximal():
     rs = build("B", 3)
     alpha = rs.simples[2]
     cfg = derive_isotropy(rs, parabolic_distortion(rs, alpha), PARABOLIC)
-    h = set(cfg.h_roots)
+    h = as_vectors(rs, cfg.h_roots)
     for r in rs.positives:
-        coeff = rs.expansions[r][2]
+        coeff = rs.expansions[rs.index_of(r)][2]
         assert (vneg(r) in h) == (coeff == 0)
 
 
@@ -125,7 +135,7 @@ def test_translate_config_preserves_validation():
         assert moved.validated
         assert len(moved.h_roots) == len(cfg.h_roots)
         assert len(moved.p_roots) == len(cfg.p_roots)
-        assert moved.h_roots <= rs.root_set
+        assert moved.h_roots <= set(range(len(rs.roots)))
 
 
 def vector_translate(config, word):
@@ -147,8 +157,8 @@ def vector_translate(config, word):
         config,
         delta=delta,
         cartan_normal=move(config.cartan_normal) if config.cartan_normal else None,
-        h_roots=frozenset(move(r) for r in config.h_roots),
-        p_roots=frozenset(move(r) for r in config.p_roots),
+        h_roots=frozenset(rs.index_of(move(rs.roots[i])) for i in config.h_roots),
+        p_roots=frozenset(rs.index_of(move(rs.roots[i])) for i in config.p_roots),
         alpha=move(config.alpha) if config.alpha is not None else None,
         validated=True,
     )
@@ -194,3 +204,53 @@ def test_translate_config_rejects_bad_mirrors():
             translate(cfg, [good, vec(1, -1)])
         with pytest.raises(DimensionMismatch):
             translate(cfg, [vec(1, -1, 0, 0), vec(1, 0, 0)])
+
+
+def failed_checks(cfg):
+    report = validate(cfg)
+    assert not report.ok and not cfg.validated
+    return {name: witness for name, _, witness in report.failures()}
+
+
+def b3_parabolic():
+    rs = build("B", 3)
+    cfg = derive_isotropy(rs, parabolic_distortion(rs, rs.simples[2]), PARABOLIC)
+    assert validate(cfg).ok
+    return rs, cfg
+
+
+def test_validate_rejects_a_dropped_kernel_root():
+    """Without -(e1 - e3), h is no longer closed under p and leaves an
+    unpaired root outside the kernel; the witnesses are deterministic."""
+    rs, cfg = b3_parabolic()
+    dropped = rs.index_of(vec(-1, 0, 1))
+    broken = replace(
+        cfg, h_roots=cfg.h_roots - {dropped}, p_roots=cfg.p_roots - {dropped}, validated=False
+    )
+    failed = failed_checks(broken)
+    assert set(failed) == {
+        "bracket closure of h under p",
+        "kernel matches the pairing rule exactly",
+    }
+    beta, gamma = failed["bracket closure of h under p"]
+    assert vadd(beta, gamma) == vec(-1, 0, 1)
+    assert (beta, gamma) == (vec(-1, 1, 0), vec(0, -1, 1))  # the lex-least failing pair
+    assert failed["kernel matches the pairing rule exactly"] == vec(-1, 0, 1)
+
+
+def test_validate_rejects_a_paired_kernel_root():
+    rs, cfg = b3_parabolic()
+    added = rs.index_of(vec(0, 0, -1))
+    broken = replace(
+        cfg, h_roots=cfg.h_roots | {added}, p_roots=cfg.p_roots | {added}, validated=False
+    )
+    failed = failed_checks(broken)
+    assert failed["kernel matches the pairing rule exactly"] == vec(0, 0, -1)
+
+
+def test_validate_rejects_a_full_cartan_in_case1():
+    rs = build("C", 3)
+    cfg = derive_isotropy(rs, case1_distortion(rs, vec(1, 1, 0)), CASE1)
+    broken = replace(cfg, cartan_full=True)
+    assert "Case1 Cartan part is a hyperplane" in failed_checks(broken)
+    assert validate(cfg).ok

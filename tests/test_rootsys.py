@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from lieconformal import linalg
 from lieconformal.errors import InvalidRank, NotARoot
 from lieconformal.rootsys import (
     build,
@@ -11,18 +13,22 @@ from lieconformal.rootsys import (
     minimal_root,
     parse_vec,
     random_weyl_word,
-    root_core,
     vadd,
     vdot,
     vec,
     vneg,
+    vscale,
     vsub,
     weyl_reflect,
 )
 
 
 def height(rs, r):
-    return sum(rs.expansions[r])
+    return rs.height[rs.index_of(r)]
+
+
+def is_root(rs, v):
+    return rs.index_of(v) >= 0
 
 
 def reflect_word(rs, word, v):
@@ -54,7 +60,7 @@ def test_root_counts(label, rank):
 def test_roots_closed_under_negation(label, rank):
     rs = build(label, rank)
     for r in rs.roots:
-        assert vneg(r) in rs.root_set
+        assert is_root(rs, vneg(r))
 
 
 @pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS))
@@ -62,18 +68,17 @@ def test_minimal_root_property(label, rank):
     """Subtracting any positive root from the minimal root leaves the system."""
     rs = build(label, rank)
     low = minimal_root(rs)
-    assert low in rs.root_set
+    assert is_root(rs, low)
     for p in rs.positives:
-        assert vsub(low, p) not in rs.root_set
+        assert not is_root(rs, vsub(low, p))
 
 
 @pytest.mark.parametrize("label,rank", sorted(ROOT_COUNTS))
 def test_expansions_are_integral_and_one_signed(label, rank):
     """Every root is an all-nonnegative or all-nonpositive integer combination of simples."""
     rs = build(label, rank)
-    for r in rs.roots:
-        coeffs = rs.expansions[r]
-        assert all(c.denominator == 1 for c in coeffs)
+    for r, coeffs in zip(rs.roots, rs.expansions):
+        assert all(isinstance(c, int) for c in coeffs)
         signs = {1 if c > 0 else -1 for c in coeffs if c != 0}
         assert len(signs) == 1
         recon = vec(*([0] * rs.dim))
@@ -95,7 +100,7 @@ def test_weyl_reflect_permutes_roots():
     rs = build("D", 4)
     for s in rs.simples:
         image = {weyl_reflect(rs, s, r) for r in rs.roots}
-        assert image == rs.root_set
+        assert image == set(rs.roots)
 
 
 def test_reflect_fixes_orthogonal():
@@ -114,8 +119,9 @@ def test_coroot_values():
 
 def test_is_root_and_errors():
     rs = build("B", 2)
-    assert vec(1, 1) in rs.root_set
-    assert vec(2, 0) not in rs.root_set
+    assert is_root(rs, vec(1, 1))
+    assert not is_root(rs, vec(2, 0))
+    assert not is_root(rs, vec(Fraction(1, 3), 1))
     with pytest.raises(NotARoot):
         weyl_reflect(rs, vec(2, 0), vec(1, 1))
     with pytest.raises(NotARoot):
@@ -175,24 +181,132 @@ CLASSIFY_SYSTEMS = (
     + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8), ("A1xA1", 2)]
 )
 
+HALF = Fraction(1, 2)
+
+
+def basis_vec(dim, i, c=1):
+    v = [Fraction(0)] * dim
+    v[i] = Fraction(c)
+    return tuple(v)
+
+
+def vector_raw_roots(label, n):
+    """Reference: ambient dimension, roots and simple roots built as
+    Fraction vectors, independently of the integer construction in `build`."""
+
+    def pm_pairs(dim):
+        return [
+            vadd(vscale(si, basis_vec(dim, i)), vscale(sj, basis_vec(dim, j)))
+            for i, j in combinations(range(dim), 2)
+            for si, sj in product((1, -1), repeat=2)
+        ]
+
+    def chain(dim, count):
+        return [vsub(basis_vec(dim, i), basis_vec(dim, i + 1)) for i in range(count)]
+
+    if label == "A":
+        dim = n + 1
+        roots = [
+            vsub(basis_vec(dim, i), basis_vec(dim, j))
+            for i in range(dim)
+            for j in range(dim)
+            if i != j
+        ]
+        return dim, roots, chain(dim, n)
+    if label in ("B", "C"):
+        c = 1 if label == "B" else 2
+        roots = [vscale(c * s, basis_vec(n, i)) for i in range(n) for s in (1, -1)]
+        return n, roots + pm_pairs(n), chain(n, n - 1) + [basis_vec(n, n - 1, c)]
+    if label == "D":
+        simples = chain(n, n - 1) + [vadd(basis_vec(n, n - 2), basis_vec(n, n - 1))]
+        return n, pm_pairs(n), simples
+    if label == "G2":
+        roots = []
+        for i, j in combinations(range(3), 2):
+            d = vsub(basis_vec(3, i), basis_vec(3, j))
+            roots.extend([d, vneg(d)])
+        for i in range(3):
+            j, k = [m for m in range(3) if m != i]
+            long = vsub(vscale(2, basis_vec(3, i)), vadd(basis_vec(3, j), basis_vec(3, k)))
+            roots.extend([long, vneg(long)])
+        return 3, roots, [vec(1, -1, 0), vec(-2, 1, 1)]
+    if label == "F4":
+        roots = [vscale(s, basis_vec(4, i)) for i in range(4) for s in (1, -1)] + pm_pairs(4)
+        roots += [tuple(HALF * s for s in signs) for signs in product((1, -1), repeat=4)]
+        simples = [vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(0, 0, 0, 1)]
+        return 4, roots, simples + [(HALF, -HALF, -HALF, -HALF)]
+    if label in ("E6", "E7", "E8"):
+        roots = pm_pairs(8) + [
+            tuple(HALF * s for s in signs)
+            for signs in product((1, -1), repeat=8)
+            if signs.count(-1) % 2 == 0
+        ]
+        simples = [(HALF,) + (-HALF,) * 6 + (HALF,), vec(1, 1, 0, 0, 0, 0, 0, 0)]
+        simples += [vsub(basis_vec(8, i + 1), basis_vec(8, i)) for i in range(6)]
+        if label == "E7":
+            roots = [r for r in roots if r[6] == -r[7]]
+        elif label == "E6":
+            roots = [r for r in roots if r[5] == r[6] == -r[7]]
+        return 8, roots, simples[:n]
+    assert label == "A1xA1"
+    roots = [vec(1, -1, 0, 0), vec(-1, 1, 0, 0), vec(0, 0, 1, -1), vec(0, 0, -1, 1)]
+    return 4, roots, [roots[0], roots[2]]
+
+
+def vector_expansions(simples, roots):
+    """Reference: simple-root expansion of every root, from one exact inverse
+    of the Gram matrix of the simple roots."""
+    k = len(simples)
+    gram = [
+        tuple(vdot(a, b) for b in simples) + tuple(Fraction(int(i == j)) for j in range(k))
+        for i, a in enumerate(simples)
+    ]
+    red, _ = linalg.rref(gram, 2 * k)
+    inverse = [row[k:] for row in red]
+    out = {}
+    for r in roots:
+        proj = [vdot(s, r) for s in simples]
+        coeffs = tuple(vdot(row, proj) for row in inverse)
+        recon = (Fraction(0),) * len(r)
+        for c, s in zip(coeffs, simples):
+            recon = vadd(recon, vscale(c, s))
+        assert recon == r, r
+        assert all(c.denominator == 1 for c in coeffs), r
+        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), r
+        out[r] = tuple(int(c) for c in coeffs)
+    return out
+
 
 @pytest.mark.parametrize("label,rank", CLASSIFY_SYSTEMS)
 def test_root_core_matches_vector_ops(label, rank):
-    """The integer tables agree with vadd / vneg / weyl_reflect on vectors."""
+    """Every integer table of `build` agrees with the Fraction-vector
+    construction and with vadd / vneg / weyl_reflect on vectors."""
     rs = build(label, rank)
-    core = root_core(rs)
-    index = {r: i for i, r in enumerate(rs.roots)}
-    assert core.index == index
-    assert [rs.roots[i] for i in core.positives] == list(rs.positives)
-    assert [rs.roots[i] for i in core.simples] == list(rs.simples)
-    for i, r in enumerate(rs.roots):
-        assert rs.roots[core.neg[i]] == vneg(r)
-        assert core.norm[i] == 4 * vdot(r, r)
-        assert core.height[i] == height(rs, r)
-        assert core.expansions[i] == rs.expansions[r]
-        assert bool(core.is_positive[i]) == (r in rs.positives)
-        assert [core.add[i][j] for j in range(len(rs.roots))] == [
-            index.get(vadd(r, s), -1) for s in rs.roots
+    dim, vroots, vsimples = vector_raw_roots(label, rank)
+    roots = tuple(sorted(vroots))
+    expansions = vector_expansions(vsimples, roots)
+    positives = sorted(
+        (sum(expansions[r]), r) for r in roots if all(c >= 0 for c in expansions[r])
+    )
+    assert rs.dim == dim
+    assert rs.roots == roots
+    assert all(repr(a) == repr(b) for a, b in zip(rs.roots, roots))
+    assert rs.simples == tuple(vsimples)
+    assert rs.positives == tuple(r for _, r in positives)
+    index = {r: i for i, r in enumerate(roots)}
+    positive_set = set(rs.positives)
+    assert [roots[i] for i in rs.positive_idx] == list(rs.positives)
+    assert [roots[i] for i in rs.simple_idx] == list(rs.simples)
+    for i, r in enumerate(roots):
+        assert tuple(Fraction(x, 2) for x in rs.coords[i]) == r
+        assert rs.find(rs.coords[i]) == rs.index_of(r) == i
+        assert roots[rs.neg[i]] == vneg(r)
+        assert rs.norm[i] == 4 * vdot(r, r)
+        assert rs.expansions[i] == expansions[r]
+        assert rs.height[i] == sum(expansions[r])
+        assert bool(rs.is_positive[i]) == (r in positive_set)
+        assert [rs.add[i][j] for j in range(len(roots))] == [
+            index.get(vadd(r, s), -1) for s in roots
         ]
         for k, mirror in enumerate(rs.simples):
-            assert rs.roots[core.refl[k][i]] == weyl_reflect(rs, mirror, r)
+            assert roots[rs.refl[k][i]] == weyl_reflect(rs, mirror, r)
