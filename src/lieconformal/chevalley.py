@@ -6,7 +6,8 @@ with [h, E_r] = r(h) E_r, [E_r, E_{-r}] = (coroot of r) and
 standard extraspecial-pair convention: order the positive roots by height
 and then lexicographically, give each non-simple positive root its
 minimal decomposition, and make that constant +(p+1) where p is the
-length of the descending root string.
+length of the descending root string.  Algebra elements and their bracket
+read the integer root tables of `rootsys` directly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 
-from .errors import SystemMismatch
-from .rootsys import RootSystem, Vec, build, coroot, is_zero, vadd, vdot, vscale
-
-ZERO = Fraction(0)
+from .errors import NotARoot, SystemMismatch
+from .rootsys import RootSystem, Vec, build, check_dim, dot, doubled, ratio
 
 
 @dataclass(eq=False)
@@ -31,19 +31,13 @@ class StructureConstants:
     table: tuple = field(repr=False)
 
     @cached_property
-    def n_table(self) -> dict:
-        """The nonzero constants keyed by root vectors, built on first read."""
-        roots = self.system.roots
-        return {
-            (roots[x], roots[y]): Fraction(v)
-            for x, row in enumerate(self.table)
-            for y, v in enumerate(row)
-            if v
-        }
-
-    def n(self, a: Vec, b: Vec) -> Fraction:
-        """Constant n(a, b) with [E_a, E_b] = n(a, b) E_{a+b}; 0 if no root."""
-        return self.n_table.get((a, b), ZERO)
+    def coroots(self) -> tuple:
+        """Doubled coordinates of the coroot of each root, 8 coords / norm;
+        read by `bracket` for [E_a, E_-a]."""
+        rs = self.system
+        return tuple(
+            tuple(ratio(8 * x, n) for x in c) for c, n in zip(rs.coords, rs.norm)
+        )
 
 
 def _ratio(n: int, num: int, den: int) -> int:
@@ -91,7 +85,7 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
         npp[(xi, eta)] = p + 1
         for alpha, beta in pairs[1:]:
             # four-root identity on (xi, eta, -alpha, -beta)
-            total = ZERO
+            total = Fraction(0)
             d1 = add[eta][neg[alpha]]
             if d1 >= 0:
                 total += Fraction(const(eta, neg[alpha]) * const(xi, neg[beta]), norm[d1])
@@ -119,13 +113,19 @@ def cached_constants(label: str, rank: int) -> StructureConstants:
 
 
 class AlgebraElement:
-    """Exact element of the split algebra: Cartan vector + root coefficients."""
+    """Exact element of the split algebra on the root core.
+
+    ``coeffs`` maps a root index r to the coefficient of E_r.  ``cartan``
+    is the Cartan part h on doubled coordinates (the coordinates of 2h),
+    as ints where integral, like ``RootSystem.coords``.  Coefficients stay
+    ints while every input is an int.
+    """
 
     __slots__ = ("system", "cartan", "coeffs")
 
-    def __init__(self, system: RootSystem, cartan: Vec | None = None, coeffs=None):
+    def __init__(self, system: RootSystem, cartan=None, coeffs=None):
         self.system = system
-        self.cartan = cartan if cartan is not None else (ZERO,) * system.dim
+        self.cartan = cartan if cartan is not None else (0,) * system.dim
         self.coeffs = {r: c for r, c in (coeffs or {}).items() if c != 0}
 
     def __eq__(self, other):
@@ -140,43 +140,51 @@ class AlgebraElement:
         return f"AlgebraElement(cartan={self.cartan}, coeffs={self.coeffs})"
 
     def is_zero(self) -> bool:
-        return is_zero(self.cartan) and not self.coeffs
+        return not any(self.cartan) and not self.coeffs
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         coeffs = dict(self.coeffs)
         for r, c in other.coeffs.items():
-            coeffs[r] = coeffs.get(r, ZERO) + c
-        return AlgebraElement(self.system, vadd(self.cartan, other.cartan), coeffs)
+            coeffs[r] = coeffs.get(r, 0) + c
+        return AlgebraElement(self.system, tuple(map(add, self.cartan, other.cartan)), coeffs)
 
 
 def elem_e(rs: RootSystem, root: Vec, c=1) -> AlgebraElement:
-    return AlgebraElement(rs, coeffs={root: Fraction(c)})
+    """c E_root; raises NotARoot when the vector is not a root."""
+    r = rs.index_of(root)
+    if r < 0:
+        raise NotARoot(f"{root} is not a root of {rs.label}{rs.rank}")
+    return AlgebraElement(rs, coeffs={r: c if isinstance(c, int) else Fraction(c)})
 
 
 def elem_h(rs: RootSystem, v: Vec) -> AlgebraElement:
-    return AlgebraElement(rs, cartan=tuple(Fraction(x) for x in v))
+    """The Cartan element of the ambient vector v; raises DimensionMismatch
+    off the ambient space."""
+    return AlgebraElement(rs, cartan=doubled(check_dim(rs, v)))
 
 
 def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """[x, y] from the root tables: [E_a, E_b] = n(a, b) E_(a+b), [E_a, E_-a]
+    is the coroot of a, and [h, E_r] = r(h) E_r with r(h) = coords[r].h2 / 4."""
     rs = sc.system
     if x.system != rs or y.system != rs:
         raise SystemMismatch("elements belong to a different root system")
-    cartan = [ZERO] * rs.dim
+    coords, radd, neg, table = rs.coords, rs.add, rs.neg, sc.table
     coeffs: dict = {}
-    for r, c in y.coeffs.items():
-        v = vdot(r, x.cartan) * c
-        if v != 0:
-            coeffs[r] = coeffs.get(r, ZERO) + v
-    for r, c in x.coeffs.items():
-        v = vdot(r, y.cartan) * c
-        if v != 0:
-            coeffs[r] = coeffs.get(r, ZERO) - v
-    for r1, c1 in x.coeffs.items():
-        for r2, c2 in y.coeffs.items():
-            s = vadd(r1, r2)
-            if is_zero(s):
-                h = vscale(c1 * c2, coroot(r1))
-                cartan = [a + b for a, b in zip(cartan, h)]
-            elif rs.index_of(s) >= 0:
-                coeffs[s] = coeffs.get(s, ZERO) + c1 * c2 * sc.n_table[(r1, r2)]
-    return AlgebraElement(rs, tuple(cartan), coeffs)
+    for h2, elt, sign in ((x.cartan, y, 1), (y.cartan, x, -1)):
+        if any(h2):
+            for r, c in elt.coeffs.items():
+                v = dot(coords[r], h2)
+                if v:
+                    coeffs[r] = coeffs.get(r, 0) + sign * c * ratio(v, 4)
+    cartan = None
+    for a, ca in x.coeffs.items():
+        row, n, opposite = radd[a], table[a], neg[a]
+        for b, cb in y.coeffs.items():
+            s = row[b]
+            if s >= 0:
+                coeffs[s] = coeffs.get(s, 0) + ca * cb * n[b]
+            elif b == opposite:
+                c = ca * cb
+                cartan = [u + c * w for u, w in zip(cartan or (0,) * rs.dim, sc.coroots[a])]
+    return AlgebraElement(rs, tuple(cartan) if cartan else None, coeffs)

@@ -258,8 +258,12 @@ def _cmd_dump_constants(args) -> int:
     except InvalidRank as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for (a, b), n in sorted(sc.n_table.items()):
-        _emit({"alpha": format_vec(a), "beta": format_vec(b), "n": n})
+    roots = sc.system.roots
+    # root index order is the lexicographic order of the root vectors
+    for x, row in enumerate(sc.table):
+        for y, n in enumerate(row):
+            if n:
+                _emit({"alpha": format_vec(roots[x]), "beta": format_vec(roots[y]), "n": str(n)})
     return 0
 
 

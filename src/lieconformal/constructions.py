@@ -187,12 +187,14 @@ def verify_relations_up_to_rescaling(sc: StructureConstants, relations) -> dict:
     Returns the witness scalings; raises NoWitness when the relations are
     not compatible with our structure constants under any rescaling.
     """
+    rs = sc.system
     ratios = []
     variables = set()
     for rel in relations:
         if vadd(rel.a, rel.b) != rel.target:
             raise NoWitness(f"relation target mismatch: {rel}")
-        n = sc.n(rel.a, rel.b)
+        a, b = rs.index_of(rel.a), rs.index_of(rel.b)
+        n = sc.table[a][b] if a >= 0 and b >= 0 else 0
         if n == 0:
             raise NoWitness(f"bracket vanishes for {rel}")
         # c_a * c_b / c_target = value / n

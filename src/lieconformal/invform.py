@@ -20,10 +20,10 @@ from operator import add
 import sympy
 
 from . import linalg
-from .chevalley import AlgebraElement, StructureConstants, bracket, elem_e, elem_h
+from .chevalley import AlgebraElement, StructureConstants, bracket
 from .errors import NotValidated, ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import RootSystem, coroot, dot, doubled, is_zero, vdot
+from .rootsys import RootSystem, dot, doubled
 
 ZERO = Fraction(0)
 
@@ -65,13 +65,6 @@ class FormSolution:
         return self.nondegenerate_witness is not None
 
 
-def _label_element(config: IsotropyConfig, label) -> AlgebraElement:
-    rs = config.system
-    if label == CARTAN_LABEL:
-        return elem_h(rs, config.cartan_normal)
-    return elem_e(rs, rs.roots[label])
-
-
 def _label_weights(rs: RootSystem, labels: list) -> list:
     """Doubled weight of each label (zero for the Cartan label)."""
     return [(0,) * rs.dim if l == CARTAN_LABEL else rs.coords[l] for l in labels]
@@ -93,37 +86,14 @@ def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
 def _generators(sc: StructureConstants, config: IsotropyConfig):
     """Basis of p with the distortion value of each element."""
     rs = sc.system
-    dvec = config.delta.functional
+    d2 = doubled(config.delta.functional)
     gens = []
-    for s in rs.simples:
-        h = coroot(s)
-        gens.append((elem_h(rs, h), vdot(dvec, h)))
+    for k in rs.simple_idx:
+        h2 = sc.coroots[k]
+        gens.append((AlgebraElement(rs, cartan=h2), Fraction(dot(d2, h2), 4)))
     for gamma in sorted(config.p_roots):
-        gens.append((elem_e(rs, rs.roots[gamma]), ZERO))
+        gens.append((AlgebraElement(rs, coeffs={gamma: 1}), 0))
     return gens
-
-
-def _label_positions(config: IsotropyConfig, labels: list) -> dict:
-    """Position of each quotient label, keyed by root vector (or the Cartan label)."""
-    roots = config.system.roots
-    return {l if l == CARTAN_LABEL else roots[l]: i for i, l in enumerate(labels)}
-
-
-def _project(config: IsotropyConfig, elt: AlgebraElement, positions: dict):
-    """Coefficients of an algebra element on the quotient labels; `positions`
-    is `_label_positions` of the labels, so the roots of h drop out."""
-    out = {}
-    for r, c in elt.coeffs.items():
-        i = positions.get(r)
-        if i is not None:
-            out[i] = out.get(i, ZERO) + c
-    if not config.cartan_full and not is_zero(elt.cartan):
-        nu = config.cartan_normal
-        t = vdot(nu, elt.cartan) / vdot(nu, nu)
-        if t != 0:
-            i = positions[CARTAN_LABEL]
-            out[i] = out.get(i, ZERO) + t
-    return out
 
 
 def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
@@ -249,9 +219,10 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     """
     if not config.validated:
         raise NotValidated("validate the configuration before verifying")
+    rs = config.system
     unknowns = form_unknowns(config)
     labels = unknowns.labels
-    dvec = config.delta.functional
+    values = [Fraction(c) for c in coeffs]
 
     def form(px: dict, py: dict) -> Fraction:
         """The form on two elements given by their label projections."""
@@ -260,16 +231,36 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
             for j, cj in py.items():
                 u = unknowns.index(i, j)
                 if u is not None:
-                    total += ci * cj * Fraction(coeffs[u])
+                    total += ci * cj * values[u]
         return total
 
-    positions = _label_positions(config, labels)
-    basis_elems = [_label_element(config, l) for l in labels]
-    own = [_project(config, u, positions) for u in basis_elems]
+    positions = {l: i for i, l in enumerate(labels)}
+    nu2 = None if config.cartan_full else doubled(config.cartan_normal)
+
+    def project(elt: AlgebraElement) -> dict:
+        """Coefficients of an element on the quotient labels; the roots of h
+        drop out."""
+        out = {}
+        for r, c in elt.coeffs.items():
+            i = positions.get(r)
+            if i is not None:
+                out[i] = out.get(i, 0) + c
+        if nu2 is not None and any(elt.cartan):
+            t = Fraction(dot(nu2, elt.cartan), dot(nu2, nu2))
+            if t:
+                i = positions[CARTAN_LABEL]
+                out[i] = out.get(i, 0) + t
+        return out
+
+    basis_elems = [
+        AlgebraElement(rs, cartan=nu2) if l == CARTAN_LABEL else AlgebraElement(rs, coeffs={l: 1})
+        for l in labels
+    ]
+    own = [project(u) for u in basis_elems]
     checked = 0
     for p, dval in _generators(sc, config):
         # [p, u] is projected once per label u and reused in every pair
-        moved = [_project(config, bracket(sc, p, u), positions) for u in basis_elems]
+        moved = [project(bracket(sc, p, u)) for u in basis_elems]
         for i in range(len(labels)):
             for j in range(i, len(labels)):
                 lhs = form(moved[i], own[j]) + form(own[i], moved[j])

@@ -26,14 +26,12 @@ from .rootsys import (
     coroot,
     dot,
     doubled,
-    is_zero,
     minimal_root,
     mirror_index,
+    ratio,
     vadd,
-    vdot,
     vneg,
     vsub,
-    weyl_reflect,
 )
 
 CASE1 = "Case1"
@@ -55,7 +53,7 @@ class Distortion:
     as_sum: tuple[Vec, Vec] | None = None
 
     def __post_init__(self):
-        if is_zero(self.functional):
+        if not any(self.functional):
             raise ValueError("distortion functional must be nonzero")
 
 
@@ -335,7 +333,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
         record(
             "Case1 orthogonal root",
             config.alpha is not None
-            and vdot(dvec, config.alpha) == 0
+            and dot(dvec, config.alpha) == 0
             and rs.index_of(vsub(dvec, config.alpha)) >= 0,
         )
         record("Case1 Cartan part is a hyperplane", not config.cartan_full)
@@ -372,8 +370,9 @@ def quotient_basis(config: IsotropyConfig) -> list:
 def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     """Apply a Weyl word (of root vectors) to every ingredient of a configuration.
 
-    The kernel and normalizer roots move on root indices; the distortion,
-    the Cartan normal and alpha move through `weyl_reflect`.
+    Everything moves on doubled coordinates: the kernel and normalizer
+    roots as root indices, the distortion, the Cartan normal and alpha as
+    vectors.
 
     The result is marked validated: Weyl elements are automorphisms, so
     every structural invariant transports along them (the translated
@@ -384,33 +383,31 @@ def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     mirrors = [mirror_index(rs, m) for m in word]
     coords, norm = rs.coords, rs.norm
 
-    def move(v):
-        for m in mirrors:
-            v = weyl_reflect(rs, rs.roots[m], v)
-        return v
-
-    def move_root(i):
-        # s_m(r) = r - k m with k = 2 (r.m)/(m.m), an integer on doubled coordinates
-        c = coords[i]
+    def move(c):
+        # s_m(v) = v - k m with k = 2 (v.m)/(m.m): an integer for roots,
+        # rational for other vectors
         for m in mirrors:
             mc = coords[m]
-            k = 2 * dot(c, mc) // norm[m]
+            k = ratio(2 * dot(c, mc), norm[m])
             if k:
                 c = tuple(a - k * b for a, b in zip(c, mc))
-        return rs.at[c]
+        return c
 
-    image = {i: move_root(i) for i in config.h_roots | config.p_roots}
-    delta = Distortion(
-        move(config.delta.functional),
-        as_root=move(config.delta.as_root) if config.delta.as_root else None,
-        as_sum=tuple(move(x) for x in config.delta.as_sum) if config.delta.as_sum else None,
-    )
+    def move_vec(v):
+        return None if v is None else tuple(Fraction(x, 2) for x in move(doubled(v)))
+
+    image = {i: rs.at[move(coords[i])] for i in config.h_roots | config.p_roots}
+    delta = config.delta
     return replace(
         config,
-        delta=delta,
-        cartan_normal=move(config.cartan_normal) if config.cartan_normal else None,
+        delta=Distortion(
+            move_vec(delta.functional),
+            as_root=move_vec(delta.as_root),
+            as_sum=tuple(map(move_vec, delta.as_sum)) if delta.as_sum else None,
+        ),
+        cartan_normal=move_vec(config.cartan_normal),
         h_roots=frozenset(map(image.__getitem__, config.h_roots)),
         p_roots=frozenset(map(image.__getitem__, config.p_roots)),
-        alpha=move(config.alpha) if config.alpha is not None else None,
+        alpha=move_vec(config.alpha),
         validated=True,
     )

@@ -42,21 +42,9 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 def coroot(r: Vec) -> Vec:
-    return vscale(Fraction(2) / vdot(r, r), r)
+    c = Fraction(2) / dot(r, r)
+    return tuple(c * x for x in r)
 
 
 def doubled(v) -> tuple:
@@ -71,6 +59,15 @@ def doubled(v) -> tuple:
 def dot(a, b):
     """Inner product of two coordinate tuples of ints or Fractions."""
     return sum(map(mul, a, b))
+
+
+def ratio(n, d: int):
+    """n / d exactly: an int where d divides the int n, else a Fraction."""
+    if type(n) is int:
+        q, r = divmod(n, d)
+        if not r:
+            return q
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,17 +271,9 @@ def minimal_root(rs: RootSystem) -> Vec:
     return rs.roots[rs.neg[rs.positive_idx[-1]]]
 
 
-def weyl_reflect(rs: RootSystem, mirror: Vec, v: Vec) -> Vec:
-    mirror = check_dim(rs, mirror)
-    v = check_dim(rs, v)
-    if rs.index_of(mirror) < 0:
-        raise NotARoot(f"mirror {mirror} is not a root")
-    c = 2 * vdot(v, mirror) / vdot(mirror, mirror)
-    return vsub(v, vscale(c, mirror))
-
-
 def mirror_index(rs: RootSystem, mirror) -> int:
-    """Root index of a reflection mirror; raises as `weyl_reflect` does."""
+    """Root index of a reflection mirror; raises DimensionMismatch off the
+    ambient space and NotARoot when the mirror is not a root."""
     mirror = check_dim(rs, mirror)
     k = rs.index_of(mirror)
     if k < 0:

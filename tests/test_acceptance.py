@@ -238,7 +238,7 @@ def test_criterion_7_property_suite():
         low = minimal_root(rs)
         ok = ok and all(rs.index_of(vsub(low, p)) < 0 for p in rs.positives)
     # determinism across regeneration
-    ok = ok and structure_constants(build("F4", 4)).n_table == cached_constants("F4", 4).n_table
+    ok = ok and structure_constants(build("F4", 4)).table == cached_constants("F4", 4).table
     # Weyl-invariance of feasibility for every surviving configuration
     rng = random.Random(777)
     rep = classify_all(8)

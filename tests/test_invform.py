@@ -4,16 +4,13 @@ from fractions import Fraction
 import pytest
 
 from lieconformal import classify, invform
-from lieconformal.chevalley import bracket, cached_constants
+from lieconformal.chevalley import cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
     AssembledSystem,
     FormUnknowns,
     _generators,
-    _label_element,
     _max_residual,
-    _label_positions,
-    _project,
     assemble,
     form_unknowns,
     gram_matrix,
@@ -33,7 +30,17 @@ from lieconformal.isotropy import (
     validate,
 )
 from lieconformal.linalg import det
-from lieconformal.rootsys import build, minimal_root, random_weyl_word, vadd, vec, vneg
+from lieconformal.rootsys import (
+    build,
+    coroot,
+    dot,
+    minimal_root,
+    random_weyl_word,
+    vadd,
+    vec,
+    vneg,
+)
+from test_chevalley import VectorElement, vector_bracket
 
 
 def make_config(label, rank, case, *, alpha_idx=None, m=None):
@@ -218,11 +225,14 @@ def test_feasibility_invariant_under_weyl_translation():
 
 
 def vector_assemble(sc, config):
-    """Reference: the vector-path assembly, brackets over every generator of p."""
+    """Reference: the vector-path assembly, vector brackets of every generator
+    of p with every label, projected through labels keyed by root vector."""
+    rs = config.system
     labels = quotient_basis(config)
     dvec = config.delta.functional
-    zero = (Fraction(0),) * config.system.dim
-    weights = [zero if l == CARTAN_LABEL else config.system.roots[l] for l in labels]
+    nu = config.cartan_normal
+    zero = (Fraction(0),) * rs.dim
+    weights = [zero if l == CARTAN_LABEL else rs.roots[l] for l in labels]
     pairs = [
         (i, j)
         for i in range(len(labels))
@@ -230,15 +240,35 @@ def vector_assemble(sc, config):
         if vadd(weights[i], weights[j]) == dvec
     ]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    positions = _label_positions(config, labels)
+    positions = {l if l == CARTAN_LABEL else rs.roots[l]: i for i, l in enumerate(labels)}
 
     def index(i, j):
         return pair_index.get((i, j) if i <= j else (j, i))
 
+    def project(elt):
+        out = {}
+        for r, c in elt.coeffs.items():
+            i = positions.get(r)
+            if i is not None:
+                out[i] = out.get(i, 0) + c
+        if not config.cartan_full and any(elt.cartan):
+            t = dot(nu, elt.cartan) / dot(nu, nu)
+            if t != 0:
+                i = positions[CARTAN_LABEL]
+                out[i] = out.get(i, 0) + t
+        return out
+
+    def root_element(r):
+        return VectorElement(zero, {r: Fraction(1)})
+
+    generators = [(VectorElement(coroot(s), {}), dot(dvec, coroot(s))) for s in rs.simples]
+    generators += [(root_element(rs.roots[g]), 0) for g in sorted(config.p_roots)]
+    basis_elems = [
+        VectorElement(nu, {}) if l == CARTAN_LABEL else root_element(rs.roots[l]) for l in labels
+    ]
     rows = set()
-    basis_elems = [_label_element(config, l) for l in labels]
-    for p, dval in _generators(sc, config):
-        actions = [_project(config, bracket(sc, p, b), positions) for b in basis_elems]
+    for p, dval in generators:
+        actions = [project(vector_bracket(sc, p, b)) for b in basis_elems]
         for i in range(len(labels)):
             for j in range(i, len(labels)):
                 row = [Fraction(0)] * len(pairs)

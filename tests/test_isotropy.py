@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from lieconformal.isotropy import (
     CASE2,
     PARABOLIC,
     Distortion,
+    IsotropyConfig,
     _paired,
     derive_isotropy,
     parabolic_distortion,
@@ -25,8 +27,8 @@ from lieconformal.rootsys import (
     vec,
     vneg,
     vsub,
-    weyl_reflect,
 )
+from test_rootsys import weyl_reflect
 
 
 def case1_distortion(rs, m):
@@ -188,6 +190,25 @@ def test_translate_config_matches_vector_path(rank8_survivors):
             assert new.alpha == old.alpha
             assert new == old
     assert non_simple > 37
+
+
+def test_translate_config_moves_off_lattice_vectors():
+    """A Cartan normal off the root lattice takes rational reflection
+    coefficients (G2 long roots, E8 half-spin roots) and still moves as on
+    the vector path."""
+    rng = random.Random(4343)
+    for label, rank, nu in [
+        ("G2", 2, vec(1, 0, -1)),
+        ("E8", 8, vec(1, 0, 0, 0, 0, 0, 0, 0)),
+        ("B", 3, vec(Fraction(1, 3), Fraction(-1, 2), 5)),
+    ]:
+        rs = build(label, rank)
+        low = minimal_root(rs)
+        positives = frozenset(rs.positive_idx)
+        cfg = IsotropyConfig(CASE2, rs, Distortion(low, as_root=low), False, nu, positives, positives)
+        for _ in range(5):
+            word = [rng.choice(rs.roots) for _ in range(rng.randint(1, 6))]
+            assert translate_config(cfg, word) == vector_translate(cfg, word)
 
 
 def test_translate_config_rejects_bad_mirrors():

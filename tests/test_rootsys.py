@@ -8,19 +8,33 @@ from lieconformal.errors import InvalidRank, NotARoot
 from lieconformal.rootsys import (
     build,
     canonical_pair_rep,
+    check_dim,
     coroot,
+    dot,
     format_vec,
     minimal_root,
     parse_vec,
     random_weyl_word,
     vadd,
-    vdot,
     vec,
     vneg,
-    vscale,
     vsub,
-    weyl_reflect,
 )
+
+
+def vscale(c, a):
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
+def weyl_reflect(rs, mirror, v):
+    """Reference: the reflection of a Fraction vector in a root mirror."""
+    mirror = check_dim(rs, mirror)
+    v = check_dim(rs, v)
+    if rs.index_of(mirror) < 0:
+        raise NotARoot(f"mirror {mirror} is not a root")
+    c = 2 * dot(v, mirror) / dot(mirror, mirror)
+    return vsub(v, vscale(c, mirror))
 
 
 def height(rs, r):
@@ -114,7 +128,7 @@ def test_reflect_fixes_orthogonal():
 def test_coroot_values():
     assert coroot(vec(1, -1, 0)) == vec(1, -1, 0)
     assert coroot(vec(0, 0, 1)) == vec(0, 0, 2)
-    assert vdot(coroot(vec(2, 0)), vec(2, 0)) == 2
+    assert dot(coroot(vec(2, 0)), vec(2, 0)) == 2
 
 
 def test_is_root_and_errors():
@@ -258,15 +272,15 @@ def vector_expansions(simples, roots):
     of the Gram matrix of the simple roots."""
     k = len(simples)
     gram = [
-        tuple(vdot(a, b) for b in simples) + tuple(Fraction(int(i == j)) for j in range(k))
+        tuple(dot(a, b) for b in simples) + tuple(Fraction(int(i == j)) for j in range(k))
         for i, a in enumerate(simples)
     ]
     red, _ = linalg.rref(gram, 2 * k)
     inverse = [row[k:] for row in red]
     out = {}
     for r in roots:
-        proj = [vdot(s, r) for s in simples]
-        coeffs = tuple(vdot(row, proj) for row in inverse)
+        proj = [dot(s, r) for s in simples]
+        coeffs = tuple(dot(row, proj) for row in inverse)
         recon = (Fraction(0),) * len(r)
         for c, s in zip(coeffs, simples):
             recon = vadd(recon, vscale(c, s))
@@ -301,7 +315,7 @@ def test_root_core_matches_vector_ops(label, rank):
         assert tuple(Fraction(x, 2) for x in rs.coords[i]) == r
         assert rs.find(rs.coords[i]) == rs.index_of(r) == i
         assert roots[rs.neg[i]] == vneg(r)
-        assert rs.norm[i] == 4 * vdot(r, r)
+        assert rs.norm[i] == 4 * dot(r, r)
         assert rs.expansions[i] == expansions[r]
         assert rs.height[i] == sum(expansions[r])
         assert bool(rs.is_positive[i]) == (r in positive_set)
