@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import classify as classify_mod
 from . import constructions, invform, isotropy
@@ -79,8 +80,25 @@ def _survivor_sort_key(d):
     return (d["label"], d["rank"], d["case"], d["alpha"] or [], d["delta"] or [])
 
 
+def _read_expected(path) -> list:
+    """The survivor objects of an --expect file, sorted; ValueError if the
+    file is unreadable or not a list of survivor objects."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            expected = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read expected survivors: {exc}") from None
+    try:
+        if isinstance(expected, list):
+            return sorted(expected, key=_survivor_sort_key)
+    except (TypeError, KeyError):
+        pass
+    raise ValueError("expected survivors must be a list of survivor objects")
+
+
 def _cmd_classify(args) -> int:
     try:
+        expected = _read_expected(args.expect) if args.expect else None
         report = classify_mod.classify_all(args.max_rank, args.case)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -89,17 +107,7 @@ def _cmd_classify(args) -> int:
         (_survivor_key_dict(v.survivor_key()) for v in report.survivors),
         key=_survivor_sort_key,
     )
-    if args.expect:
-        try:
-            with open(args.expect, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read expected survivors: {exc}", file=sys.stderr)
-            return 2
-        expected = sorted(expected, key=_survivor_sort_key)
-        match = expected == survivors
-    else:
-        match = report.matches_expected
+    match = report.matches_expected if expected is None else expected == survivors
     payload = {
         "max_rank": report.max_rank,
         "cases": report.cases,
@@ -267,7 +275,10 @@ def _cmd_dump_constants(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing
+    leaves it unchanged, so `run` may be called again and again."""
     parser = argparse.ArgumentParser(
         prog="lieconformal",
         description="Exact classification of essential conformal homogeneous structures.",
@@ -305,9 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.func(args)

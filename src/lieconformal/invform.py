@@ -23,7 +23,7 @@ from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket
 from .errors import NotValidated, ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import RootSystem, dot, doubled
+from .rootsys import RootSystem, dot, doubled, ratio
 
 ZERO = Fraction(0)
 
@@ -222,18 +222,12 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     rs = config.system
     unknowns = form_unknowns(config)
     labels = unknowns.labels
-    values = [Fraction(c) for c in coeffs]
-
-    def form(px: dict, py: dict) -> Fraction:
-        """The form on two elements given by their label projections."""
-        total = ZERO
-        for i, ci in px.items():
-            for j, cj in py.items():
-                u = unknowns.index(i, j)
-                if u is not None:
-                    total += ci * cj * values[u]
-        return total
-
+    n = len(labels)
+    # the dense Gram of the form on the quotient labels, ints where integral
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), c in zip(unknowns.pairs, coeffs, strict=True):
+        c = Fraction(c)
+        gram[i][j] = gram[j][i] = ratio(c.numerator, c.denominator)
     positions = {l: i for i, l in enumerate(labels)}
     nu2 = None if config.cartan_full else doubled(config.cartan_normal)
 
@@ -256,15 +250,17 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         AlgebraElement(rs, cartan=nu2) if l == CARTAN_LABEL else AlgebraElement(rs, coeffs={l: 1})
         for l in labels
     ]
-    own = [project(u) for u in basis_elems]
     checked = 0
     for p, dval in _generators(sc, config):
         # [p, u] is projected once per label u and reused in every pair
         moved = [project(bracket(sc, p, u)) for u in basis_elems]
-        for i in range(len(labels)):
-            for j in range(i, len(labels)):
-                lhs = form(moved[i], own[j]) + form(own[i], moved[j])
-                rhs = dval * form(own[i], own[j])
+        for i in range(n):
+            for j in range(i, n):
+                # B([p, u_i], u_j) + B(u_i, [p, u_j]) = delta(p) B(u_i, u_j)
+                lhs = sum(c * gram[k][j] for k, c in moved[i].items()) + sum(
+                    c * gram[i][k] for k, c in moved[j].items()
+                )
+                rhs = dval * gram[i][j]
                 if lhs != rhs:
                     raise ResidualNonzero(
                         f"invariance fails for generator {p!r} on a label pair: "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub
 
 from . import linalg
@@ -89,13 +90,15 @@ def _paired(rs: RootSystem, d2) -> set:
     return out
 
 
+@lru_cache(maxsize=None)
 def case2_normal(rs: RootSystem):
     """Cartan normal of the Case2 kernel: the normal, inside the Cartan,
     of the coroots of the minimal root and of the positive roots orthogonal
     to it; None if those coroots fill the Cartan.
 
     Raises Inconsistent if their span has codimension greater than one,
-    which does not occur for the canonical systems handled here.
+    which does not occur for the canonical systems handled here.  The
+    normal depends only on the system, so it is computed once per system.
     """
     low = rs.neg[rs.positive_idx[-1]]  # the minimal root
     span = [low] + [b for b in rs.positive_idx if dot(rs.coords[low], rs.coords[b]) == 0]

@@ -320,4 +320,8 @@ def format_vec(v: Vec) -> list[str]:
 
 
 def parse_vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """A Fraction vector from "p/q" strings; a zero q is a ValueError."""
+    try:
+        return tuple(Fraction(e) for e in entries)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {entries}") from None

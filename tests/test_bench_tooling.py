@@ -37,11 +37,12 @@ def test_tracer_targets_resolve():
 
 
 def test_pinned_solve_outputs(tmp_path):
-    """Every pinned `solve` output of a pre-solver candidate, byte for byte."""
+    """Every pinned `solve` output of a pre-solver candidate, byte for byte,
+    then again in reverse order, as the process-wide caches are warm."""
     pool = EXPECTED["solve_pool"]
     assert len(pool) == 176
     path = tmp_path / "config.json"
-    for entry in pool:
+    for entry in pool + pool[::-1]:
         path.write_text(json.dumps(entry["config"]), encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

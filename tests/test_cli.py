@@ -150,15 +150,65 @@ def assert_usage_error(rc, captured):
     {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "1"]},
     {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "0", "1", "0"]},
     {"label": "B", "rank": 3, "case": "Case1", "delta": ["-1", "0"]},
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "delta": ["1/0", "0", "0"]},
+        id="delta-zero-denominator",
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "0", "1/0"]},
+        id="alpha-zero-denominator",
+    ),
 ])
 def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
     """A reducible Case1 system, an unknown case tag, a non-object config, a
-    number too large for a rational or a vector of the wrong length ends
-    with one error line and exit 2, never a traceback or a verdict."""
+    number too large for a rational, a vector of the wrong length or an
+    entry with a zero denominator ends with one error line and exit 2,
+    never a traceback or a verdict."""
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
     assert_usage_error(rc, capsys.readouterr())
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]", b'{"a": 1}', b'"survivors"', b"null", b'[{"label": "A"}]', b"\xff\xfe",
+])
+def test_classify_expect_bad_shape_is_a_usage_error(tmp_path, capsys, content):
+    """An --expect file that is not UTF-8 JSON holding a list of survivor
+    objects ends with one error line and exit 2."""
+    path = tmp_path / "expect.json"
+    path.write_bytes(content)
+    rc = run(["classify", "--max-rank", "2", "--format", "json", "--expect", str(path)])
+    assert_usage_error(rc, capsys.readouterr())
+
+
+def test_repeated_runs_in_one_process(capsys):
+    """`run` keeps no state between calls: an interleaved sequence of
+    subcommands, a usage error among them, gives the same exit code and
+    the same bytes on stdout and stderr each time it is replayed."""
+    solve = ["solve", str(DATA / "b3_alpha_e3.json")]
+    sequence = [
+        solve,
+        ["classify", "--max-rank", "two"],
+        ["classify", "--max-rank", "2", "--format", "json"],
+        ["check-examples", "--construction", "g2"],
+        solve,
+    ]
+
+    def replay():
+        results = []
+        for argv in sequence:
+            rc = run(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    capsys.readouterr()
+    first = replay()
+    assert [rc for rc, _, _ in first] == [0, 2, 0, 0, 0]
+    assert "invalid int value" in first[1][2]
+    assert first[4] == first[0]
+    assert replay() == first
 
 
 @pytest.mark.parametrize("argv", [

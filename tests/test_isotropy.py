@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieconformal.classify import _systems
 from lieconformal.errors import DimensionMismatch, Inconsistent, NotARoot
 from lieconformal.isotropy import (
     CASE1,
@@ -12,6 +13,7 @@ from lieconformal.isotropy import (
     Distortion,
     IsotropyConfig,
     _paired,
+    case2_normal,
     derive_isotropy,
     parabolic_distortion,
     quotient_basis,
@@ -38,6 +40,17 @@ def case1_distortion(rs, m):
 
 def as_vectors(rs, indices):
     return {rs.roots[i] for i in indices}
+
+
+def test_case2_normal_cache_matches_uncached():
+    """The per-system cache of the Case2 normal returns what a fresh
+    computation returns, and the same object on a repeat call."""
+    for rs in _systems(8):
+        if rs.label == "A1xA1":
+            continue
+        normal = case2_normal(rs)
+        assert normal == case2_normal.__wrapped__(rs), rs
+        assert case2_normal(rs) is normal
 
 
 def test_pairing_partner_rule():
