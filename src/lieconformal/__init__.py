@@ -36,7 +36,7 @@ from .isotropy import (
     quotient_basis,
     validate,
 )
-from .rootsys import RootSystem, build, canonical_pair_rep, minimal_root, vec
+from .rootsys import RootSystem, build, minimal_root, vec
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "bracket",
     "build",
     "cached_constants",
-    "canonical_pair_rep",
     "classify_all",
     "derive_isotropy",
     "elem_e",

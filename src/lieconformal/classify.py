@@ -26,6 +26,7 @@ from .errors import Inconsistent, Reducible
 from .isotropy import CASE1, CASE2, LOWRANK, PARABOLIC, Distortion, derive_isotropy, validate
 from .rootsys import (
     EXCEPTIONAL_RANK,
+    MAX_RANK,
     RootSystem,
     Vec,
     build,
@@ -193,7 +194,7 @@ def enumerate_parabolic(rs: RootSystem):
 def eliminate_parabolic(rs: RootSystem, candidate) -> CandidateVerdict:
     if candidate == BOREL_PRODUCT:
         a, b = rs.simples
-        delta = Distortion(vneg(vadd(a, b)), as_sum=(vneg(a), vneg(b)))
+        delta = Distortion(vneg(vadd(a, b)))
         base = dict(label=rs.label, rank=rs.rank, case=LOWRANK, delta=delta.functional, alpha=None)
         verdict = _judge(rs, delta, LOWRANK, base)
         if not verdict.eliminated:
@@ -307,8 +308,8 @@ def expected_survivors(max_rank: int, cases: str = "all") -> set:
 
 
 def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
-    if max_rank < 2:
-        raise ValueError("max_rank must be at least 2")
+    if not 2 <= max_rank <= MAX_RANK:
+        raise ValueError(f"max_rank must be between 2 and {MAX_RANK}")
     verdicts = []
     for rs in _systems(max_rank):
         if cases in ("all", "case1") and rs.label != "A1xA1":

@@ -135,16 +135,29 @@ def _print_table(report):
     print(f"survivors: {len(report.survivors)}")
 
 
+def _config_vec(data, key):
+    """The rationals of a config entry `key`, or None when it is absent or
+    empty; ValueError unless it is a list with no boolean entry."""
+    entries = data.get(key)
+    if entries is None:
+        return None
+    if not isinstance(entries, list) or any(isinstance(e, bool) for e in entries):
+        raise ValueError(f"{key} must be a list of rationals")
+    return parse_vec(entries) if entries else None
+
+
 def _config_from_json(data):
-    label = data["label"]
-    rank = int(data["rank"])
-    case = data["case"]
+    label, rank, case = data["label"], data["rank"], data["case"]
+    if not isinstance(label, str):
+        raise ValueError("label must be a string")
+    if type(rank) is not int:
+        raise ValueError("rank must be a JSON integer")
     rs = build(label, rank)
-    alpha = parse_vec(data["alpha"]) if data.get("alpha") else None
+    alpha = _config_vec(data, "alpha")
+    dvec = _config_vec(data, "delta")
     if case in (PARABOLIC, LOWRANK) and alpha is not None:
         delta = isotropy.parabolic_distortion(rs, alpha)
-    elif data.get("delta"):
-        dvec = parse_vec(data["delta"])
+    elif dvec is not None:
         delta = Distortion(dvec, as_root=dvec if rs.index_of(dvec) >= 0 else None)
     elif case == CASE2:
         low = minimal_root(rs)

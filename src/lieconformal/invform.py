@@ -23,7 +23,7 @@ from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket
 from .errors import NotValidated, ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import RootSystem, dot, doubled, ratio
+from .rootsys import RootSystem, dot, ratio
 
 ZERO = Fraction(0)
 
@@ -58,7 +58,6 @@ class FormSolution:
     basis: list
     nondegenerate_witness: tuple | None
     degeneracy_certificate: str | None
-    residual: Fraction
 
     @property
     def feasible(self) -> bool:
@@ -72,13 +71,12 @@ def _label_weights(rs: RootSystem, labels: list) -> list:
 
 def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
     labels = quotient_basis(config)
-    d2 = doubled(config.delta.functional)
     weights = _label_weights(config.system, labels)
     pairs = [
         (i, j)
         for i in range(len(labels))
         for j in range(i, len(labels))
-        if tuple(map(add, weights[i], weights[j])) == d2
+        if tuple(map(add, weights[i], weights[j])) == config.d2
     ]
     return FormUnknowns(labels=labels, pairs=pairs)
 
@@ -86,11 +84,10 @@ def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
 def _generators(sc: StructureConstants, config: IsotropyConfig):
     """Basis of p with the distortion value of each element."""
     rs = sc.system
-    d2 = doubled(config.delta.functional)
     gens = []
     for k in rs.simple_idx:
         h2 = sc.coroots[k]
-        gens.append((AlgebraElement(rs, cartan=h2), Fraction(dot(d2, h2), 4)))
+        gens.append((AlgebraElement(rs, cartan=h2), Fraction(dot(config.d2, h2), 4)))
     for gamma in sorted(config.p_roots):
         gens.append((AlgebraElement(rs, coeffs={gamma: 1}), 0))
     return gens
@@ -112,9 +109,8 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     labels = unknowns.labels
     rs = sc.system
     neg, coords, norm = rs.neg, rs.coords, rs.norm
-    d2 = doubled(config.delta.functional)
-    if not config.cartan_full:  # the Cartan label and nu exist
-        nu2 = doubled(config.cartan_normal)
+    d2, nu2 = config.d2, config.nu2
+    if nu2 is not None:  # the Cartan label exists
         nn = dot(nu2, nu2)
     weights = _label_weights(rs, labels)
     partner = {}
@@ -174,7 +170,7 @@ def solve(system: AssembledSystem) -> FormSolution:
     basis = linalg.nullspace(list(system.rows), nunk)
     dim = len(basis)
     if dim == 0:
-        return FormSolution(0, [], None, "solution space is zero", ZERO)
+        return FormSolution(0, [], None, "solution space is zero")
     residual = max((_max_residual(system, b) for b in basis), default=ZERO)
     if residual != 0:
         raise ResidualNonzero(f"nullspace basis has residual {residual}")
@@ -190,7 +186,7 @@ def solve(system: AssembledSystem) -> FormSolution:
                     generic[i, j] += ts[k] * sympy.Rational(gram[i][j])
     poly = sympy.expand(generic.det(method="berkowitz"))
     if poly == 0:
-        return FormSolution(dim, basis, None, "generic Gram determinant is identically zero", ZERO)
+        return FormSolution(dim, basis, None, "generic Gram determinant is identically zero")
 
     def combine(weights):
         out = [ZERO] * nunk
@@ -207,7 +203,7 @@ def solve(system: AssembledSystem) -> FormSolution:
     witness = combine(weights)
     if _max_residual(system, witness) != 0:
         raise ResidualNonzero("witness fails the assembled constraints")
-    return FormSolution(dim, basis, witness, None, ZERO)
+    return FormSolution(dim, basis, witness, None)
 
 
 def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
@@ -229,7 +225,7 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         c = Fraction(c)
         gram[i][j] = gram[j][i] = ratio(c.numerator, c.denominator)
     positions = {l: i for i, l in enumerate(labels)}
-    nu2 = None if config.cartan_full else doubled(config.cartan_normal)
+    nu2 = config.nu2
 
     def project(elt: AlgebraElement) -> dict:
         """Coefficients of an element on the quotient labels; the roots of h

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
@@ -24,14 +23,12 @@ from .rootsys import (
     RootSystem,
     Vec,
     check_dim,
-    coroot,
     dot,
     doubled,
     minimal_root,
+    minimal_root_index,
     mirror_index,
     ratio,
-    vadd,
-    vneg,
     vsub,
 )
 
@@ -51,7 +48,6 @@ class Distortion:
 
     functional: Vec
     as_root: Vec | None = None
-    as_sum: tuple[Vec, Vec] | None = None
 
     def __post_init__(self):
         if not any(self.functional):
@@ -60,15 +56,17 @@ class Distortion:
 
 @dataclass
 class IsotropyConfig:
+    """A kernel h on the root tables: every vector on doubled coordinates,
+    every root as a root index."""
+
     case_tag: str
     system: RootSystem
-    delta: Distortion
-    cartan_full: bool
-    cartan_normal: Vec | None  # hyperplane normal inside the Cartan, if any
+    d2: tuple  # the distortion delta
+    nu2: tuple | None  # normal of the Cartan part of h; None when it is the whole Cartan
     h_roots: frozenset  # root indices of the kernel
     p_roots: frozenset  # root indices of the normalizer
     validated: bool = False
-    alpha: Vec | None = None  # Case1 orthogonal root / parabolic simple root
+    alpha: int | None = None  # Case1 orthogonal root / parabolic simple root
 
 
 @dataclass
@@ -92,19 +90,20 @@ def _paired(rs: RootSystem, d2) -> set:
 
 @lru_cache(maxsize=None)
 def case2_normal(rs: RootSystem):
-    """Cartan normal of the Case2 kernel: the normal, inside the Cartan,
-    of the coroots of the minimal root and of the positive roots orthogonal
-    to it; None if those coroots fill the Cartan.
+    """Cartan normal of the Case2 kernel on doubled coordinates: the normal,
+    inside the Cartan, of the coroots of the minimal root and of the positive
+    roots orthogonal to it, as twice the least integer vector with a positive
+    leading entry; None if those coroots fill the Cartan.
 
     Raises Inconsistent if their span has codimension greater than one,
     which does not occur for the canonical systems handled here.  The
     normal depends only on the system, so it is computed once per system.
     """
-    low = rs.neg[rs.positive_idx[-1]]  # the minimal root
-    span = [low] + [b for b in rs.positive_idx if dot(rs.coords[low], rs.coords[b]) == 0]
-    simples = [rs.coords[k] for k in rs.simple_idx]
-    # coordinates of the orthocomplement within the coroot basis of the Cartan
-    rows = [tuple(Fraction(2 * dot(rs.coords[i], b), dot(b, b)) for b in simples) for i in span]
+    coords, simples = rs.coords, rs.simple_idx
+    low = minimal_root_index(rs)
+    span = [low] + [b for b in rs.positive_idx if dot(coords[low], coords[b]) == 0]
+    # coordinates of the orthocomplement in the simple-root basis of the Cartan
+    rows = [tuple(dot(coords[i], coords[k]) for k in simples) for i in span]
     null = linalg.nullspace(rows, len(simples))
     if not null:
         return None
@@ -112,21 +111,15 @@ def case2_normal(rs: RootSystem):
         raise Inconsistent(
             "forced Cartan part has codimension > 1", witness=[rs.roots[i] for i in span]
         )
-    normal = (Fraction(0),) * rs.dim
-    for c, b in zip(null[0], rs.simples):
-        normal = vadd(normal, tuple(c * x for x in coroot(b)))
-    # deterministic primitive scaling
-    nz = [x for x in normal if x != 0]
-    scale = Fraction(1) / nz[0]
-    normal = tuple(scale * x for x in normal)
+    normal = [sum(c * coords[k][x] for c, k in zip(null[0], simples)) for x in range(rs.dim)]
+    lead = next(x for x in normal if x)
+    normal = [x / lead for x in normal]
     den = math.lcm(*(x.denominator for x in normal))
-    return tuple(x * den for x in normal)
+    return tuple(int(2 * den * x) for x in normal)
 
 
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
-    low = minimal_root(rs)
-    alpha = check_dim(rs, alpha)
-    return Distortion(vsub(low, alpha), as_sum=(low, vneg(alpha)))
+    return Distortion(vsub(minimal_root(rs), check_dim(rs, alpha)))
 
 
 def _closure(rs: RootSystem, d2, forced, nu2) -> set:
@@ -200,13 +193,12 @@ def _final_checks(rs: RootSystem, s: set, nu2, paired: set):
                 )
 
 
-def _config(rs, case_tag, delta, s, cartan_normal, alpha) -> IsotropyConfig:
+def _config(rs, case_tag, d2, s, nu2, alpha) -> IsotropyConfig:
     return IsotropyConfig(
         case_tag=case_tag,
         system=rs,
-        delta=delta,
-        cartan_full=cartan_normal is None,
-        cartan_normal=cartan_normal,
+        d2=d2,
+        nu2=nu2,
         h_roots=frozenset(s),
         p_roots=frozenset(s.union(rs.positive_idx)),
         alpha=alpha,
@@ -243,46 +235,38 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
                     "multiple orthogonal pairing partners",
                     witness=tuple(rs.roots[a] for a in candidates),
                 )
-            alpha = rs.roots[candidates[0]]
-            cartan_normal = alpha
+            alpha = candidates[0]
+            nu2 = rs.coords[alpha]
         else:
-            if dvec != minimal_root(rs):
+            if d != minimal_root_index(rs):
                 raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
-            cartan_normal = case2_normal(rs)
-            if cartan_normal is None:
+            nu2 = case2_normal(rs)
+            if nu2 is None:
                 raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
-        nu2 = doubled(cartan_normal)
         s = _closure(rs, d2, forced, nu2)
         _final_checks(rs, s, nu2, paired)
-        return _config(rs, case_tag, delta, s, cartan_normal, alpha)
+        return _config(rs, case_tag, d2, s, nu2, alpha)
 
     if case_tag in (PARABOLIC, LOWRANK) and rs.label == "A1xA1":
-        a, b = rs.simples
-        expect = vneg(vadd(a, b))
-        if dvec != expect:
+        a, b = (rs.coords[k] for k in rs.simple_idx)
+        if d2 != tuple(-x - y for x, y in zip(a, b)):
             raise Inconsistent("product-of-Borels distortion mismatch", witness=dvec)
-        return IsotropyConfig(
-            case_tag=LOWRANK,
-            system=rs,
-            delta=delta,
-            cartan_full=True,
-            cartan_normal=None,
-            h_roots=frozenset(rs.simple_idx),
-            p_roots=frozenset(rs.simple_idx),
-        )
+        # the kernel is the Borel of both factors
+        return _config(rs, LOWRANK, d2, set(rs.positive_idx), None, None)
 
     # parabolic: delta = minimal root - alpha for a single simple root alpha
-    low = minimal_root(rs)
-    alpha = vsub(low, dvec)
-    if alpha not in rs.simples:
-        raise Inconsistent("distortion is not (minimal root - simple root)", witness=alpha)
-    a_index = rs.simples.index(alpha)
+    alpha = rs.find(tuple(map(sub, rs.coords[minimal_root_index(rs)], d2)))
+    if alpha not in rs.simple_idx:
+        raise Inconsistent(
+            "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
+        )
+    a_index = rs.simple_idx.index(alpha)
     forced = set(rs.positive_idx)
     forced.update(rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0)
     s = _closure(rs, d2, forced, None)
     _final_checks(rs, s, None, paired)
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
-    return _config(rs, tag, delta, s, None, alpha)
+    return _config(rs, tag, d2, s, None, alpha)
 
 
 def validate(config: IsotropyConfig) -> ValidationReport:
@@ -292,7 +276,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     root (or root pair), as vectors.
     """
     rs = config.system
-    dvec = config.delta.functional
+    d2, nu2, alpha = config.d2, config.nu2, config.alpha
     s = config.h_roots
     pos = set(rs.positive_idx)
     checks = []
@@ -313,8 +297,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     record("bracket closure of h under p", witness is None, witness)
 
     witness = None
-    if not config.cartan_full:
-        nu2 = doubled(config.cartan_normal)
+    if nu2 is not None:
         for b in sorted(s):
             opposite = rs.neg[b]
             if (opposite in s or opposite in pos) and dot(nu2, rs.coords[b]) != 0:
@@ -322,7 +305,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
                 break
     record("coroots of opposite kernel pairs stay in the Cartan part", witness is None, witness)
 
-    paired = _paired(rs, doubled(dvec))
+    paired = _paired(rs, d2)
     bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
     record(
         "kernel matches the pairing rule exactly", not bad, rs.roots[bad[0]] if bad else None
@@ -332,24 +315,25 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     record("p is a proper subalgebra", len(config.p_roots) < len(rs.roots))
 
     if config.case_tag == CASE1:
-        record("Case1 distortion is a root", rs.index_of(dvec) >= 0)
+        record("Case1 distortion is a root", rs.find(d2) >= 0)
         record(
             "Case1 orthogonal root",
-            config.alpha is not None
-            and dot(dvec, config.alpha) == 0
-            and rs.index_of(vsub(dvec, config.alpha)) >= 0,
+            alpha is not None
+            and dot(d2, rs.coords[alpha]) == 0
+            and rs.find(tuple(map(sub, d2, rs.coords[alpha]))) >= 0,
         )
-        record("Case1 Cartan part is a hyperplane", not config.cartan_full)
+        record("Case1 Cartan part is a hyperplane", nu2 is not None)
     elif config.case_tag == CASE2:
-        record("Case2 distortion is the minimal root", dvec == minimal_root(rs))
+        low = rs.coords[minimal_root_index(rs)]
+        record("Case2 distortion is the minimal root", d2 == low)
         record("positive spaces inside h", pos <= s)
-        record("Case2 Cartan part is a hyperplane", not config.cartan_full)
+        record("Case2 Cartan part is a hyperplane", nu2 is not None)
     elif config.case_tag == PARABOLIC:
-        record("Borel inside h", pos <= s and config.cartan_full)
-        missing = [a for a, k in zip(rs.simples, rs.simple_idx) if rs.neg[k] not in s]
+        record("Borel inside h", pos <= s and nu2 is None)
+        missing = [rs.roots[k] for k in rs.simple_idx if rs.neg[k] not in s]
         record("exactly one simple root escapes h", len(missing) == 1, missing)
     else:  # LowRank
-        record("Borel(s) inside h", pos <= s and config.cartan_full)
+        record("Borel(s) inside h", pos <= s and nu2 is None)
 
     report = ValidationReport(ok=all(c[1] for c in checks), checks=checks)
     if report.ok:
@@ -365,7 +349,7 @@ def quotient_basis(config: IsotropyConfig) -> list:
         raise NotValidated("validate the configuration before using it")
     rs = config.system
     labels = sorted(set(range(len(rs.roots))) - config.h_roots, key=lambda i: (rs.height[i], i))
-    if not config.cartan_full:
+    if config.nu2 is not None:
         labels.append(CARTAN_LABEL)
     return labels
 
@@ -373,9 +357,9 @@ def quotient_basis(config: IsotropyConfig) -> list:
 def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     """Apply a Weyl word (of root vectors) to every ingredient of a configuration.
 
-    Everything moves on doubled coordinates: the kernel and normalizer
-    roots as root indices, the distortion, the Cartan normal and alpha as
-    vectors.
+    Everything moves on doubled coordinates, with one reflection rule: the
+    distortion and the Cartan normal as vectors, the kernel and normalizer
+    roots and alpha as root indices.
 
     The result is marked validated: Weyl elements are automorphisms, so
     every structural invariant transports along them (the translated
@@ -396,21 +380,14 @@ def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
                 c = tuple(a - k * b for a, b in zip(c, mc))
         return c
 
-    def move_vec(v):
-        return None if v is None else tuple(Fraction(x, 2) for x in move(doubled(v)))
-
+    # alpha is a positive root, so it lies in p
     image = {i: rs.at[move(coords[i])] for i in config.h_roots | config.p_roots}
-    delta = config.delta
     return replace(
         config,
-        delta=Distortion(
-            move_vec(delta.functional),
-            as_root=move_vec(delta.as_root),
-            as_sum=tuple(map(move_vec, delta.as_sum)) if delta.as_sum else None,
-        ),
-        cartan_normal=move_vec(config.cartan_normal),
+        d2=move(config.d2),
+        nu2=None if config.nu2 is None else move(config.nu2),
         h_roots=frozenset(map(image.__getitem__, config.h_roots)),
         p_roots=frozenset(map(image.__getitem__, config.p_roots)),
-        alpha=move_vec(config.alpha),
+        alpha=None if config.alpha is None else image[config.alpha],
         validated=True,
     )

@@ -25,6 +25,10 @@ Vec = tuple[Fraction, ...]
 
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2, "A1xA1": 2}
 
+# the largest rank built: B32 and C32 have 2,048 roots and an 8 MB sum table,
+# which grows as the fourth power of the rank
+MAX_RANK = 32
+
 
 def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
@@ -191,6 +195,8 @@ _HALF = {x: Fraction(x, 2) for x in range(-4, 5)}
 @lru_cache(maxsize=None)
 def build(label: str, rank: int) -> RootSystem:
     """Construct the canonical root system for (label, rank)."""
+    if rank > MAX_RANK:
+        raise InvalidRank(f"rank {rank} exceeds the maximum rank {MAX_RANK}")
     if label in EXCEPTIONAL_RANK:
         if rank != EXCEPTIONAL_RANK[label]:
             raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
@@ -263,12 +269,17 @@ def check_dim(rs: RootSystem, v) -> Vec:
     return tuple(Fraction(x) for x in v)
 
 
-def minimal_root(rs: RootSystem) -> Vec:
-    """The lowest root (negative of the highest root)."""
+def minimal_root_index(rs: RootSystem) -> int:
+    """Index of the minimal root."""
     if rs.label == "A1xA1":
         raise Reducible("A1xA1 has no single minimal root")
     # positives are sorted by height, and the highest root is unique
-    return rs.roots[rs.neg[rs.positive_idx[-1]]]
+    return rs.neg[rs.positive_idx[-1]]
+
+
+def minimal_root(rs: RootSystem) -> Vec:
+    """The lowest root (negative of the highest root)."""
+    return rs.roots[minimal_root_index(rs)]
 
 
 def mirror_index(rs: RootSystem, mirror) -> int:
@@ -299,20 +310,6 @@ def pair_orbit(rs: RootSystem, pair: tuple[int, int]) -> set:
                     nxt.append(img)
         frontier = nxt
     return seen
-
-
-def canonical_pair_rep(rs: RootSystem, pair) -> tuple[Vec, Vec]:
-    """Deterministic representative of the diagonal Weyl orbit of a pair.
-
-    The representative is the coordinatewise-lexicographically greatest
-    element of the orbit, which matches the usual displayed choices
-    (e.g. (e1, e2) for orthogonal short pairs in the B series).
-    """
-    a, b = (rs.index_of(check_dim(rs, x)) for x in pair)
-    if a < 0 or b < 0:
-        raise NotARoot(f"pair {pair} contains a non-root")
-    i, j = max(pair_orbit(rs, (a, b)))
-    return rs.roots[i], rs.roots[j]
 
 
 def format_vec(v: Vec) -> list[str]:

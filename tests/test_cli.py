@@ -122,6 +122,18 @@ def test_solve_feasible_config(capsys):
     assert len(data["unknowns"]) == 3
 
 
+def test_solve_case2_config(tmp_path, capsys):
+    """The A3 Case2 basis is printed on the pinned scale of the Cartan label."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"label": "A", "rank": 3, "case": "Case2"}))
+    rc, out = capture(capsys, ["solve", str(path)])
+    assert rc == 0
+    data = json.loads(out)
+    assert data["unknowns"][0] == ["-1,0,0,1", "cartan"]
+    assert data["witness"] == [["2", "1", "1"]]
+    assert data["nondegenerate_witness"] == ["6", "3", "3"]
+
+
 def test_solve_infeasible_config(capsys):
     rc, out = capture(capsys, ["solve", str(DATA / "a2_alpha_e1e2.json")])
     assert rc == 0
@@ -158,16 +170,40 @@ def assert_usage_error(rc, captured):
         {"label": "B", "rank": 3, "case": "Parabolic", "alpha": ["0", "0", "1/0"]},
         id="alpha-zero-denominator",
     ),
+    pytest.param({"label": "B", "rank": 3.7, "case": "Case2"}, id="rank-float"),
+    pytest.param({"label": "B", "rank": True, "case": "Case2"}, id="rank-bool"),
+    pytest.param({"label": "B", "rank": "3", "case": "Case2"}, id="rank-string"),
+    pytest.param({"label": 3, "rank": 3, "case": "Case2"}, id="label-number"),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "delta": [True, 0, -1]}, id="delta-bool"
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Parabolic", "alpha": "001"}, id="alpha-string"
+    ),
+    pytest.param({"label": "B", "rank": 300, "case": "Case2"}, id="rank-above-bound"),
 ])
 def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
     """A reducible Case1 system, an unknown case tag, a non-object config, a
-    number too large for a rational, a vector of the wrong length or an
-    entry with a zero denominator ends with one error line and exit 2,
-    never a traceback or a verdict."""
+    number too large for a rational, a vector of the wrong length, an entry
+    with a zero denominator, a rank or label of the wrong JSON type, a vector
+    that is not a list of rationals or a rank above the bound ends with one
+    error line and exit 2, never a traceback or a verdict."""
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
     assert_usage_error(rc, capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["dump-roots", "B", "300"],
+    ["dump-roots", "A", "33"],
+    ["dump-constants", "C", "300"],
+    ["classify", "--max-rank", "300"],
+    ["classify", "--max-rank", "33", "--format", "json"],
+])
+def test_rank_above_the_bound_is_a_usage_error(capsys, argv):
+    """A rank above MAX_RANK is refused before any root table is built."""
+    assert_usage_error(run(argv), capsys.readouterr())
 
 
 @pytest.mark.parametrize("content", [

@@ -41,6 +41,7 @@ from lieconformal.rootsys import (
     vneg,
 )
 from test_chevalley import VectorElement, vector_bracket
+from test_rootsys import halved
 
 
 def make_config(label, rank, case, *, alpha_idx=None, m=None):
@@ -76,12 +77,13 @@ def test_unknowns_pair_by_weight_sum():
 def test_b3_spinor_candidate_dim_one():
     """B3 with alpha = e3 admits a one-dimensional, nondegenerate solution."""
     sc, cfg = make_config("B", 3, PARABOLIC, alpha_idx=2)
-    sol = solve(assemble(sc, cfg))
+    system = assemble(sc, cfg)
+    sol = solve(system)
     assert sol.feasible
     assert sol.dimension == 1
     assert sol.basis == [(Fraction(1), Fraction(-1), Fraction(1))]
     assert sol.nondegenerate_witness is not None
-    assert sol.residual == 0
+    assert all(_max_residual(system, b) == 0 for b in sol.basis)
 
 
 def test_d4_triality_candidates_dim_one():
@@ -229,8 +231,8 @@ def vector_assemble(sc, config):
     of p with every label, projected through labels keyed by root vector."""
     rs = config.system
     labels = quotient_basis(config)
-    dvec = config.delta.functional
-    nu = config.cartan_normal
+    dvec = halved(config.d2)
+    nu = None if config.nu2 is None else halved(config.nu2)
     zero = (Fraction(0),) * rs.dim
     weights = [zero if l == CARTAN_LABEL else rs.roots[l] for l in labels]
     pairs = [
@@ -251,7 +253,7 @@ def vector_assemble(sc, config):
             i = positions.get(r)
             if i is not None:
                 out[i] = out.get(i, 0) + c
-        if not config.cartan_full and any(elt.cartan):
+        if nu is not None and any(elt.cartan):
             t = dot(nu, elt.cartan) / dot(nu, nu)
             if t != 0:
                 i = positions[CARTAN_LABEL]

@@ -30,7 +30,7 @@ from lieconformal.rootsys import (
     vneg,
     vsub,
 )
-from test_rootsys import weyl_reflect
+from test_rootsys import halved, weyl_reflect
 
 
 def case1_distortion(rs, m):
@@ -53,6 +53,20 @@ def test_case2_normal_cache_matches_uncached():
         assert case2_normal(rs) is normal
 
 
+def test_case2_normal_pins_the_cartan_scaling():
+    """The Case2 normal on doubled coordinates is twice the least integer
+    normal with a positive leading entry; its scale reaches the printed
+    `solve` basis through the Cartan label."""
+    want = {
+        ("A", 2): (2, -4, 2),
+        ("A", 3): (2, -2, -2, 2),
+        ("A", 4): (6, -4, -4, -4, 6),
+        ("A", 8): (14, -4, -4, -4, -4, -4, -4, -4, 14),
+        ("D", 3): (0, 0, 2),
+    }
+    assert {key: case2_normal(build(*key)) for key in want} == want
+
+
 def test_pairing_partner_rule():
     """r is paired exactly when delta - r is a root or zero."""
     rs = build("C", 3)
@@ -72,9 +86,9 @@ def test_case1_c3_derives_and_validates():
     report = validate(cfg)
     assert report.ok, report.checks
     assert cfg.case_tag == CASE1
-    assert cfg.alpha == vec(1, -1, 0)
-    assert rs.index_of(cfg.alpha) not in cfg.h_roots
-    assert cfg.cartan_normal == cfg.alpha
+    assert rs.roots[cfg.alpha] == vec(1, -1, 0)
+    assert cfg.alpha not in cfg.h_roots
+    assert cfg.nu2 == rs.coords[cfg.alpha]
 
 
 def test_case1_b3_eliminated_by_partner_multiplicity():
@@ -91,7 +105,7 @@ def test_case2_a3_derives_and_validates():
     cfg = derive_isotropy(rs, Distortion(low, as_root=low), CASE2)
     assert validate(cfg).ok
     # the Cartan part of h is a hyperplane
-    assert cfg.cartan_normal is not None
+    assert cfg.nu2 is not None
 
 
 def test_case2_b3_inconsistent():
@@ -110,7 +124,7 @@ def test_parabolic_derives_and_validates(label, rank, idx):
     cfg = derive_isotropy(rs, parabolic_distortion(rs, rs.simples[idx]), PARABOLIC)
     report = validate(cfg)
     assert report.ok, report.checks
-    assert cfg.alpha == rs.simples[idx]
+    assert cfg.alpha == rs.simple_idx[idx]
     # h contains the Borel: every positive root except none is in h plus Cartan
     h = as_vectors(rs, cfg.h_roots)
     assert set(rs.positives) <= h
@@ -163,18 +177,16 @@ def vector_translate(config, word):
             v = weyl_reflect(rs, mirror, v)
         return v
 
-    delta = Distortion(
-        move(config.delta.functional),
-        as_root=move(config.delta.as_root) if config.delta.as_root else None,
-        as_sum=tuple(move(x) for x in config.delta.as_sum) if config.delta.as_sum else None,
-    )
+    def move_root(i):
+        return rs.index_of(move(rs.roots[i]))
+
     return replace(
         config,
-        delta=delta,
-        cartan_normal=move(config.cartan_normal) if config.cartan_normal else None,
-        h_roots=frozenset(rs.index_of(move(rs.roots[i])) for i in config.h_roots),
-        p_roots=frozenset(rs.index_of(move(rs.roots[i])) for i in config.p_roots),
-        alpha=move(config.alpha) if config.alpha is not None else None,
+        d2=doubled(move(halved(config.d2))),
+        nu2=None if config.nu2 is None else doubled(move(halved(config.nu2))),
+        h_roots=frozenset(map(move_root, config.h_roots)),
+        p_roots=frozenset(map(move_root, config.p_roots)),
+        alpha=None if config.alpha is None else move_root(config.alpha),
         validated=True,
     )
 
@@ -196,10 +208,8 @@ def test_translate_config_matches_vector_path(rank8_survivors):
             new, old = translate_config(cfg, word), vector_translate(cfg, word)
             assert new.h_roots == old.h_roots
             assert new.p_roots == old.p_roots
-            assert new.delta.functional == old.delta.functional
-            assert new.delta.as_root == old.delta.as_root
-            assert new.delta.as_sum == old.delta.as_sum
-            assert new.cartan_normal == old.cartan_normal
+            assert new.d2 == old.d2
+            assert new.nu2 == old.nu2
             assert new.alpha == old.alpha
             assert new == old
     assert non_simple > 37
@@ -216,9 +226,9 @@ def test_translate_config_moves_off_lattice_vectors():
         ("B", 3, vec(Fraction(1, 3), Fraction(-1, 2), 5)),
     ]:
         rs = build(label, rank)
-        low = minimal_root(rs)
+        d2 = doubled(minimal_root(rs))
         positives = frozenset(rs.positive_idx)
-        cfg = IsotropyConfig(CASE2, rs, Distortion(low, as_root=low), False, nu, positives, positives)
+        cfg = IsotropyConfig(CASE2, rs, d2, doubled(nu), positives, positives)
         for _ in range(5):
             word = [rng.choice(rs.roots) for _ in range(rng.randint(1, 6))]
             assert translate_config(cfg, word) == vector_translate(cfg, word)
@@ -285,6 +295,6 @@ def test_validate_rejects_a_paired_kernel_root():
 def test_validate_rejects_a_full_cartan_in_case1():
     rs = build("C", 3)
     cfg = derive_isotropy(rs, case1_distortion(rs, vec(1, 1, 0)), CASE1)
-    broken = replace(cfg, cartan_full=True)
+    broken = replace(cfg, nu2=None)
     assert "Case1 Cartan part is a hyperplane" in failed_checks(broken)
     assert validate(cfg).ok

@@ -6,13 +6,14 @@ import pytest
 from lieconformal import linalg
 from lieconformal.errors import InvalidRank, NotARoot
 from lieconformal.rootsys import (
+    MAX_RANK,
     build,
-    canonical_pair_rep,
     check_dim,
     coroot,
     dot,
     format_vec,
     minimal_root,
+    pair_orbit,
     parse_vec,
     random_weyl_word,
     vadd,
@@ -35,6 +36,17 @@ def weyl_reflect(rs, mirror, v):
         raise NotARoot(f"mirror {mirror} is not a root")
     c = 2 * dot(v, mirror) / dot(mirror, mirror)
     return vsub(v, vscale(c, mirror))
+
+
+def halved(v2):
+    """The Fraction vector with doubled coordinates v2."""
+    return tuple(Fraction(x, 2) for x in v2)
+
+
+def orbit_rep(rs, pair):
+    """Index pair of the lex-max member of the diagonal Weyl orbit of a
+    vector pair, the representative `enumerate_case1` picks."""
+    return max(pair_orbit(rs, tuple(rs.index_of(r) for r in pair)))
 
 
 def height(rs, r):
@@ -138,8 +150,6 @@ def test_is_root_and_errors():
     assert not is_root(rs, vec(Fraction(1, 3), 1))
     with pytest.raises(NotARoot):
         weyl_reflect(rs, vec(2, 0), vec(1, 1))
-    with pytest.raises(NotARoot):
-        canonical_pair_rep(rs, (vec(2, 0), vec(1, 1)))
 
 
 def test_invalid_rank():
@@ -151,24 +161,33 @@ def test_invalid_rank():
         build("Z", 3)
 
 
+def test_rank_bound():
+    """Ranks up to MAX_RANK build (the stress range reaches 16); one more is
+    refused before any table is built."""
+    assert MAX_RANK >= 16
+    assert len(build("A", MAX_RANK).roots) == MAX_RANK * (MAX_RANK + 1)
+    with pytest.raises(InvalidRank):
+        build("A", MAX_RANK + 1)
+
+
 def test_g2_simple_roots():
     rs = build("G2", 2)
     assert rs.simples == (vec(1, -1, 0), vec(-2, 1, 1))
     assert all(sum(r) == 0 for r in rs.roots)
 
 
-def test_canonical_pair_rep_is_orbit_invariant():
-    """Every pair in a diagonal Weyl orbit maps to the same representative."""
+def test_orbit_rep_is_weyl_invariant():
+    """Every pair in a diagonal Weyl orbit has the same lex-max representative."""
     import random
 
     rng = random.Random(7)
     rs = build("C", 3)
     pair = (vec(1, 1, 0), vec(1, -1, 0))
-    rep = canonical_pair_rep(rs, pair)
+    rep = orbit_rep(rs, pair)
     for _ in range(25):
         word = random_weyl_word(rs, rng, rng.randint(1, 8))
         moved = tuple(reflect_word(rs, word, r) for r in pair)
-        assert canonical_pair_rep(rs, moved) == rep
+        assert orbit_rep(rs, moved) == rep
 
 
 def test_f4_displayed_pairs_share_one_orbit():
@@ -177,7 +196,7 @@ def test_f4_displayed_pairs_share_one_orbit():
     h = Fraction(1, 2)
     p1 = (vec(1, 0, 0, 0), vec(0, 1, 0, 0))
     p2 = ((h, h, -h, -h), (h, h, h, h))
-    assert canonical_pair_rep(rs, p1) == canonical_pair_rep(rs, p2)
+    assert orbit_rep(rs, p1) == orbit_rep(rs, p2)
 
 
 def test_parse_format_roundtrip():
