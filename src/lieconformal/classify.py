@@ -11,8 +11,9 @@ Three families of candidates exist for an essential structure on G/H:
   root, with distortion (minimal root - simple root).  The reducible
   rank-2 product contributes the product-of-Borels candidate.
 
-Every candidate is judged by the shared pipeline: fast root
-combinatorics, then kernel closure, then the exact form solver.
+Every candidate is judged by one pipeline: fast root combinatorics,
+then `judge` (kernel closure, then the exact form solver), which the
+`solve` and `check-examples` commands call as well.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ STAGE_CLOSURE = "IsotropyClosure"
 STAGE_SOLVER = "SolverFeasibility"
 STAGE_SURVIVOR = "Survivor"
 
-BOREL_PRODUCT = "borel-product"
-
 
 @dataclass
 class CandidateVerdict:
@@ -59,9 +58,6 @@ class CandidateVerdict:
     survivor_label: str | None = None
     notes: tuple = ()
     solution_dimension: int | None = None
-
-    def key(self):
-        return (self.label, self.rank, self.case, self.alpha, self.delta)
 
     def survivor_key(self):
         return (self.label, self.rank, self.case, self.alpha, self.delta, self.survivor_label)
@@ -112,52 +108,6 @@ def enumerate_case1(rs: RootSystem):
     return [(rs.roots[m], rs.roots[a]) for m, a in sorted(reps, reverse=True)]
 
 
-def _judge(rs: RootSystem, delta: Distortion, case_tag: str, base: dict) -> CandidateVerdict:
-    """Shared closure + solver pipeline for a derived candidate."""
-    try:
-        config = derive_isotropy(rs, delta, case_tag)
-    except Inconsistent as exc:
-        return CandidateVerdict(
-            stage=STAGE_CLOSURE, eliminated=True, witness=str(exc), **base
-        )
-    report = validate(config)
-    if not report.ok:
-        return CandidateVerdict(
-            stage=STAGE_CLOSURE, eliminated=True, witness=report.failures(), **base
-        )
-    sc = cached_constants(rs.label, rs.rank)
-    system = invform.assemble(sc, config)
-    solution = invform.solve(system)
-    if not solution.feasible:
-        return CandidateVerdict(
-            stage=STAGE_SOLVER,
-            eliminated=True,
-            witness=solution.degeneracy_certificate,
-            solution_dimension=solution.dimension,
-            **base,
-        )
-    return CandidateVerdict(
-        stage=STAGE_SURVIVOR,
-        eliminated=False,
-        solution_dimension=solution.dimension,
-        **base,
-    )
-
-
-def eliminate_case1(rs: RootSystem, pair) -> CandidateVerdict:
-    m, alpha = pair
-    delta = Distortion(vneg(m), as_root=vneg(m))
-    base = dict(label=rs.label, rank=rs.rank, case=CASE1, delta=vneg(m), alpha=alpha)
-    verdict = _judge(rs, delta, CASE1, base)
-    if not verdict.eliminated:
-        verdict.survivor_label = "Sp_case"
-        if rs.label == "B":
-            verdict.notes = ("B2=C2",)
-        elif rs.label == "C" and rs.rank == 2:
-            verdict.notes = ("C2=B2",)
-    return verdict
-
-
 def enumerate_case2(rs: RootSystem):
     """Distortion candidate (the minimal root), or None when the forced
     coroots already fill the Cartan subalgebra."""
@@ -169,93 +119,105 @@ def enumerate_case2(rs: RootSystem):
         return None
     if normal is None:
         return None
-    low = minimal_root(rs)
-    return Distortion(low, as_root=low)
+    return Distortion(minimal_root(rs))
 
 
-def eliminate_case2(rs: RootSystem, delta: Distortion) -> CandidateVerdict:
-    base = dict(label=rs.label, rank=rs.rank, case=CASE2, delta=delta.functional, alpha=None)
-    verdict = _judge(rs, delta, CASE2, base)
-    if not verdict.eliminated:
-        verdict.survivor_label = "SL_case"
-        if rs.label == "D" and rs.rank == 3:
-            verdict.notes = ("D3=A3",)
-    return verdict
-
-
-def enumerate_parabolic(rs: RootSystem):
-    """One candidate per simple root; the reducible product yields the
-    product-of-Borels candidate."""
-    if rs.label == "A1xA1":
-        return [BOREL_PRODUCT]
-    return list(rs.simples)
-
-
-def eliminate_parabolic(rs: RootSystem, candidate) -> CandidateVerdict:
-    if candidate == BOREL_PRODUCT:
+def eliminate_parabolic(rs: RootSystem, alpha) -> CandidateVerdict:
+    """Verdict of the parabolic candidate of the simple root `alpha`, or of
+    the product-of-Borels candidate when `alpha` is None."""
+    if alpha is None:
         a, b = rs.simples
-        delta = Distortion(vneg(vadd(a, b)))
-        base = dict(label=rs.label, rank=rs.rank, case=LOWRANK, delta=delta.functional, alpha=None)
-        verdict = _judge(rs, delta, LOWRANK, base)
-        if not verdict.eliminated:
-            verdict.survivor_label = "CP1xCP1"
-        return verdict
-    alpha = candidate
+        return _verdict(rs, LOWRANK, Distortion(vneg(vadd(a, b))), None)
     delta = isotropy.parabolic_distortion(rs, alpha)
-    dvec = delta.functional
     case = LOWRANK if rs.rank == 1 else PARABOLIC
-    base = dict(label=rs.label, rank=rs.rank, case=case, delta=dvec, alpha=alpha)
     # fast root-combinatorial stage: every root space outside the kernel
     # must be paired, i.e. delta + beta must be a root or zero for every
     # positive beta whose expansion involves alpha
     a_index = rs.simples.index(alpha)
-    d2 = doubled(dvec)
+    d2 = doubled(delta.functional)
     for beta in rs.positive_idx:
         if rs.expansions[beta][a_index] == 0:
             continue
         s = tuple(map(operator.add, d2, rs.coords[beta]))
         if any(s) and rs.find(s) < 0:
-            return CandidateVerdict(
-                stage=STAGE_ROOTS,
-                eliminated=True,
-                witness=("unpaired", rs.roots[rs.neg[beta]]),
-                **base,
-            )
-    verdict = _judge(rs, delta, case, base)
-    if not verdict.eliminated:
-        verdict.survivor_label = _parabolic_survivor_label(rs, alpha)
-        verdict.notes = _parabolic_notes(rs, alpha)
+            return _verdict(rs, case, delta, alpha, ("unpaired", rs.roots[rs.neg[beta]]))
+    return _verdict(rs, case, delta, alpha)
+
+
+def judge(rs: RootSystem, delta: Distortion, case_tag: str):
+    """Judge one candidate past the root stage: (witness, system, solution).
+
+    When the forced kernel h is not closed, the witness is the message of
+    the `Inconsistent` raised by `derive_isotropy` or the failed `validate`
+    checks, and system and solution are None.  Otherwise the witness is
+    None and the assembled form system comes with its solution.  Any other
+    ValueError (reducible system, unknown case tag, wrong dimension)
+    propagates to the caller.
+    """
+    try:
+        config = derive_isotropy(rs, delta, case_tag)
+    except Inconsistent as exc:
+        return str(exc), None, None
+    report = validate(config)
+    if not report.ok:
+        return report.failures(), None, None
+    system = invform.assemble(cached_constants(rs.label, rs.rank), config)
+    return None, system, invform.solve(system)
+
+
+def _verdict(
+    rs: RootSystem, case: str, delta: Distortion, alpha, root_witness=None
+) -> CandidateVerdict:
+    """The verdict of one candidate: eliminated by root combinatorics when
+    `root_witness` is given, else judged by `judge`."""
+    verdict = CandidateVerdict(
+        label=rs.label,
+        rank=rs.rank,
+        case=case,
+        delta=delta.functional,
+        alpha=alpha,
+        stage=STAGE_ROOTS,
+        eliminated=True,
+        witness=root_witness,
+    )
+    if root_witness is not None:
+        return verdict
+    witness, _, solution = judge(rs, delta, case)
+    if solution is None:
+        verdict.stage, verdict.witness = STAGE_CLOSURE, witness
+        return verdict
+    verdict.solution_dimension = solution.dimension
+    if not solution.feasible:
+        verdict.stage, verdict.witness = STAGE_SOLVER, solution.degeneracy_certificate
+        return verdict
+    verdict.stage, verdict.eliminated = STAGE_SURVIVOR, False
+    verdict.survivor_label, verdict.notes = _survivor_tag(rs, case, alpha)
     return verdict
 
 
-def _parabolic_survivor_label(rs: RootSystem, alpha):
+def _survivor_tag(rs: RootSystem, case: str, alpha) -> tuple:
+    """(survivor label, notes) of a surviving candidate; the notes name
+    low-rank coincidences, which are reported, never suppressed."""
+    system = (rs.label, rs.rank)
+    if case == CASE1:
+        if rs.label == "B":
+            return "Sp_case", ("B2=C2",)
+        return "Sp_case", ("C2=B2",) if system == ("C", 2) else ()
+    if case == CASE2:
+        return "SL_case", ("D3=A3",) if system == ("D", 3) else ()
+    if alpha is None:
+        return "CP1xCP1", ()
     if rs.rank == 1:
-        return "CP1"
-    if rs.label == "G2":
-        return "G2_Eins5"
-    if (rs.label == "B" and rs.rank == 2) or (rs.label == "C" and rs.rank == 2):
-        return "Eins3_B2"
-    if rs.label == "B":
-        if rs.rank == 3 and sum(1 for c in alpha if c != 0) == 1:
-            return "Spin7_Eins6"
-        return "Einstein_Bn"
-    if rs.label in ("D", "A"):
-        return "Einstein_Dn"
-    return None
-
-
-def _parabolic_notes(rs: RootSystem, alpha):
-    if rs.label == "C" and rs.rank == 2:
-        return ("C2=B2",)
-    if rs.label == "A" and rs.rank == 3:
-        return ("A3=D3",)
-    if rs.label == "D" and rs.rank == 3:
-        return ("D3=A3",)
-    if rs.label == "B" and rs.rank == 3 and sum(1 for c in alpha if c != 0) == 1:
-        return ("Spin7 subgroup acting on the same quadric Eins6",)
-    if rs.label == "D" and rs.rank == 4 and alpha[0] == 0:
-        return ("triality image of the alpha=e1-e2 candidate",)
-    return ()
+        return "CP1", ()
+    if system == ("B", 3) and sum(1 for c in alpha if c != 0) == 1:
+        return "Spin7_Eins6", ("Spin7 subgroup acting on the same quadric Eins6",)
+    notes = {("C", 2): ("C2=B2",), ("A", 3): ("A3=D3",), ("D", 3): ("D3=A3",)}.get(system, ())
+    if system == ("D", 4) and alpha[0] == 0:
+        notes = ("triality image of the alpha=e1-e2 candidate",)
+    if rs.rank == 2 and rs.label in ("B", "C"):
+        return "Eins3_B2", notes
+    tag = {"G2": "G2_Eins5", "B": "Einstein_Bn", "A": "Einstein_Dn", "D": "Einstein_Dn"}
+    return tag.get(rs.label), notes
 
 
 def expected_survivors(max_rank: int, cases: str = "all") -> set:
@@ -313,28 +275,18 @@ def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
     verdicts = []
     for rs in _systems(max_rank):
         if cases in ("all", "case1") and rs.label != "A1xA1":
-            for pair in enumerate_case1(rs):
-                verdicts.append(eliminate_case1(rs, pair))
+            for m, alpha in enumerate_case1(rs):
+                verdicts.append(_verdict(rs, CASE1, Distortion(vneg(m)), alpha))
         if cases in ("all", "case2") and rs.label != "A1xA1":
             delta = enumerate_case2(rs)
             if delta is None:
-                verdicts.append(
-                    CandidateVerdict(
-                        label=rs.label,
-                        rank=rs.rank,
-                        case=CASE2,
-                        delta=minimal_root(rs),
-                        alpha=None,
-                        stage=STAGE_ROOTS,
-                        eliminated=True,
-                        witness="forced coroots fill the Cartan",
-                    )
-                )
+                low = Distortion(minimal_root(rs))
+                verdicts.append(_verdict(rs, CASE2, low, None, "forced coroots fill the Cartan"))
             else:
-                verdicts.append(eliminate_case2(rs, delta))
+                verdicts.append(_verdict(rs, CASE2, delta, None))
         if cases in ("all", "parabolic"):
-            for cand in enumerate_parabolic(rs):
-                verdicts.append(eliminate_parabolic(rs, cand))
+            for alpha in [None] if rs.label == "A1xA1" else rs.simples:
+                verdicts.append(eliminate_parabolic(rs, alpha))
     verdicts.sort(key=lambda v: (v.label, v.rank, v.case, v.alpha or (), v.delta or ()))
     survivors = [v for v in verdicts if not v.eliminated]
     expected = expected_survivors(max_rank, cases)

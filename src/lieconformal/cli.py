@@ -15,11 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import classify as classify_mod
-from . import constructions, invform, isotropy
+from . import constructions, isotropy
 from .chevalley import cached_constants
-from .errors import Inconsistent, InvalidRank
-from .isotropy import CASE1, CASE2, LOWRANK, PARABOLIC, Distortion
-from .rootsys import EXCEPTIONAL_RANK, build, format_vec, minimal_root, parse_vec
+from .errors import InvalidRank
+from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
+from .rootsys import EXCEPTIONAL_RANK, MAX_RANK, build, format_vec, minimal_root, parse_vec
 
 
 def _jsonable(obj):
@@ -27,19 +27,10 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
-        return {_key(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = [_jsonable(v) for v in obj]
-        return sorted(items, key=repr) if isinstance(obj, (set, frozenset)) else items
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     return obj
-
-
-def _key(k):
-    if isinstance(k, Fraction):
-        return str(k)
-    if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
-    return str(k)
 
 
 def _emit(payload, stream=None):
@@ -158,10 +149,9 @@ def _config_from_json(data):
     if case in (PARABOLIC, LOWRANK) and alpha is not None:
         delta = isotropy.parabolic_distortion(rs, alpha)
     elif dvec is not None:
-        delta = Distortion(dvec, as_root=dvec if rs.index_of(dvec) >= 0 else None)
+        delta = Distortion(dvec)
     elif case == CASE2:
-        low = minimal_root(rs)
-        delta = Distortion(low, as_root=low)
+        delta = Distortion(minimal_root(rs))
     else:
         raise ValueError("config needs a delta or (for parabolic) an alpha")
     return rs, delta, case
@@ -176,24 +166,16 @@ def _cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        config = isotropy.derive_isotropy(rs, delta, case)
-    except Inconsistent as exc:
-        # an elimination verdict, not an input error
-        _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],
-               "inconsistent": str(exc)})
-        return 0
+        witness, system, solution = classify_mod.judge(rs, delta, case)
     except ValueError as exc:  # Reducible system, unknown case tag or wrong dimension
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = isotropy.validate(config)
-    if not report.ok:
+    if solution is None:
+        # an elimination verdict, not an input error
         _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],
-               "inconsistent": report.failures()})
+               "inconsistent": witness})
         return 0
-    sc = cached_constants(rs.label, rs.rank)
-    system = invform.assemble(sc, config)
-    solution = invform.solve(system)
-    labels = isotropy.quotient_basis(config)
+    labels = system.unknowns.labels
     unknowns = [
         [_label_str(rs, labels[i]), _label_str(rs, labels[j])] for i, j in system.unknowns.pairs
     ]
@@ -222,6 +204,9 @@ def _label_str(rs, label):
 
 
 def _cmd_check_examples(args) -> int:
+    if args.construction != "g2" and args.n > MAX_RANK:
+        print(f"error: n {args.n} exceeds the maximum rank {MAX_RANK}", file=sys.stderr)
+        return 2
     results = {}
     try:
         if args.construction in ("sp", "all"):
@@ -238,10 +223,7 @@ def _cmd_check_examples(args) -> int:
     if args.construction in ("g2", "all"):
         rs = build("G2", 2)
         delta = isotropy.parabolic_distortion(rs, rs.simples[0])
-        config = isotropy.derive_isotropy(rs, delta, PARABOLIC)
-        isotropy.validate(config)
-        system = invform.assemble(cached_constants("G2", 2), config)
-        solution = invform.solve(system)
+        _, system, solution = classify_mod.judge(rs, delta, PARABOLIC)
         align = constructions.align_g2_form(system, solution.nondegenerate_witness)
         relations = constructions.check_g2_relations()
         results["g2"] = {

@@ -6,7 +6,6 @@ from lieconformal.classify import (
     classify_all,
     enumerate_case1,
     enumerate_case2,
-    enumerate_parabolic,
     expected_survivors,
 )
 from lieconformal.errors import Reducible
@@ -59,7 +58,8 @@ def test_case2_candidate_only_when_cartan_room():
 
 def test_parabolic_candidates_one_per_simple():
     rs = build("F4", 4)
-    assert enumerate_parabolic(rs) == list(rs.simples)
+    verdicts = [v for v in classify_all(4, cases="parabolic").verdicts if v.label == "F4"]
+    assert sorted(v.alpha for v in verdicts) == sorted(rs.simples)
 
 
 def test_classify_rank4_matches_expected():

@@ -253,6 +253,9 @@ def test_repeated_runs_in_one_process(capsys):
     ["--construction", "sp", "--n", "0"],
     ["--trials", "-3"],
     ["--construction", "sl", "--trials", "0"],
+    ["--construction", "sp", "--n", "33"],
+    ["--construction", "sl", "--n", "33"],
+    ["--construction", "all", "--n", "33"],
 ])
 def test_check_examples_bad_input_is_a_usage_error(capsys, argv):
     rc = run(["check-examples", *argv])
