@@ -5,9 +5,15 @@ quotient labels.  Labels pair only when their weights add up to the
 distortion, which leaves a short vector of unknowns; invariance against
 every basis element of the normalizer p gives a homogeneous linear
 system over Q.  Feasibility means the solution space contains a
-nondegenerate point, certified by an exact Gram determinant; otherwise
-the generic determinant (a polynomial in the solution parameters) is
-certified to vanish identically.
+nondegenerate point, certified by an exact Gram determinant.
+
+As the label weights are distinct, each label has at most one partner, so
+the Gram at any point is a weighted partial involution and its
+determinant is +-(product of the unknowns, off-diagonal ones squared).
+The generic determinant therefore vanishes identically exactly when some
+label is unpaired or some unknown is zero on the whole solution space,
+and the witness search evaluates the unknowns, not a symbolic
+determinant.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from itertools import chain, product
 from operator import add
 
-import sympy
+import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
 
 from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket
@@ -166,7 +172,15 @@ def _max_residual(system: AssembledSystem, coeffs) -> Fraction:
 
 
 def solve(system: AssembledSystem) -> FormSolution:
-    nunk = len(system.unknowns.pairs)
+    labels, pairs = system.unknowns.labels, system.unknowns.pairs
+    paired = set()
+    for pair in pairs:
+        for i in set(pair):
+            if i in paired:
+                # the determinant factorization needs at most one partner per label
+                raise ValueError(f"label {labels[i]!r} lies in two unknown pairs")
+            paired.add(i)
+    nunk = len(pairs)
     basis = linalg.nullspace(list(system.rows), nunk)
     dim = len(basis)
     if dim == 0:
@@ -174,18 +188,10 @@ def solve(system: AssembledSystem) -> FormSolution:
     residual = max((_max_residual(system, b) for b in basis), default=ZERO)
     if residual != 0:
         raise ResidualNonzero(f"nullspace basis has residual {residual}")
-
-    ts = sympy.symbols(f"t0:{dim}")
-    n = len(system.unknowns.labels)
-    generic = sympy.zeros(n, n)
-    for k, b in enumerate(basis):
-        gram = gram_matrix(system, b)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != 0:
-                    generic[i, j] += ts[k] * sympy.Rational(gram[i][j])
-    poly = sympy.expand(generic.det(method="berkowitz"))
-    if poly == 0:
+    # the generic determinant is a product of the unknowns as linear forms
+    # in the solution parameters: nonzero iff every factor is
+    n = len(labels)
+    if len(paired) < n or not all(any(b[u] for b in basis) for u in range(nunk)):
         return FormSolution(dim, basis, None, "generic Gram determinant is identically zero")
 
     def combine(weights):
@@ -195,14 +201,15 @@ def solve(system: AssembledSystem) -> FormSolution:
                 out[i] += Fraction(w) * x
         return tuple(out)
 
-    # poly is nonzero with degree at most n in each variable, so by the
+    # the determinant has degree at most n in each parameter, so by the
     # Combinatorial Nullstellensatz (Alon 1999) it is nonzero somewhere on
     # {1..n+1}^dim: the search always ends
     candidates = chain([tuple(_PRIMES[:dim])], product(range(1, n + 2), repeat=dim))
-    weights = next(w for w in candidates if poly.subs(dict(zip(ts, w))) != 0)
-    witness = combine(weights)
+    witness = next(w for w in map(combine, candidates) if all(w))
     if _max_residual(system, witness) != 0:
         raise ResidualNonzero("witness fails the assembled constraints")
+    if linalg.det(gram_matrix(system, witness)) == 0:
+        raise AssertionError("witness Gram determinant is zero")
     return FormSolution(dim, basis, witness, None)
 
 

@@ -26,6 +26,27 @@ def rank8_survivors():
     return seen
 
 
+@pytest.fixture(scope="session")
+def rank12_solver_systems():
+    """The `classify_all(12)` report and the (assembled system, solution) of
+    every candidate that reaches the solver, in classify order."""
+    from lieconformal import invform
+    from lieconformal.classify import classify_all
+
+    seen = []
+    real = invform.solve
+
+    def record(system):
+        solution = real(system)
+        seen.append((system, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invform, "solve", record)
+        report = classify_all(12)
+    return report, seen
+
+
 def pytest_terminal_summary(terminalreporter):
     """Print one line per acceptance criterion after capture ends."""
     lines = []

@@ -122,10 +122,10 @@ def test_max_rank_bounds_exceptional_systems():
     assert report.matches_expected
 
 
-def test_classify_rank12_stress():
+def test_classify_rank12_stress(rank12_solver_systems):
     """Past the rank-8 contract, the closed-form survivor table still holds
     and the stage mix keeps its shape (B/C/D 9-12 are built only here)."""
-    report = classify_all(12)
+    report, _ = rank12_solver_systems
     assert report.matches_expected
     assert len(report.verdicts) == 407
     assert Counter(v.stage for v in report.verdicts) == {

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from lieconformal import classify, invform
 from lieconformal.chevalley import cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
+    _PRIMES,
     AssembledSystem,
     FormUnknowns,
     _generators,
@@ -207,6 +209,57 @@ def test_witness_search_is_total():
     assert sol.basis == basis
     assert _max_residual(system, sol.nondegenerate_witness) == 0
     assert det(gram_matrix(system, sol.nondegenerate_witness)) != 0
+
+
+def synthetic_system(nlabels, pairs, rows):
+    unknowns = FormUnknowns(labels=[f"l{i}" for i in range(nlabels)], pairs=pairs)
+    return AssembledSystem(config=None, unknowns=unknowns, rows=rows)
+
+
+def test_solve_rejects_label_in_two_pairs():
+    """The determinant factorization needs at most one partner per label."""
+    system = synthetic_system(3, [(0, 1), (1, 2)], [])
+    with pytest.raises(ValueError, match="'l1'"):
+        solve(system)
+
+
+@pytest.mark.parametrize(
+    "nlabels, pairs, rows",
+    [
+        # label l2 is in no pair: its Gram row is zero at every point
+        (3, [(0, 1)], []),
+        # the only row forces the unknown of (1, 2) to zero on a 2-dim space
+        (4, [(0, 0), (1, 2), (3, 3)], [(0, 1, 0)]),
+    ],
+    ids=["unpaired-label", "forced-zero-unknown"],
+)
+def test_degenerate_solution_space(nlabels, pairs, rows):
+    sol = solve(synthetic_system(nlabels, pairs, rows))
+    assert sol.dimension == len(pairs) - len(rows) > 0
+    assert sol.nondegenerate_witness is None and not sol.feasible
+    assert sol.degeneracy_certificate == "generic Gram determinant is identically zero"
+
+
+def test_witness_matches_determinant_oracle(rank12_solver_systems):
+    """On every solver system up to rank 12, the witness is the first point of
+    the prime-then-grid sequence where the exact Gram determinant, expanded
+    by elimination with no factorization, is nonzero."""
+    _, seen = rank12_solver_systems
+    assert len(seen) == 55
+    for system, sol in seen:
+        n, nunk = len(system.unknowns.labels), len(system.unknowns.pairs)
+        first = None
+        if sol.dimension:
+            grid = product(range(1, n + 2), repeat=sol.dimension)
+            for w in chain([_PRIMES[: sol.dimension]], grid):
+                coeffs = tuple(
+                    sum((c * b[u] for c, b in zip(w, sol.basis)), Fraction(0)) for u in range(nunk)
+                )
+                if det(gram_matrix(system, coeffs)) != 0:
+                    first = coeffs
+                    break
+        assert sol.nondegenerate_witness == first
+        assert (sol.degeneracy_certificate is None) == (first is not None)
 
 
 def test_feasibility_invariant_under_weyl_translation():
