@@ -31,33 +31,27 @@ def _rand_vec(rng, n):
     return [_rand_frac(rng) for _ in range(n)]
 
 
-def _mat_vec(m, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
-
-
-def _identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def _omega(n, x, y) -> Fraction:
     """Standard symplectic form on 2n coordinates."""
     return sum(x[i] * y[n + i] - x[n + i] * y[i] for i in range(n))
 
 
-def _random_symplectic(rng, n):
-    """Product of symplectic transvections x -> x + c * w(x, v) v."""
-    m = _identity(2 * n)
-    for _ in range(3):
-        v = _rand_vec(rng, 2 * n)
-        c = _rand_frac(rng)
-        cols = list(zip(*m))
-        new_cols = []
-        for col in cols:
-            col = list(col)
-            t = c * _omega(n, col, v)
-            new_cols.append([a + t * b for a, b in zip(col, v)])
-        m = [list(row) for row in zip(*new_cols)]
-    return m
+def _transvect(n, z, v, c):
+    """The symplectic transvection z -> z + c w(z, v) v."""
+    t = c * _omega(n, z, v)
+    return [a + t * b for a, b in zip(z, v)]
+
+
+def _sp_trial(rng, n):
+    """Draw S, a product of three transvections, then x and y; return
+    (x, y, Sx, Sy), applying the transvections one after another."""
+    transvections = [(_rand_vec(rng, 2 * n), _rand_frac(rng)) for _ in range(3)]
+    x = _rand_vec(rng, 2 * n)
+    y = _rand_vec(rng, 2 * n)
+    sx, sy = x, y
+    for v, c in transvections:
+        sx, sy = _transvect(n, sx, v, c), _transvect(n, sy, v, c)
+    return x, y, sx, sy
 
 
 def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
@@ -69,10 +63,8 @@ def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
-        s = _random_symplectic(rng, n)
-        x = _rand_vec(rng, 2 * n)
-        y = _rand_vec(rng, 2 * n)
-        r1 = _omega(n, _mat_vec(s, x), _mat_vec(s, y)) - _omega(n, x, y)
+        x, y, sx, sy = _sp_trial(rng, n)
+        r1 = _omega(n, sx, sy) - _omega(n, x, y)
         a, b, c, d = (_rand_frac(rng) for _ in range(4))
         u = [a * xi + b * yi for xi, yi in zip(x, y)]
         v = [c * xi + d * yi for xi, yi in zip(x, y)]
@@ -81,65 +73,44 @@ def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     return {"ok": worst == 0, "trials": trials, "max_residual": worst}
 
 
-def _random_unimodular(rng, n):
-    """Random integer-free rational unimodular matrix with its inverse."""
-    m = _identity(n)
-    inv = _identity(n)
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = _rand_frac(rng)
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-        for k in range(n):
-            inv[k][j] -= c * inv[k][i]
-    return m, inv
+def _sl_trial(rng, n):
+    """Draw g, a product of 2n elementary operations 1 + c e_i e_j^T, then x
+    and a covector f; return (x, f, gx, f o g^-1).  Each operation adds
+    c x_j to x_i and subtracts c f_i from f_j."""
+    ops = [(*rng.sample(range(n), 2), _rand_frac(rng)) for _ in range(2 * n)]
+    x = _rand_vec(rng, n)
+    f = _rand_vec(rng, n)
+    gx, f_ginv = list(x), list(f)
+    for i, j, c in ops:
+        gx[i] += c * gx[j]
+        f_ginv[j] -= c * f_ginv[i]
+    return x, f, gx, f_ginv
+
+
+def _nullity(ncols: int, rows) -> int:
+    """Solution dimension of rows given as {column: coefficient}."""
+    dense = [tuple(r.get(k, ZERO) for k in range(ncols)) for r in rows]
+    return len(linalg.nullspace(dense, ncols))
 
 
 def _stabilizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X fixes the line through (e1, e_n*)}."""
-    # unknowns: n*n entries of X plus the eigenvalue c
-    ncols = n * n + 1
-    rows = []
-
-    def row():
-        return [ZERO] * ncols
-
-    for i in range(n):  # X e1 = c e1
-        r = row()
-        r[i * n + 0] = ONE
-        if i == 0:
-            r[-1] = -ONE
-        rows.append(tuple(r))
-    for j in range(n):  # e_n* X = -c e_n*
-        r = row()
-        r[(n - 1) * n + j] = ONE
-        if j == n - 1:
-            r[-1] = ONE
-        rows.append(tuple(r))
-    r = row()  # trace zero
-    for i in range(n):
-        r[i * n + i] = ONE
-    rows.append(tuple(r))
-    return len(linalg.nullspace(rows, ncols))
+    # unknowns: X[i][j] at i * n + j, then the eigenvalue c at n * n
+    c = n * n
+    rows = [{i * n: ONE} for i in range(n)]  # X e1 = c e1
+    rows[0][c] = -ONE
+    rows += [{(n - 1) * n + j: ONE} for j in range(n)]  # e_n* X = -c e_n*
+    rows[-1][c] = ONE
+    rows.append({i * n + i: ONE for i in range(n)})  # trace zero
+    return _nullity(c + 1, rows)
 
 
 def _normalizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X e1 in C e1, X W <= W} for W = span(e1..e_{n-1})."""
-    ncols = n * n
-    rows = []
-    for i in range(1, n):  # first column upper
-        r = [ZERO] * ncols
-        r[i * n + 0] = ONE
-        rows.append(tuple(r))
-    for j in range(n - 1):  # last row only in the corner
-        r = [ZERO] * ncols
-        r[(n - 1) * n + j] = ONE
-        rows.append(tuple(r))
-    r = [ZERO] * ncols
-    for i in range(n):
-        r[i * n + i] = ONE
-    rows.append(tuple(r))
-    return len(linalg.nullspace(rows, ncols))
+    rows = [{i * n: ONE} for i in range(1, n)]  # first column upper
+    rows += [{(n - 1) * n + j: ONE} for j in range(n - 1)]  # last row only in the corner
+    rows.append({i * n + i: ONE for i in range(n)})  # trace zero
+    return _nullity(n * n, rows)
 
 
 def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
@@ -154,11 +125,7 @@ def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
-        g, ginv = _random_unimodular(rng, n)
-        x = _rand_vec(rng, n)
-        f = _rand_vec(rng, n)  # covector
-        gx = _mat_vec(g, x)
-        f_ginv = _mat_vec(list(map(list, zip(*ginv))), f)  # f o g^{-1}
+        x, f, gx, f_ginv = _sl_trial(rng, n)
         r = sum(a * b for a, b in zip(f_ginv, gx)) - sum(a * b for a, b in zip(f, x))
         worst = max(worst, abs(r))
     stab = _stabilizer_dimension(n)

@@ -8,20 +8,20 @@ system over Q.  Feasibility means the solution space contains a
 nondegenerate point, certified by an exact Gram determinant.
 
 As the label weights are distinct, each label has at most one partner, so
-the Gram at any point is a weighted partial involution and its
-determinant is +-(product of the unknowns, off-diagonal ones squared).
-The generic determinant therefore vanishes identically exactly when some
-label is unpaired or some unknown is zero on the whole solution space,
-and the witness search evaluates the unknowns, not a symbolic
-determinant.
+every row is a ratio edge c x_u + c' x_v = 0 or a forced zero c x_u = 0.
+`solve` reads the nullspace off the components of that graph, with no
+elimination.  The Gram at any point is a weighted partial involution whose
+determinant is +-(product of the unknowns, off-diagonal ones squared): it
+vanishes identically exactly when some label is unpaired or some unknown
+is zero on the whole solution space, and otherwise the prime-weighted sum
+of the basis, whose supports are disjoint, is a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from operator import add
+from operator import add, mul
 
 import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
 
@@ -32,6 +32,7 @@ from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
 from .rootsys import RootSystem, dot, ratio
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
@@ -163,12 +164,25 @@ def gram_matrix(system: AssembledSystem, coeffs):
     return gram
 
 
-def _max_residual(system: AssembledSystem, coeffs) -> Fraction:
-    worst = ZERO
-    for row in system.rows:
-        r = abs(sum(a * b for a, b in zip(row, coeffs) if a))
-        worst = max(worst, r)
-    return worst
+def _witness_weights(k: int) -> list:
+    """The first k odd primes, the weights of the witness."""
+    weights = list(_PRIMES[:k])
+    n = _PRIMES[-1]
+    while len(weights) < k:
+        n += 2
+        if all(n % p for p in weights):
+            weights.append(n)
+    return weights
+
+
+def _residual(rows, x) -> Fraction:
+    """The first nonzero row . x over sparse rows, or 0.  The Fraction goes
+    first in each product, which keeps int coefficients on the fast path."""
+    for row in rows:
+        r = sum([x[u] * c for u, c in row], ZERO)
+        if r:
+            return r
+    return ZERO
 
 
 def solve(system: AssembledSystem) -> FormSolution:
@@ -181,32 +195,50 @@ def solve(system: AssembledSystem) -> FormSolution:
                 raise ValueError(f"label {labels[i]!r} lies in two unknown pairs")
             paired.add(i)
     nunk = len(pairs)
-    basis = linalg.nullspace(list(system.rows), nunk)
+    # the rows are ratio edges c x_u + c' x_v = 0 and forced zeros c x_u = 0
+    rows = [[(u, c) for u, c in enumerate(row) if c] for row in system.rows]
+    if any(len(row) > 2 for row in rows):
+        raise ValueError("a row has more than two nonzero entries")
+    forced = {row[0][0] for row in rows if len(row) == 1}
+    edges = [[] for _ in range(nunk)]
+    for (u, a), (v, b) in (row for row in rows if len(row) == 2):
+        edges[u].append((v, a, b))
+        edges[v].append((u, b, a))
+    # one basis vector per component with a consistent ratio on every edge and
+    # no forced zero, scaled to 1 at its largest unknown: the RREF nullspace
+    value = [None] * nunk
+    basis = []
+    for top in reversed(range(nunk)):
+        if value[top] is not None:
+            continue
+        value[top], component, ok = ONE, [top], top not in forced
+        for u in component:
+            for v, a, b in edges[u]:
+                x = value[u] * a / -b
+                if value[v] is None:
+                    value[v] = x
+                    component.append(v)
+                ok = ok and v not in forced and value[v] == x
+        if ok:
+            basis.append(tuple(value[u] if u in component else ZERO for u in range(nunk)))
+    basis.reverse()
     dim = len(basis)
     if dim == 0:
         return FormSolution(0, [], None, "solution space is zero")
-    residual = max((_max_residual(system, b) for b in basis), default=ZERO)
-    if residual != 0:
-        raise ResidualNonzero(f"nullspace basis has residual {residual}")
+    for b in basis:
+        residual = _residual(rows, b)
+        if residual:
+            raise ResidualNonzero(f"nullspace basis has residual {residual}")
     # the generic determinant is a product of the unknowns as linear forms
     # in the solution parameters: nonzero iff every factor is
-    n = len(labels)
-    if len(paired) < n or not all(any(b[u] for b in basis) for u in range(nunk)):
+    columns = list(zip(*basis))
+    if len(paired) < len(labels) or not all(map(any, columns)):
         return FormSolution(dim, basis, None, "generic Gram determinant is identically zero")
-
-    def combine(weights):
-        out = [ZERO] * nunk
-        for w, b in zip(weights, basis):
-            for i, x in enumerate(b):
-                out[i] += Fraction(w) * x
-        return tuple(out)
-
-    # the determinant has degree at most n in each parameter, so by the
-    # Combinatorial Nullstellensatz (Alon 1999) it is nonzero somewhere on
-    # {1..n+1}^dim: the search always ends
-    candidates = chain([tuple(_PRIMES[:dim])], product(range(1, n + 2), repeat=dim))
-    witness = next(w for w in map(combine, candidates) if all(w))
-    if _max_residual(system, witness) != 0:
+    # the supports are disjoint and cover every unknown, so every entry of
+    # the weighted sum is nonzero
+    weights = _witness_weights(dim)
+    witness = tuple(sum(map(mul, col, weights), ZERO) for col in columns)
+    if _residual(rows, witness):
         raise ResidualNonzero("witness fails the assembled constraints")
     if linalg.det(gram_matrix(system, witness)) == 0:
         raise AssertionError("witness Gram determinant is zero")

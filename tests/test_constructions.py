@@ -1,9 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lieconformal.chevalley import cached_constants
+from lieconformal.cli import run
 from lieconformal.constructions import (
+    _omega,
+    _rand_frac,
+    _rand_vec,
+    _sl_trial,
+    _sp_trial,
     BracketRelation,
     align_g2_form,
     check_g2_relations,
@@ -36,6 +43,81 @@ def test_sl_embedding_exact(n):
     assert out["ok"]
     assert out["max_residual"] == 0
     assert out["codimension"] == 1
+
+
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_vec(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def random_symplectic(rng, n):
+    """Oracle: the matrix of three symplectic transvections x -> x + c w(x, v) v,
+    multiplied out column by column."""
+    m = identity(2 * n)
+    for _ in range(3):
+        v = _rand_vec(rng, 2 * n)
+        c = _rand_frac(rng)
+        cols = [[a + c * _omega(n, col, v) * b for a, b in zip(col, v)] for col in zip(*m)]
+        m = [list(row) for row in zip(*cols)]
+    return m
+
+
+def random_unimodular(rng, n):
+    """Oracle: the matrix of 2n elementary row operations and its inverse."""
+    m, inv = identity(n), identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = _rand_frac(rng)
+        for k in range(n):
+            m[i][k] += c * m[j][k]
+            inv[k][j] -= c * inv[k][i]
+    return m, inv
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sp_trial_matches_the_matrix(n):
+    """Applying the transvections to x and y gives S x and S y, from the same
+    draws, for seeds 0-49."""
+    for seed in range(50):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        x, y, sx, sy = _sp_trial(rng, n)
+        s = random_symplectic(oracle, n)
+        assert (x, y) == (_rand_vec(oracle, 2 * n), _rand_vec(oracle, 2 * n))
+        assert (sx, sy) == (mat_vec(s, x), mat_vec(s, y))
+        assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sl_trial_matches_the_matrix(n):
+    """Applying the elementary operations to x and f gives g x and f o g^-1,
+    from the same draws, for seeds 0-49."""
+    for seed in range(50):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        x, f, gx, f_ginv = _sl_trial(rng, n)
+        g, ginv = random_unimodular(oracle, n)
+        assert (x, f) == (_rand_vec(oracle, n), _rand_vec(oracle, n))
+        assert gx == mat_vec(g, x)
+        assert f_ginv == mat_vec(list(zip(*ginv)), f)
+        assert rng.getstate() == oracle.getstate()
+
+
+CHECK_EXAMPLES_OUTPUT = (
+    '{"ok":true,"results":{"g2":{"form_dimension":1,"global_scale":"2/3","ok":true,'
+    '"relations_checked":6,"scalars":{"-1,1,0":"-1","-1,2,-1":"1","0,1,-1":"1",'
+    '"1,0,-1":"1","1,1,-2":"1"}},"sl":{"codimension":1,"max_residual":"0",'
+    '"normalizer_dim":5,"ok":true,"stabilizer_dim":4,"trials":20},'
+    '"sp":{"max_residual":"0","ok":true,"trials":20}}}\n'
+)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_check_examples_output_is_pinned(capsys, seed):
+    """`check-examples` prints the pinned report, byte for byte."""
+    assert run(["check-examples", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == CHECK_EXAMPLES_OUTPUT
 
 
 def test_sl_embedding_needs_rank_three():

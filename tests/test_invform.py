@@ -12,7 +12,6 @@ from lieconformal.invform import (
     AssembledSystem,
     FormUnknowns,
     _generators,
-    _max_residual,
     assemble,
     form_unknowns,
     gram_matrix,
@@ -31,7 +30,7 @@ from lieconformal.isotropy import (
     translate_config,
     validate,
 )
-from lieconformal.linalg import det
+from lieconformal.linalg import det, nullspace
 from lieconformal.rootsys import (
     build,
     coroot,
@@ -60,6 +59,11 @@ def make_config(label, rank, case, *, alpha_idx=None, m=None):
     return cached_constants(label, rank), cfg
 
 
+def dense_residual(system, coeffs):
+    """Oracle: the largest |row . coeffs| over the dense assembled rows."""
+    return max((abs(sum(a * b for a, b in zip(row, coeffs))) for row in system.rows), default=0)
+
+
 def test_assemble_requires_validation():
     rs = build("B", 3)
     cfg = derive_isotropy(rs, parabolic_distortion(rs, rs.simples[2]), PARABOLIC)
@@ -85,7 +89,7 @@ def test_b3_spinor_candidate_dim_one():
     assert sol.dimension == 1
     assert sol.basis == [(Fraction(1), Fraction(-1), Fraction(1))]
     assert sol.nondegenerate_witness is not None
-    assert all(_max_residual(system, b) == 0 for b in sol.basis)
+    assert all(dense_residual(system, b) == 0 for b in sol.basis)
 
 
 def test_d4_triality_candidates_dim_one():
@@ -179,17 +183,14 @@ def test_verify_invariance_guard(rank8_survivors):
     assert checked > 0
 
 
-def test_witness_search_is_total():
-    """A dim-2 system whose generic determinant vanishes on the prime point
-    and on all of {1..4}^2 still gets a witness from {1..n+1}^2.
+def test_solve_rejects_a_row_with_three_unknowns():
+    """A row with three nonzero entries is no ratio edge, so `solve` refuses
+    it: `assemble` never emits one, and no elimination backs it up.
 
-    The nullspace basis is (e12 + sum q e_k, e13 - sum p e_k), so the
-    generic Gram matrix is diagonal with entries q t0 - p t1 (one per
-    ratio p/q of a point of the old grid), t0 and t1."""
+    This dim-2 system was built so that its generic determinant vanishes on
+    the prime point and on all of {1..4}^2 of the old witness grid."""
     ratios = sorted({Fraction(a, b) for a in range(1, 5) for b in range(1, 5)} | {Fraction(3, 5)})
-    assert len(ratios) == 12
     n = len(ratios) + 2
-    basis = [(*(r.denominator for r in ratios), 1, 0), (*(-r.numerator for r in ratios), 0, 1)]
     rows = []
     for k, r in enumerate(ratios):
         row = [0] * n
@@ -197,18 +198,8 @@ def test_witness_search_is_total():
         rows.append(tuple(row))
     unknowns = FormUnknowns(labels=list(range(n)), pairs=[(i, i) for i in range(n)])
     system = AssembledSystem(config=None, unknowns=unknowns, rows=rows)
-
-    def gram_det(t):
-        coeffs = [t[0] * a + t[1] * b for a, b in zip(*basis)]
-        return det(gram_matrix(system, coeffs))
-
-    old_grid = [(3, 5)] + [(a, b) for a in range(1, 5) for b in range(1, 5)]
-    assert all(gram_det(t) == 0 for t in old_grid)
-    sol = solve(system)
-    assert sol.dimension == 2 and sol.feasible
-    assert sol.basis == basis
-    assert _max_residual(system, sol.nondegenerate_witness) == 0
-    assert det(gram_matrix(system, sol.nondegenerate_witness)) != 0
+    with pytest.raises(ValueError, match="more than two nonzero entries"):
+        solve(system)
 
 
 def synthetic_system(nlabels, pairs, rows):
@@ -260,6 +251,89 @@ def test_witness_matches_determinant_oracle(rank12_solver_systems):
                     break
         assert sol.nondegenerate_witness == first
         assert (sol.degeneracy_certificate is None) == (first is not None)
+
+
+def test_witness_is_the_prime_point(rank12_solver_systems):
+    """On every solver system up to rank 12 the basis vectors have disjoint
+    supports, so the witness is the prime point sum p_k b_k, with no zero
+    entry: no search is needed."""
+    _, seen = rank12_solver_systems
+    for system, sol in seen:
+        nunk = len(system.unknowns.pairs)
+        supports = [{u for u, x in enumerate(b) if x} for b in sol.basis]
+        covered = set().union(*supports)
+        assert sum(map(len, supports)) == len(covered)
+        if sol.feasible:
+            assert covered == set(range(nunk))
+            point = tuple(
+                sum(p * b[u] for p, b in zip(_PRIMES, sol.basis)) for u in range(nunk)
+            )
+            assert sol.nondegenerate_witness == point
+
+
+def test_witness_weights_extend_past_the_table():
+    """Twenty independent unknowns get the first twenty odd primes, not a
+    truncated weight list."""
+    system = synthetic_system(20, [(i, i) for i in range(20)], [])
+    sol = solve(system)
+    assert sol.dimension == 20
+    assert sol.nondegenerate_witness == (*_PRIMES, 71, 73)
+
+
+def assert_basis_is_elimination(system, sol):
+    expected = nullspace(list(system.rows), len(system.unknowns.pairs))
+    assert sol.basis == expected
+    assert [list(map(type, b)) for b in sol.basis] == [list(map(type, b)) for b in expected]
+
+
+def test_basis_matches_elimination(rank12_solver_systems, rank8_survivors):
+    """The ratio-graph basis equals the RREF nullspace, vector for vector and
+    in the same order, on every solver system up to rank 12 and on seeded
+    Weyl translates of the rank <= 5 survivors."""
+    _, seen = rank12_solver_systems
+    assert len(seen) == 55
+    for system, sol in seen:
+        assert_basis_is_elimination(system, sol)
+    rng = random.Random(1717)
+    translated = 0
+    for system, _ in rank8_survivors:
+        cfg = system.config
+        if cfg.system.rank > 5:
+            continue
+        sc = cached_constants(cfg.system.label, cfg.system.rank)
+        for _ in range(3):
+            word = random_weyl_word(cfg.system, rng, rng.randint(1, 8))
+            moved = assemble(sc, translate_config(cfg, word))
+            assert_basis_is_elimination(moved, solve(moved))
+            translated += 1
+    assert translated > 30
+
+
+DEGENERATE = "generic Gram determinant is identically zero"
+
+
+@pytest.mark.parametrize(
+    "rows, basis, certificate",
+    [
+        # x0 = x1 = x2 along two edges, but x0 = 2 x2 along the third
+        ([(1, -1, 0), (0, 1, -1), (1, 0, -2)], [], "solution space is zero"),
+        # the forced zero x0 = 0 reaches x1 and x2 along the path; x3 has no row
+        ([(1, -1, 0, 0), (0, 1, 2, 0), (3, 0, 0, 0)], [(0, 0, 0, 1)], DEGENERATE),
+        # x0 = -x1, and x2 is in no row
+        ([(1, 1, 0)], [(-1, 1, 0), (0, 0, 1)], None),
+        # int and Fraction entries in one row: 2 x0 = 3/4 x1
+        ([(2, Fraction(-3, 4), 0), (0, 0, Fraction(1, 2))], [(Fraction(3, 8), 1, 0)], DEGENERATE),
+    ],
+    ids=["inconsistent-cycle", "forced-zero-path", "unknown-without-row", "mixed-int-fraction"],
+)
+def test_ratio_graph_solver(rows, basis, certificate):
+    n = len(rows[0])
+    system = synthetic_system(n, [(i, i) for i in range(n)], rows)
+    sol = solve(system)
+    assert sol.basis == basis
+    assert_basis_is_elimination(system, sol)
+    assert sol.degeneracy_certificate == certificate
+    assert sol.feasible == (certificate is None)
 
 
 def test_feasibility_invariant_under_weyl_translation():
