@@ -113,11 +113,7 @@ def enumerate_case2(rs: RootSystem):
     coroots already fill the Cartan subalgebra."""
     if rs.label == "A1xA1":
         raise Reducible("Case2 needs an irreducible system")
-    try:
-        normal = isotropy.case2_normal(rs)
-    except Inconsistent:
-        return None
-    if normal is None:
+    if isotropy.case2_normal(rs) is None:
         return None
     return Distortion(minimal_root(rs))
 

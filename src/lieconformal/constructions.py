@@ -283,7 +283,7 @@ def align_g2_form(system: AssembledSystem, coeffs) -> dict:
     roots = system.config.system.roots
     # the G2 parabolic quotient has no Cartan label: every label is a root index
     labels = [roots[l] for l in system.unknowns.labels]
-    gram = gram_matrix(system, coeffs)
+    gram = gram_matrix(system.unknowns, coeffs)
     ref = {}
     for (a, b), v in G2_REFERENCE_FORM.items():
         ref[(labels.index(a), labels.index(b))] = v

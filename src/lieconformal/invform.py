@@ -41,15 +41,6 @@ _PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 class FormUnknowns:
     labels: list
     pairs: list  # index pairs (i, j), i <= j, with weight_i + weight_j = delta
-    pair_index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.pair_index:
-            self.pair_index = {p: k for k, p in enumerate(self.pairs)}
-
-    def index(self, i: int, j: int):
-        key = (i, j) if i <= j else (j, i)
-        return self.pair_index.get(key)
 
 
 @dataclass
@@ -120,9 +111,9 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     if nu2 is not None:  # the Cartan label exists
         nn = dot(nu2, nu2)
     weights = _label_weights(rs, labels)
-    partner = {}
-    for i, j in unknowns.pairs:
-        partner[i], partner[j] = j, i
+    unknown_of = {}  # label -> the unknown of its pair
+    for u, (i, j) in enumerate(unknowns.pairs):
+        unknown_of[i] = unknown_of[j] = u
 
     def image(g, a):
         """Coefficient of [E_g, label a] on the quotient label it lands on."""
@@ -142,25 +133,23 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
                 continue
             row = [0] * len(unknowns.pairs)
             for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-                k = partner.get(b)
-                if k is not None:
+                u = unknown_of.get(b)
+                if u is not None:
                     # the pair (i, i) takes the image of label i in both slots
-                    row[unknowns.index(k, b)] += image(g, a) * (2 if i == j else 1)
+                    row[u] += image(g, a) * (2 if i == j else 1)
             if any(row):
                 rows.add(tuple(row))
     return AssembledSystem(config=config, unknowns=unknowns, rows=sorted(rows))
 
 
-def gram_matrix(system: AssembledSystem, coeffs):
-    """Gram matrix of the form on the quotient labels for given unknowns."""
-    labels = system.unknowns.labels
-    n = len(labels)
-    gram = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            u = system.unknowns.index(i, j)
-            if u is not None:
-                gram[i][j] = Fraction(coeffs[u])
+def gram_matrix(unknowns: FormUnknowns, coeffs):
+    """Symmetric Gram matrix of the form on the quotient labels for one value
+    per unknown, ints where integral."""
+    n = len(unknowns.labels)
+    gram = [[0] * n for _ in range(n)]
+    for (i, j), c in zip(unknowns.pairs, coeffs, strict=True):
+        c = Fraction(c)
+        gram[i][j] = gram[j][i] = ratio(c.numerator, c.denominator)
     return gram
 
 
@@ -240,7 +229,7 @@ def solve(system: AssembledSystem) -> FormSolution:
     witness = tuple(sum(map(mul, col, weights), ZERO) for col in columns)
     if _residual(rows, witness):
         raise ResidualNonzero("witness fails the assembled constraints")
-    if linalg.det(gram_matrix(system, witness)) == 0:
+    if linalg.det(gram_matrix(system.unknowns, witness)) == 0:
         raise AssertionError("witness Gram determinant is zero")
     return FormSolution(dim, basis, witness, None)
 
@@ -258,11 +247,7 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     unknowns = form_unknowns(config)
     labels = unknowns.labels
     n = len(labels)
-    # the dense Gram of the form on the quotient labels, ints where integral
-    gram = [[0] * n for _ in range(n)]
-    for (i, j), c in zip(unknowns.pairs, coeffs, strict=True):
-        c = Fraction(c)
-        gram[i][j] = gram[j][i] = ratio(c.numerator, c.denominator)
+    gram = gram_matrix(unknowns, coeffs)
     positions = {l: i for i, l in enumerate(labels)}
     nu2 = config.nu2
 

@@ -95,13 +95,17 @@ def case2_normal(rs: RootSystem):
     roots orthogonal to it, as twice the least integer vector with a positive
     leading entry; None if those coroots fill the Cartan.
 
-    Raises Inconsistent if their span has codimension greater than one,
-    which does not occur for the canonical systems handled here.  The
-    normal depends only on the system, so it is computed once per system.
+    Raises Inconsistent if their span has codimension greater than one.  The
+    codimension is one less than the number of simple roots not orthogonal
+    to the highest root, 1 for A_n (n >= 2) and 0 otherwise, so only a
+    broken root table raises.  The normal depends only on the system, so it
+    is computed once per system.
     """
     coords, simples = rs.coords, rs.simple_idx
     low = minimal_root_index(rs)
-    span = [low] + [b for b in rs.positive_idx if dot(coords[low], coords[b]) == 0]
+    # the highest root is dominant, so the positive roots orthogonal to it
+    # span what the simple roots orthogonal to it span: the RREF is the same
+    span = [low] + [k for k in simples if dot(coords[low], coords[k]) == 0]
     # coordinates of the orthocomplement in the simple-root basis of the Cartan
     rows = [tuple(dot(coords[i], coords[k]) for k in simples) for i in span]
     null = linalg.nullspace(rows, len(simples))

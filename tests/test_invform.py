@@ -140,8 +140,26 @@ def test_a3_case2_feasible_with_cartan_pair():
 def test_gram_matrix_nondegenerate_on_witness():
     sc, cfg = make_config("B", 3, PARABOLIC, alpha_idx=2)
     sol = solve(assemble(sc, cfg))
-    g = gram_matrix(assemble(sc, cfg), sol.nondegenerate_witness)
+    g = gram_matrix(assemble(sc, cfg).unknowns, sol.nondegenerate_witness)
     assert det(g) != 0
+
+
+def test_gram_matrix_is_symmetric_on_the_pairs():
+    """The Gram is symmetric and nonzero exactly at the pairs, a diagonal pair
+    counted once, with an int where the value is integral; a value vector of
+    the wrong length is rejected."""
+    unknowns = FormUnknowns(labels=["a", "b", "c", "d"], pairs=[(0, 2), (3, 3)])
+    g = gram_matrix(unknowns, (Fraction(4, 2), Fraction(-1, 3)))
+    assert g == [
+        [0, 0, 2, 0],
+        [0, 0, 0, 0],
+        [2, 0, 0, 0],
+        [0, 0, 0, Fraction(-1, 3)],
+    ]
+    assert type(g[0][2]) is int and type(g[2][0]) is int
+    for coeffs in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            gram_matrix(unknowns, coeffs)
 
 
 def test_verify_invariance_zero_residual():
@@ -246,7 +264,7 @@ def test_witness_matches_determinant_oracle(rank12_solver_systems):
                 coeffs = tuple(
                     sum((c * b[u] for c, b in zip(w, sol.basis)), Fraction(0)) for u in range(nunk)
                 )
-                if det(gram_matrix(system, coeffs)) != 0:
+                if det(gram_matrix(system.unknowns, coeffs)) != 0:
                     first = coeffs
                     break
         assert sol.nondegenerate_witness == first

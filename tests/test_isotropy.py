@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,10 +21,13 @@ from lieconformal.isotropy import (
     translate_config,
     validate,
 )
+from lieconformal.linalg import nullspace
 from lieconformal.rootsys import (
     build,
+    dot,
     doubled,
     minimal_root,
+    minimal_root_index,
     random_weyl_word,
     vadd,
     vec,
@@ -42,15 +46,41 @@ def as_vectors(rs, indices):
     return {rs.roots[i] for i in indices}
 
 
+def case2_normal_oracle(rs):
+    """The Case2 normal from the nullspace over the minimal root and every
+    positive root orthogonal to it: twice the primitive integer normal with
+    a positive leading entry, or None."""
+    coords, simples = rs.coords, rs.simple_idx
+    low = minimal_root_index(rs)
+    span = [low] + [b for b in rs.positive_idx if dot(coords[low], coords[b]) == 0]
+    rows = [tuple(dot(coords[i], coords[k]) for k in simples) for i in span]
+    null = nullspace(rows, len(simples))
+    if not null:
+        return None
+    (v,) = null
+    normal = [sum(c * coords[k][x] for c, k in zip(v, simples)) for x in range(rs.dim)]
+    den = math.lcm(*(Fraction(x).denominator for x in normal))
+    ints = [int(x * den) for x in normal]
+    g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+    return tuple(2 * x // g for x in ints)
+
+
 def test_case2_normal_cache_matches_uncached():
     """The per-system cache of the Case2 normal returns what a fresh
-    computation returns, and the same object on a repeat call."""
-    for rs in _systems(8):
+    computation returns, and the same object on a repeat call; on every
+    irreducible system up to rank 16 it equals the normal of the span of
+    every positive root orthogonal to the minimal root, both where it is
+    None and where it is a hyperplane normal."""
+    kinds = set()
+    for rs in _systems(16):
         if rs.label == "A1xA1":
             continue
         normal = case2_normal(rs)
+        assert normal == case2_normal_oracle(rs), rs
         assert normal == case2_normal.__wrapped__(rs), rs
         assert case2_normal(rs) is normal
+        kinds.add(normal is None)
+    assert kinds == {True, False}
 
 
 def test_case2_normal_pins_the_cartan_scaling():
