@@ -18,7 +18,6 @@ then `judge` (kernel closure, then the exact form solver), which the
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from . import invform, isotropy
@@ -127,15 +126,14 @@ def eliminate_parabolic(rs: RootSystem, alpha) -> CandidateVerdict:
     delta = isotropy.parabolic_distortion(rs, alpha)
     case = LOWRANK if rs.rank == 1 else PARABOLIC
     # fast root-combinatorial stage: every root space outside the kernel
-    # must be paired, i.e. delta + beta must be a root or zero for every
-    # positive beta whose expansion involves alpha
+    # must be paired, i.e. -beta must have a partner for every positive
+    # beta whose expansion involves alpha
     a_index = rs.simples.index(alpha)
     d2 = doubled(delta.functional)
     for beta in rs.positive_idx:
         if rs.expansions[beta][a_index] == 0:
             continue
-        s = tuple(map(operator.add, d2, rs.coords[beta]))
-        if any(s) and rs.find(s) < 0:
+        if isotropy.partner(rs, d2, rs.neg[beta]) is None:
             return _verdict(rs, case, delta, alpha, ("unpaired", rs.roots[rs.neg[beta]]))
     return _verdict(rs, case, delta, alpha)
 

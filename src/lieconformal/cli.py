@@ -22,20 +22,17 @@ from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
 from .rootsys import EXCEPTIONAL_RANK, MAX_RANK, build, format_vec, minimal_root, parse_vec
 
 
-def _jsonable(obj):
-    """Recursively render Fractions as strings for byte-stable JSON."""
+def _fraction_str(obj):
+    """The JSON edge: a Fraction becomes its "p/q" string; any other type
+    json cannot encode is a TypeError, never silently printed."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload, stream=None):
     stream = stream or sys.stdout
-    json.dump(_jsonable(payload), stream, sort_keys=True, separators=(",", ":"))
+    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_fraction_str))
     stream.write("\n")
 
 
@@ -44,11 +41,11 @@ def _verdict_dict(v) -> dict:
         "label": v.label,
         "rank": v.rank,
         "case": v.case,
-        "delta": format_vec(v.delta) if v.delta is not None else None,
-        "alpha": format_vec(v.alpha) if v.alpha is not None else None,
+        "delta": v.delta,
+        "alpha": v.alpha,
         "verdict": "eliminated" if v.eliminated else "survivor",
         "stage": v.stage,
-        "witness": _jsonable(v.witness),
+        "witness": v.witness,
         "survivor_label": v.survivor_label,
         "notes": list(v.notes),
         "solution_dimension": v.solution_dimension,
@@ -183,12 +180,8 @@ def _cmd_solve(args) -> int:
         {
             "feasible": solution.feasible,
             "dimension": solution.dimension,
-            "witness": [format_vec(b) for b in solution.basis],
-            "nondegenerate_witness": (
-                format_vec(solution.nondegenerate_witness)
-                if solution.nondegenerate_witness is not None
-                else None
-            ),
+            "witness": solution.basis,
+            "nondegenerate_witness": solution.nondegenerate_witness,
             "certificate": solution.degeneracy_certificate,
             "unknowns": unknowns,
         }
@@ -248,8 +241,8 @@ def _cmd_dump_roots(args) -> int:
         {
             "label": rs.label,
             "rank": rs.rank,
-            "simples": [format_vec(s) for s in rs.simples],
-            "positives": [format_vec(p) for p in rs.positives],
+            "simples": rs.simples,
+            "positives": rs.positives,
         }
     )
     return 0
@@ -266,7 +259,7 @@ def _cmd_dump_constants(args) -> int:
     for x, row in enumerate(sc.table):
         for y, n in enumerate(row):
             if n:
-                _emit({"alpha": format_vec(roots[x]), "beta": format_vec(roots[y]), "n": str(n)})
+                _emit({"alpha": roots[x], "beta": roots[y], "n": str(n)})
     return 0
 
 

@@ -90,7 +90,7 @@ def _sl_trial(rng, n):
 def _nullity(ncols: int, rows) -> int:
     """Solution dimension of rows given as {column: coefficient}."""
     dense = [tuple(r.get(k, ZERO) for k in range(ncols)) for r in rows]
-    return len(linalg.nullspace(dense, ncols))
+    return ncols - len(linalg.rref(dense, ncols)[1])
 
 
 def _stabilizer_dimension(n: int) -> int:

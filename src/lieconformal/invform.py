@@ -2,9 +2,10 @@
 
 The form lives on g with kernel h, so it is encoded by its values on the
 quotient labels.  Labels pair only when their weights add up to the
-distortion, which leaves a short vector of unknowns; invariance against
-every basis element of the normalizer p gives a homogeneous linear
-system over Q.  Feasibility means the solution space contains a
+distortion; `isotropy.partner` names the one label each label can pair
+with, so the unknowns are read off with one lookup per label.  Invariance
+against every basis element of the normalizer p gives a homogeneous
+linear system over Q.  Feasibility means the solution space contains a
 nondegenerate point, certified by an exact Gram determinant.
 
 As the label weights are distinct, each label has at most one partner, so
@@ -21,20 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
 
 from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket
 from .errors import NotValidated, ResidualNonzero
-from .isotropy import CARTAN_LABEL, IsotropyConfig, quotient_basis
-from .rootsys import RootSystem, dot, ratio
+from .isotropy import CARTAN_LABEL, IsotropyConfig, partner, quotient_basis
+from .rootsys import dot, ratio
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
 @dataclass
@@ -62,20 +61,14 @@ class FormSolution:
         return self.nondegenerate_witness is not None
 
 
-def _label_weights(rs: RootSystem, labels: list) -> list:
-    """Doubled weight of each label (zero for the Cartan label)."""
-    return [(0,) * rs.dim if l == CARTAN_LABEL else rs.coords[l] for l in labels]
-
-
 def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
     labels = quotient_basis(config)
-    weights = _label_weights(config.system, labels)
-    pairs = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i, len(labels))
-        if tuple(map(add, weights[i], weights[j])) == config.d2
-    ]
+    position = {l: i for i, l in enumerate(labels)}
+    pairs = []
+    for i, l in enumerate(labels):
+        j = position.get(partner(config.system, config.d2, l))
+        if j is not None and j >= i:
+            pairs.append((i, j))
     return FormUnknowns(labels=labels, pairs=pairs)
 
 
@@ -110,7 +103,7 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     d2, nu2 = config.d2, config.nu2
     if nu2 is not None:  # the Cartan label exists
         nn = dot(nu2, nu2)
-    weights = _label_weights(rs, labels)
+    weights = [(0,) * rs.dim if l == CARTAN_LABEL else coords[l] for l in labels]
     unknown_of = {}  # label -> the unknown of its pair
     for u, (i, j) in enumerate(unknowns.pairs):
         unknown_of[i] = unknown_of[j] = u
@@ -155,12 +148,11 @@ def gram_matrix(unknowns: FormUnknowns, coeffs):
 
 def _witness_weights(k: int) -> list:
     """The first k odd primes, the weights of the witness."""
-    weights = list(_PRIMES[:k])
-    n = _PRIMES[-1]
+    weights, n = [], 3
     while len(weights) < k:
-        n += 2
         if all(n % p for p in weights):
             weights.append(n)
+        n += 2
     return weights
 
 

@@ -1,13 +1,13 @@
 """Derivation of the isotropy subalgebra forced by a distortion functional.
 
 Given a distortion delta on the Cartan subalgebra, the kernel h of the
-degenerate invariant form is pinned down by the pairing rule: the root
-space of r avoids h exactly when delta - r is a root or zero.  The
-forced set is then closed under brackets with the Borel and with itself;
-any contradiction (a paired root pulled into the kernel, an opposite
-pair whose coroot leaves the allowed Cartan part, the closure swallowing
-the whole algebra) is raised as `Inconsistent` and counts as an
-elimination verdict for the candidate, not as an error.
+degenerate invariant form is pinned down by the pairing rule, which
+`partner` decides: the root space of r avoids h exactly when delta - r is
+a root or zero.  The forced set is then closed under brackets with the
+Borel and with itself; any contradiction (a paired root pulled into the
+kernel, an opposite pair whose coroot leaves the allowed Cartan part, the
+closure swallowing the whole algebra) is raised as `Inconsistent` and
+counts as an elimination verdict for the candidate, not as an error.
 """
 
 from __future__ import annotations
@@ -78,14 +78,23 @@ class ValidationReport:
         return [c for c in self.checks if not c[1]]
 
 
+def partner(rs: RootSystem, d2, label):
+    """The label whose root space delta pairs with that of `label`: the root
+    delta - r, the Cartan label when r = delta (the Cartan label, of weight
+    zero, gets the root delta back), or None when r is unpaired."""
+    if label == CARTAN_LABEL:
+        k = rs.find(d2)
+    else:
+        m = tuple(map(sub, d2, rs.coords[label]))
+        if not any(m):
+            return CARTAN_LABEL
+        k = rs.find(m)
+    return k if k >= 0 else None
+
+
 def _paired(rs: RootSystem, d2) -> set:
-    """Indices of the roots r with delta - r zero or a root (d2 = doubled delta)."""
-    out = set()
-    for i, c in enumerate(rs.coords):
-        m = tuple(map(sub, d2, c))
-        if not any(m) or rs.find(m) >= 0:
-            out.add(i)
-    return out
+    """Indices of the roots that delta pairs (d2 = doubled delta)."""
+    return {i for i in range(len(rs.coords)) if partner(rs, d2, i) is not None}
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +236,7 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         forced = set(range(len(rs.roots))) - paired
         alpha = None
         if case_tag == CASE1:
-            candidates = [
-                a
-                for a in rs.positive_idx
-                if dot(d2, rs.coords[a]) == 0 and rs.add[d][rs.neg[a]] >= 0
-            ]
+            candidates = [a for a in rs.positive_idx if dot(d2, rs.coords[a]) == 0 and a in paired]
             if not candidates:
                 raise Inconsistent("no orthogonal pairing partner for the distortion")
             if len(candidates) > 1:
@@ -324,7 +329,7 @@ def validate(config: IsotropyConfig) -> ValidationReport:
             "Case1 orthogonal root",
             alpha is not None
             and dot(d2, rs.coords[alpha]) == 0
-            and rs.find(tuple(map(sub, d2, rs.coords[alpha]))) >= 0,
+            and partner(rs, d2, alpha) is not None,
         )
         record("Case1 Cartan part is a hyperplane", nu2 is not None)
     elif config.case_tag == CASE2:

@@ -1,13 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lieconformal.cli import run
+from lieconformal.cli import _emit, run
 
 DATA = Path(__file__).parent / "data"
 
@@ -15,6 +17,16 @@ DATA = Path(__file__).parent / "data"
 def capture(capsys, argv):
     rc = run(argv)
     return rc, capsys.readouterr().out
+
+
+def test_emit_rejects_what_json_cannot_encode():
+    """The JSON edge renders a Fraction as "p/q" and refuses any other type
+    json cannot encode instead of printing it."""
+    out = io.StringIO()
+    _emit({"x": (Fraction(1, 2), Fraction(3))}, out)
+    assert out.getvalue() == '{"x":["1/2","3"]}\n'
+    with pytest.raises(TypeError):
+        _emit({"x": {Fraction(1, 2)}}, io.StringIO())
 
 
 def test_dump_roots_schema(capsys):

@@ -8,7 +8,6 @@ from lieconformal import classify, invform
 from lieconformal.chevalley import cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
-    _PRIMES,
     AssembledSystem,
     FormUnknowns,
     _generators,
@@ -45,6 +44,10 @@ from test_chevalley import VectorElement, vector_bracket
 from test_rootsys import halved
 
 
+# the first twenty odd primes, the weights of the witness
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
 def make_config(label, rank, case, *, alpha_idx=None, m=None):
     rs = build(label, rank)
     if case == PARABOLIC:
@@ -78,6 +81,42 @@ def test_unknowns_pair_by_weight_sum():
     unknowns = form_unknowns(cfg)
     assert unknowns.pairs == [(0, 5), (1, 4), (2, 3)]
     assert len(labels) == 6
+
+
+def weight_sum_pairs(config):
+    """Oracle: the label pairs (i, j), i <= j, whose weights add up to delta,
+    by a scan over every pair of quotient labels."""
+    rs = config.system
+    labels = quotient_basis(config)
+    weights = [(0,) * rs.dim if l == CARTAN_LABEL else rs.coords[l] for l in labels]
+    return [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i, len(labels))
+        if tuple(a + b for a, b in zip(weights[i], weights[j])) == config.d2
+    ]
+
+
+def test_unknowns_match_the_weight_sum_scan(rank12_solver_systems):
+    """The unknowns read off `partner` equal the weight-sum scan on every
+    solver system up to rank 12 and on 3 seeded Weyl translates of each,
+    which take positivity off the canonical chamber."""
+    _, seen = rank12_solver_systems
+    assert len(seen) == 55
+    rng = random.Random(1919)
+    diagonal = cartan = 0
+    for system, _ in seen:
+        cfg = system.config
+        configs = [cfg] + [
+            translate_config(cfg, random_weyl_word(cfg.system, rng, rng.randint(1, 8)))
+            for _ in range(3)
+        ]
+        for c in configs:
+            unknowns = form_unknowns(c)
+            assert unknowns.pairs == weight_sum_pairs(c)
+            diagonal += any(i == j for i, j in unknowns.pairs)
+            cartan += CARTAN_LABEL in unknowns.labels
+    assert diagonal and cartan
 
 
 def test_b3_spinor_candidate_dim_one():
@@ -260,7 +299,7 @@ def test_witness_matches_determinant_oracle(rank12_solver_systems):
         first = None
         if sol.dimension:
             grid = product(range(1, n + 2), repeat=sol.dimension)
-            for w in chain([_PRIMES[: sol.dimension]], grid):
+            for w in chain([ODD_PRIMES[: sol.dimension]], grid):
                 coeffs = tuple(
                     sum((c * b[u] for c, b in zip(w, sol.basis)), Fraction(0)) for u in range(nunk)
                 )
@@ -284,7 +323,7 @@ def test_witness_is_the_prime_point(rank12_solver_systems):
         if sol.feasible:
             assert covered == set(range(nunk))
             point = tuple(
-                sum(p * b[u] for p, b in zip(_PRIMES, sol.basis)) for u in range(nunk)
+                sum(p * b[u] for p, b in zip(ODD_PRIMES, sol.basis)) for u in range(nunk)
             )
             assert sol.nondegenerate_witness == point
 
@@ -295,7 +334,7 @@ def test_witness_weights_extend_past_the_table():
     system = synthetic_system(20, [(i, i) for i in range(20)], [])
     sol = solve(system)
     assert sol.dimension == 20
-    assert sol.nondegenerate_witness == (*_PRIMES, 71, 73)
+    assert sol.nondegenerate_witness == ODD_PRIMES
 
 
 def assert_basis_is_elimination(system, sol):

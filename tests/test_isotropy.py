@@ -8,6 +8,7 @@ import pytest
 from lieconformal.classify import _systems
 from lieconformal.errors import DimensionMismatch, Inconsistent, NotARoot
 from lieconformal.isotropy import (
+    CARTAN_LABEL,
     CASE1,
     CASE2,
     PARABOLIC,
@@ -17,6 +18,7 @@ from lieconformal.isotropy import (
     case2_normal,
     derive_isotropy,
     parabolic_distortion,
+    partner,
     quotient_basis,
     translate_config,
     validate,
@@ -107,6 +109,24 @@ def test_pairing_partner_rule():
     assert vsub(d.functional, r) == vec(-2, 0, 0) and rs.index_of(vec(-2, 0, 0)) >= 0
     assert rs.index_of(vec(-1, -1, 0)) in paired  # delta - r is zero
     assert rs.index_of(vec(0, 1, -1)) not in paired
+
+
+def test_partner_is_an_involution_on_the_paired_labels():
+    """On the C3 Case1 config the Cartan label and delta are partners, an
+    unpaired root has none, and partner(partner(l)) == l for every paired
+    label."""
+    rs = build("C", 3)
+    d2 = doubled(case1_distortion(rs, vec(1, 1, 0)).functional)
+    d = rs.index_of(vec(-1, -1, 0))
+    assert partner(rs, d2, CARTAN_LABEL) == d
+    assert partner(rs, d2, d) == CARTAN_LABEL
+    assert partner(rs, d2, rs.index_of(vec(0, 1, -1))) is None
+    assert partner(rs, d2, rs.index_of(vec(1, -1, 0))) == rs.index_of(vec(-2, 0, 0))
+    paired = [l for l in [*range(len(rs.roots)), CARTAN_LABEL] if partner(rs, d2, l) is not None]
+    assert CARTAN_LABEL in paired and len(paired) > 2
+    for l in paired:
+        assert partner(rs, d2, partner(rs, d2, l)) == l
+    assert set(paired) - {CARTAN_LABEL} == _paired(rs, d2)
 
 
 def test_case1_c3_derives_and_validates():
@@ -328,3 +348,13 @@ def test_validate_rejects_a_full_cartan_in_case1():
     broken = replace(cfg, nu2=None)
     assert "Case1 Cartan part is a hyperplane" in failed_checks(broken)
     assert validate(cfg).ok
+
+
+def test_validate_rejects_an_unpaired_case1_root():
+    """2 e3 is orthogonal to delta = -(e1 + e2) in C3, but delta - 2 e3 is no
+    root, so it cannot be the Case1 orthogonal root."""
+    rs = build("C", 3)
+    cfg = derive_isotropy(rs, case1_distortion(rs, vec(1, 1, 0)), CASE1)
+    assert validate(cfg).ok and cfg.alpha == rs.index_of(vec(1, -1, 0))
+    broken = replace(cfg, alpha=rs.index_of(vec(0, 0, 2)), validated=False)
+    assert set(failed_checks(broken)) == {"Case1 orthogonal root"}
