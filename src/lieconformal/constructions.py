@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .chevalley import StructureConstants, cached_constants
@@ -23,39 +24,58 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# every random draw is p / q with q <= 6, so 60 times it is an int: the sp
+# check works on those ints
+SCALE = 60
+CUBE = SCALE**3
+
+
+def _rand_scaled(rng) -> int:
+    """60 p / q for random p in [-6, 6] and q in [1, 6]: an int, as q divides 60."""
+    return SCALE * rng.randint(-6, 6) // rng.randint(1, 6)
+
+
 def _rand_frac(rng) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Fraction(_rand_scaled(rng), SCALE)
 
 
 def _rand_vec(rng, n):
     return [_rand_frac(rng) for _ in range(n)]
 
 
-def _omega(n, x, y) -> Fraction:
+def _omega(n, x, y):
     """Standard symplectic form on 2n coordinates."""
-    return sum(x[i] * y[n + i] - x[n + i] * y[i] for i in range(n))
+    return sum(map(mul, x[:n], y[n:])) - sum(map(mul, x[n:], y[:n]))
 
 
 def _transvect(n, z, v, c):
-    """The symplectic transvection z -> z + c w(z, v) v."""
+    """The symplectic transvection z -> z + c w(z, v) v on scaled ints: for
+    z = Z / D, v = V / 60 and c = C / 60 it maps Z to 60^3 Z + C w(Z, V) V,
+    the image over the denominator 60^3 D."""
     t = c * _omega(n, z, v)
-    return [a + t * b for a, b in zip(z, v)]
+    return [CUBE * a + t * b for a, b in zip(z, v)]
 
 
 def _sp_trial(rng, n):
-    """Draw S, a product of three transvections, then x and y; return
-    (x, y, Sx, Sy), applying the transvections one after another."""
-    transvections = [(_rand_vec(rng, 2 * n), _rand_frac(rng)) for _ in range(3)]
-    x = _rand_vec(rng, 2 * n)
-    y = _rand_vec(rng, 2 * n)
-    sx, sy = x, y
+    """Draw S, a product of three transvections, then x and y, as 60 times
+    their values X and Y; return (X, Y, SX, SY, D) with Sx = SX / D and
+    Sy = SY / D, applying the transvections one after another."""
+    transvections = [
+        ([_rand_scaled(rng) for _ in range(2 * n)], _rand_scaled(rng)) for _ in range(3)
+    ]
+    x = [_rand_scaled(rng) for _ in range(2 * n)]
+    y = [_rand_scaled(rng) for _ in range(2 * n)]
+    sx, sy, d = x, y, SCALE
     for v, c in transvections:
-        sx, sy = _transvect(n, sx, v, c), _transvect(n, sy, v, c)
-    return x, y, sx, sy
+        sx, sy, d = _transvect(n, sx, v, c), _transvect(n, sy, v, c), CUBE * d
+    return x, y, sx, sy, d
 
 
 def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
-    """Diagonal symplectic action preserves the quadric pairing exactly."""
+    """Diagonal symplectic action preserves the quadric pairing exactly.
+
+    The draws are ints 60 times their values, so both identities are
+    compared on ints; a Fraction is built only for a nonzero residual."""
     if n < 1:
         raise ValueError("need n >= 1")
     if trials < 1:
@@ -63,13 +83,19 @@ def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
-        x, y, sx, sy = _sp_trial(rng, n)
-        r1 = _omega(n, sx, sy) - _omega(n, x, y)
-        a, b, c, d = (_rand_frac(rng) for _ in range(4))
+        x, y, sx, sy, d = _sp_trial(rng, n)
+        w = _omega(n, x, y)
+        # w(Sx, Sy) - w(x, y), times (60 D)^2
+        r1 = _omega(n, sx, sy) * SCALE**2 - w * d * d
+        a, b, c, e = (_rand_scaled(rng) for _ in range(4))
         u = [a * xi + b * yi for xi, yi in zip(x, y)]
-        v = [c * xi + d * yi for xi, yi in zip(x, y)]
-        r2 = _omega(n, u, v) - (a * d - b * c) * _omega(n, x, y)
-        worst = max(worst, abs(r1), abs(r2))
+        v = [c * xi + e * yi for xi, yi in zip(x, y)]
+        # w(u, v) - (ae - bc) w(x, y) for the unscaled draws, times 60^4
+        r2 = _omega(n, u, v) - (a * e - b * c) * w
+        if r1:
+            worst = max(worst, abs(Fraction(r1, (SCALE * d) ** 2)))
+        if r2:
+            worst = max(worst, abs(Fraction(r2, SCALE**4)))
     return {"ok": worst == 0, "trials": trials, "max_residual": worst}
 
 

@@ -20,8 +20,10 @@ of the basis, whose supports are disjoint, is a witness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
@@ -156,13 +158,21 @@ def _witness_weights(k: int) -> list:
     return weights
 
 
+def _scaled(v) -> tuple:
+    """(the ints or Fractions of v times the lcm m of their denominators, m)."""
+    m = lcm(*(c.denominator for c in v))
+    return [c.numerator * (m // c.denominator) for c in v], m
+
+
 def _residual(rows, x) -> Fraction:
-    """The first nonzero row . x over sparse rows, or 0.  The Fraction goes
-    first in each product, which keeps int coefficients on the fast path."""
-    for row in rows:
-        r = sum([x[u] * c for u, c in row], ZERO)
+    """The first nonzero row . x over the sparse int rows (row, k) of
+    `solve`, or 0.  x is scaled to ints too, so the int dot products decide;
+    the residual is unscaled only for the row that fails."""
+    xs, m = _scaled(x)
+    for row, k in rows:
+        r = sum([xs[u] * c for u, c in row])
         if r:
-            return r
+            return Fraction(r, k * m)
     return ZERO
 
 
@@ -176,13 +186,18 @@ def solve(system: AssembledSystem) -> FormSolution:
                 raise ValueError(f"label {labels[i]!r} lies in two unknown pairs")
             paired.add(i)
     nunk = len(pairs)
-    # the rows are ratio edges c x_u + c' x_v = 0 and forced zeros c x_u = 0
-    rows = [[(u, c) for u, c in enumerate(row) if c] for row in system.rows]
-    if any(len(row) > 2 for row in rows):
+    # the rows are ratio edges c x_u + c' x_v = 0 and forced zeros c x_u = 0,
+    # each kept as sparse ints times the lcm k of its denominators: that
+    # keeps every ratio and puts the residual checks on ints
+    rows = []
+    for row in system.rows:
+        ints, k = _scaled(row)
+        rows.append(([(u, c) for u, c in enumerate(ints) if c], k))
+    if any(len(row) > 2 for row, _ in rows):
         raise ValueError("a row has more than two nonzero entries")
-    forced = {row[0][0] for row in rows if len(row) == 1}
+    forced = {row[0][0] for row, _ in rows if len(row) == 1}
     edges = [[] for _ in range(nunk)]
-    for (u, a), (v, b) in (row for row in rows if len(row) == 2):
+    for (u, a), (v, b) in (row for row, _ in rows if len(row) == 2):
         edges[u].append((v, a, b))
         edges[v].append((u, b, a))
     # one basis vector per component with a consistent ratio on every edge and
@@ -230,8 +245,12 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     """Re-check invariance by direct bracket evaluation over all of p.
 
     Independent of `assemble`: evaluates the form on actual algebra
-    elements rather than through precomputed action rows.  Raises
-    ResidualNonzero on the first violated constraint.
+    elements rather than through precomputed action rows.  Each of the
+    n(n + 1)/2 label pairs (i <= j) is checked against every generator of p;
+    the difference of the two sides is summed over the nonzero entries of
+    the Gram only, which holds for any Gram, paired or not.  Raises
+    ResidualNonzero on the first violated constraint in (generator, i, j)
+    order.
     """
     if not config.validated:
         raise NotValidated("validate the configuration before verifying")
@@ -262,21 +281,37 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         AlgebraElement(rs, cartan=nu2) if l == CARTAN_LABEL else AlgebraElement(rs, coeffs={l: 1})
         for l in labels
     ]
-    checked = 0
-    for p, dval in _generators(sc, config):
+    # the nonzero entries of each Gram row: B(u_k, u_j) for j in nonzero[k]
+    nonzero = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
+    gens = _generators(sc, config)
+    for p, dval in gens:
         # [p, u] is projected once per label u and reused in every pair
         moved = [project(bracket(sc, p, u)) for u in basis_elems]
-        for i in range(n):
-            for j in range(i, n):
-                # B([p, u_i], u_j) + B(u_i, [p, u_j]) = delta(p) B(u_i, u_j)
-                lhs = sum(c * gram[k][j] for k, c in moved[i].items()) + sum(
-                    c * gram[i][k] for k, c in moved[j].items()
-                )
-                rhs = dval * gram[i][j]
-                if lhs != rhs:
-                    raise ResidualNonzero(
-                        f"invariance fails for generator {p!r} on a label pair: "
-                        f"{lhs} != {rhs}"
-                    )
-                checked += 1
-    return {"constraints_checked": checked, "max_residual": ZERO}
+        # lhs - rhs of every pair (i, j), i <= j, summed over the nonzero Gram
+        # entries only: B([p, u_a], u_b) lands on the pair (a, b) and, as
+        # B(u_b, [p, u_a]), on (b, a); a pair with no term stays 0 = 0
+        residual = Counter()
+        for a in range(n):
+            for k, c in moved[a].items():
+                for b, g in nonzero[k]:
+                    t = c * g
+                    if a <= b:
+                        residual[a, b] += t
+                    if b <= a:
+                        residual[b, a] += t
+            if dval:
+                for b, g in nonzero[a]:
+                    if a <= b:
+                        residual[a, b] -= dval * g
+        failed = [pair for pair, r in residual.items() if r]
+        if failed:
+            # B([p, u_i], u_j) + B(u_i, [p, u_j]) = delta(p) B(u_i, u_j)
+            i, j = min(failed)
+            lhs = sum(c * gram[k][j] for k, c in moved[i].items()) + sum(
+                c * gram[i][k] for k, c in moved[j].items()
+            )
+            rhs = dval * gram[i][j]
+            raise ResidualNonzero(
+                f"invariance fails for generator {p!r} on a label pair: {lhs} != {rhs}"
+            )
+    return {"constraints_checked": len(gens) * n * (n + 1) // 2, "max_residual": ZERO}

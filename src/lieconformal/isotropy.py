@@ -93,8 +93,12 @@ def partner(rs: RootSystem, d2, label):
 
 
 def _paired(rs: RootSystem, d2) -> set:
-    """Indices of the roots that delta pairs (d2 = doubled delta)."""
-    return {i for i in range(len(rs.coords)) if partner(rs, d2, i) is not None}
+    """Indices of the roots that delta pairs (d2 = doubled delta): the roots
+    r for which `partner` finds delta - r a root or zero, in one pass."""
+    at = rs.at
+    return {
+        i for i, c in enumerate(rs.coords) if (m := tuple(map(sub, d2, c))) in at or not any(m)
+    }
 
 
 @lru_cache(maxsize=None)

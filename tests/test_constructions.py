@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lieconformal import constructions
 from lieconformal.chevalley import cached_constants
 from lieconformal.cli import run
 from lieconformal.constructions import (
@@ -80,14 +83,34 @@ def random_unimodular(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sp_trial_matches_the_matrix(n):
     """Applying the transvections to x and y gives S x and S y, from the same
-    draws, for seeds 0-49."""
+    draws, for seeds 0-49: x = X / 60 and S x = SX / D on the int vectors."""
     for seed in range(50):
         rng, oracle = random.Random(seed), random.Random(seed)
-        x, y, sx, sy = _sp_trial(rng, n)
+        x, y, sx, sy, d = _sp_trial(rng, n)
+        x, y = [Fraction(a, 60) for a in x], [Fraction(a, 60) for a in y]
+        sx, sy = [Fraction(a, d) for a in sx], [Fraction(a, d) for a in sy]
         s = random_symplectic(oracle, n)
         assert (x, y) == (_rand_vec(oracle, 2 * n), _rand_vec(oracle, 2 * n))
         assert (sx, sy) == (mat_vec(s, x), mat_vec(s, y))
         assert rng.getstate() == oracle.getstate()
+
+
+def test_a_non_symplectic_step_fails_the_sp_check(monkeypatch, capsys):
+    """Doubling the first coordinate after each transvection breaks omega:
+    the sp check reports a nonzero residual and `check-examples` exits 1."""
+    real = constructions._transvect
+
+    def stretched(n, z, v, c):
+        out = real(n, z, v, c)
+        out[0] *= 2
+        return out
+
+    monkeypatch.setattr(constructions, "_transvect", stretched)
+    out = check_sp_embedding(3, trials=10, seed=5)
+    assert not out["ok"]
+    assert out["max_residual"] > 0
+    assert run(["check-examples", "--construction", "sp", "--n", "3", "--seed", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["sp"]["ok"] is False
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -118,6 +141,15 @@ def test_check_examples_output_is_pinned(capsys, seed):
     """`check-examples` prints the pinned report, byte for byte."""
     assert run(["check-examples", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == CHECK_EXAMPLES_OUTPUT
+
+
+def test_check_examples_all_n8_is_pinned(capsys):
+    """The report of every construction at n = 8, 50 trials, seed 7 equals
+    the pinned file, which the Fraction draws wrote."""
+    pinned = Path(__file__).parent / "data" / "check_examples_all_n8.json"
+    argv = ["check-examples", "--construction", "all", "--n", "8", "--trials", "50", "--seed", "7"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
 
 
 def test_sl_embedding_needs_rank_three():

@@ -5,7 +5,7 @@ from itertools import chain, product
 import pytest
 
 from lieconformal import classify, invform
-from lieconformal.chevalley import cached_constants
+from lieconformal.chevalley import AlgebraElement, bracket, cached_constants
 from lieconformal.errors import NotValidated, ResidualNonzero
 from lieconformal.invform import (
     AssembledSystem,
@@ -238,6 +238,114 @@ def test_verify_invariance_guard(rank8_survivors):
                     verify_invariance(sc, cfg, bad)
                 checked += 1
     assert checked > 0
+
+
+def dense_verify_invariance(sc, config, coeffs):
+    """Oracle: `verify_invariance` as a dense loop over every label pair,
+    each side summed over all the labels [p, u] lands on."""
+    rs = config.system
+    unknowns = form_unknowns(config)
+    labels = unknowns.labels
+    n = len(labels)
+    gram = gram_matrix(unknowns, coeffs)
+    positions = {l: i for i, l in enumerate(labels)}
+    nu2 = config.nu2
+
+    def project(elt):
+        out = {}
+        for r, c in elt.coeffs.items():
+            i = positions.get(r)
+            if i is not None:
+                out[i] = out.get(i, 0) + c
+        if nu2 is not None and any(elt.cartan):
+            t = Fraction(dot(nu2, elt.cartan), dot(nu2, nu2))
+            if t:
+                i = positions[CARTAN_LABEL]
+                out[i] = out.get(i, 0) + t
+        return out
+
+    basis_elems = [
+        AlgebraElement(rs, cartan=nu2) if l == CARTAN_LABEL else AlgebraElement(rs, coeffs={l: 1})
+        for l in labels
+    ]
+    checked = 0
+    for p, dval in _generators(sc, config):
+        moved = [project(bracket(sc, p, u)) for u in basis_elems]
+        for i in range(n):
+            for j in range(i, n):
+                lhs = sum(c * gram[k][j] for k, c in moved[i].items()) + sum(
+                    c * gram[i][k] for k, c in moved[j].items()
+                )
+                rhs = dval * gram[i][j]
+                if lhs != rhs:
+                    raise ResidualNonzero(
+                        f"invariance fails for generator {p!r} on a label pair: "
+                        f"{lhs} != {rhs}"
+                    )
+                checked += 1
+    return {"constraints_checked": checked, "max_residual": 0}
+
+
+def outcome(verify, sc, cfg, coeffs):
+    """The report of a verifier, or the message it raised."""
+    try:
+        return verify(sc, cfg, coeffs)
+    except ResidualNonzero as exc:
+        return str(exc)
+
+
+def test_verify_invariance_matches_the_dense_loop(rank8_survivors):
+    """On every survivor of rank <= 4, for the witness and each one-coordinate
+    perturbation of it, the sparse verifier and the dense pair loop agree on
+    the constraint count, on pass or fail and on the message."""
+    failed = passed = 0
+    for system, sol in rank8_survivors:
+        cfg = system.config
+        if cfg.system.rank > 4:
+            continue
+        sc = cached_constants(cfg.system.label, cfg.system.rank)
+        witness = list(sol.nondegenerate_witness)
+        for k in [None, *range(len(witness))]:
+            coeffs = list(witness)
+            if k is not None:
+                coeffs[k] += 1
+            want = outcome(dense_verify_invariance, sc, cfg, coeffs)
+            assert outcome(verify_invariance, sc, cfg, coeffs) == want
+            failed += isinstance(want, str)
+            passed += not isinstance(want, str)
+    assert failed and passed
+
+
+def test_solve_scales_fraction_rows_to_ints():
+    """Ratio rows with denominators 2 and 3 give the basis and witness of the
+    same rows times 6 and of `linalg.nullspace`; a basis vector moved off the
+    solution space fails the int residual check, whose message carries the
+    residual of the unscaled Fraction row."""
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    rows = [(h, -t, 0, 0), (0, 2 * t, h, 0), (1, 0, h, 0), (0, 0, 0, 0)]
+    unknowns = FormUnknowns(labels=list(range(4)), pairs=[(i, i) for i in range(4)])
+    sol = solve(AssembledSystem(config=None, unknowns=unknowns, rows=rows))
+    whole = [tuple(int(6 * c) for c in row) for row in rows]
+    assert sol == solve(AssembledSystem(config=None, unknowns=unknowns, rows=whole))
+    assert sol.basis == nullspace(rows, 4) == [
+        (Fraction(-1, 2), Fraction(-3, 4), 1, 0),
+        (0, 0, 0, 1),
+    ]
+    assert sol.nondegenerate_witness == (Fraction(-3, 2), Fraction(-9, 4), 3, 5)
+
+    real = invform._residual
+    moved = Fraction(1, 7)
+
+    def off_the_solution_space(int_rows, x):
+        return real(int_rows, (x[0] + moved, *x[1:]))
+
+    x = (sol.basis[0][0] + moved, *sol.basis[0][1:])
+    unscaled = next(r for r in (sum(a * b for a, b in zip(row, x)) for row in rows) if r)
+    assert unscaled.denominator == 14
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invform, "_residual", off_the_solution_space)
+        with pytest.raises(ResidualNonzero, match=f"^nullspace basis has residual {unscaled}$"):
+            solve(AssembledSystem(config=None, unknowns=unknowns, rows=rows))
 
 
 def test_solve_rejects_a_row_with_three_unknowns():

@@ -129,6 +129,20 @@ def test_partner_is_an_involution_on_the_paired_labels():
     assert set(paired) - {CARTAN_LABEL} == _paired(rs, d2)
 
 
+def test_paired_is_the_set_view_of_partner():
+    """The one-pass `_paired` equals the roots `partner` pairs, for the
+    distortion of every candidate `classify_all(8)` judges."""
+    from lieconformal.classify import classify_all
+
+    judged = 0
+    for v in classify_all(8).verdicts:
+        rs, d2 = build(v.label, v.rank), doubled(v.delta)
+        want = {i for i in range(len(rs.coords)) if partner(rs, d2, i) is not None}
+        assert _paired(rs, d2) == want
+        judged += 1
+    assert judged == 215
+
+
 def test_case1_c3_derives_and_validates():
     rs = build("C", 3)
     d = case1_distortion(rs, vec(1, 1, 0))
