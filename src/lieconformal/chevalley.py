@@ -167,7 +167,7 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
     """[x, y] from the root tables: [E_a, E_b] = n(a, b) E_(a+b), [E_a, E_-a]
     is the coroot of a, and [h, E_r] = r(h) E_r with r(h) = coords[r].h2 / 4."""
     rs = sc.system
-    if x.system != rs or y.system != rs:
+    if x.system is not rs or y.system is not rs:
         raise SystemMismatch("elements belong to a different root system")
     coords, radd, neg, table = rs.coords, rs.add, rs.neg, sc.table
     coeffs: dict = {}

@@ -19,6 +19,7 @@ then `judge` (kernel closure, then the exact form solver), which the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
 from . import invform, isotropy
 from .chevalley import cached_constants
@@ -31,11 +32,10 @@ from .rootsys import (
     Vec,
     build,
     dot,
-    doubled,
+    halved,
     minimal_root,
+    minimal_root_index,
     pair_orbit,
-    vadd,
-    vneg,
 )
 
 STAGE_ROOTS = "RootCombinatorics"
@@ -86,7 +86,9 @@ def _systems(max_rank: int):
 
 
 def enumerate_case1(rs: RootSystem):
-    """Canonical representatives (-delta, alpha) of constrained pair orbits."""
+    """Canonical index pairs (m, a) of the constrained pair orbits, for the
+    distortion -root m and the orthogonal root a, in decreasing order; each
+    is the max of its orbit, and index order is the lex order of roots."""
     if rs.label == "A1xA1":
         raise Reducible("Case1 needs an irreducible system")
     coords = rs.coords
@@ -104,7 +106,7 @@ def enumerate_case1(rs: RootSystem):
         orbit = pair_orbit(rs, pair)
         seen |= orbit
         reps.append(max(orbit))
-    return [(rs.roots[m], rs.roots[a]) for m, a in sorted(reps, reverse=True)]
+    return sorted(reps, reverse=True)
 
 
 def enumerate_case2(rs: RootSystem):
@@ -117,25 +119,23 @@ def enumerate_case2(rs: RootSystem):
     return Distortion(minimal_root(rs))
 
 
-def eliminate_parabolic(rs: RootSystem, alpha) -> CandidateVerdict:
-    """Verdict of the parabolic candidate of the simple root `alpha`, or of
-    the product-of-Borels candidate when `alpha` is None."""
-    if alpha is None:
-        a, b = rs.simples
-        return _verdict(rs, LOWRANK, Distortion(vneg(vadd(a, b))), None)
-    delta = isotropy.parabolic_distortion(rs, alpha)
+def eliminate_parabolic(rs: RootSystem, k) -> CandidateVerdict:
+    """Verdict of the parabolic candidate of the k-th simple root, or of
+    the product-of-Borels candidate when k is None."""
+    coords = rs.coords
+    if k is None:
+        a, b = (coords[s] for s in rs.simple_idx)
+        return _verdict(rs, LOWRANK, halved(tuple(-x - y for x, y in zip(a, b))), None)
+    alpha = rs.simple_idx[k]
+    d2 = tuple(map(sub, coords[minimal_root_index(rs)], coords[alpha]))
     case = LOWRANK if rs.rank == 1 else PARABOLIC
     # fast root-combinatorial stage: every root space outside the kernel
     # must be paired, i.e. -beta must have a partner for every positive
     # beta whose expansion involves alpha
-    a_index = rs.simples.index(alpha)
-    d2 = doubled(delta.functional)
     for beta in rs.positive_idx:
-        if rs.expansions[beta][a_index] == 0:
-            continue
-        if isotropy.partner(rs, d2, rs.neg[beta]) is None:
-            return _verdict(rs, case, delta, alpha, ("unpaired", rs.roots[rs.neg[beta]]))
-    return _verdict(rs, case, delta, alpha)
+        if rs.expansions[beta][k] and isotropy.partner(rs, d2, rs.neg[beta]) is None:
+            return _verdict(rs, case, halved(d2), alpha, ("unpaired", rs.roots[rs.neg[beta]]))
+    return _verdict(rs, case, halved(d2), alpha)
 
 
 def judge(rs: RootSystem, delta: Distortion, case_tag: str):
@@ -160,15 +160,16 @@ def judge(rs: RootSystem, delta: Distortion, case_tag: str):
 
 
 def _verdict(
-    rs: RootSystem, case: str, delta: Distortion, alpha, root_witness=None
+    rs: RootSystem, case: str, delta: Vec, alpha_index, root_witness=None
 ) -> CandidateVerdict:
     """The verdict of one candidate: eliminated by root combinatorics when
     `root_witness` is given, else judged by `judge`."""
+    alpha = None if alpha_index is None else rs.roots[alpha_index]
     verdict = CandidateVerdict(
         label=rs.label,
         rank=rs.rank,
         case=case,
-        delta=delta.functional,
+        delta=delta,
         alpha=alpha,
         stage=STAGE_ROOTS,
         eliminated=True,
@@ -176,7 +177,7 @@ def _verdict(
     )
     if root_witness is not None:
         return verdict
-    witness, _, solution = judge(rs, delta, case)
+    witness, _, solution = judge(rs, Distortion(delta), case)
     if solution is None:
         verdict.stage, verdict.witness = STAGE_CLOSURE, witness
         return verdict
@@ -269,18 +270,14 @@ def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
     verdicts = []
     for rs in _systems(max_rank):
         if cases in ("all", "case1") and rs.label != "A1xA1":
-            for m, alpha in enumerate_case1(rs):
-                verdicts.append(_verdict(rs, CASE1, Distortion(vneg(m)), alpha))
+            for m, a in enumerate_case1(rs):
+                verdicts.append(_verdict(rs, CASE1, rs.roots[rs.neg[m]], a))
         if cases in ("all", "case2") and rs.label != "A1xA1":
-            delta = enumerate_case2(rs)
-            if delta is None:
-                low = Distortion(minimal_root(rs))
-                verdicts.append(_verdict(rs, CASE2, low, None, "forced coroots fill the Cartan"))
-            else:
-                verdicts.append(_verdict(rs, CASE2, delta, None))
+            filled = "forced coroots fill the Cartan" if enumerate_case2(rs) is None else None
+            verdicts.append(_verdict(rs, CASE2, minimal_root(rs), None, filled))
         if cases in ("all", "parabolic"):
-            for alpha in [None] if rs.label == "A1xA1" else rs.simples:
-                verdicts.append(eliminate_parabolic(rs, alpha))
+            for k in [None] if rs.label == "A1xA1" else range(rs.rank):
+                verdicts.append(eliminate_parabolic(rs, k))
     verdicts.sort(key=lambda v: (v.label, v.rank, v.case, v.alpha or (), v.delta or ()))
     survivors = [v for v in verdicts if not v.eliminated]
     expected = expected_survivors(max_rank, cases)

@@ -135,6 +135,8 @@ def _config_vec(data, key):
 
 
 def _config_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
     label, rank, case = data["label"], data["rank"], data["case"]
     if not isinstance(label, str):
         raise ValueError("label must be a string")

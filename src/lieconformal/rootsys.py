@@ -6,8 +6,10 @@ hyperplane of Q^3, F4 in Q^4 and the E series inside Q^8.  Roots are held
 on doubled coordinates (2r), so the half-integral F4/E roots become ints,
 and root i is the i-th in the lexicographic order of those coordinates.
 Positivity is read off the expansion in the canonical simple roots.
-Fraction vectors appear only at the API edge: the `roots`, `simples` and
-`positives` views and the vector helpers below.
+Every layer, `classify`'s candidates included, works on root indices.
+Fraction vectors appear only in verdicts, messages and input
+`Distortion`s, through the `roots`, `simples` and `positives` views and
+the vector helpers below.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def coroot(r: Vec) -> Vec:
@@ -79,7 +77,8 @@ class RootSystem:
     """The roots of one system and the integer tables over them.
 
     Every table is indexed by root index; `roots`, `simples` and
-    `positives` are the same roots as Fraction vectors.
+    `positives` are the same roots as Fraction vectors.  A system compares
+    by identity: `build` caches, so each (label, rank) is one object.
     """
 
     label: str
@@ -99,15 +98,6 @@ class RootSystem:
     positive_idx: tuple  # indices of `positives`, in that order
     is_positive: bytes
     simple_idx: tuple  # indices of `simples`
-
-    def __eq__(self, other):
-        return isinstance(other, RootSystem) and (self.label, self.rank) == (
-            other.label,
-            other.rank,
-        )
-
-    def __hash__(self):
-        return hash((self.label, self.rank))
 
     def __repr__(self):
         return f"RootSystem({self.label}, rank={self.rank}, {len(self.roots)} roots)"
@@ -188,8 +178,13 @@ def _raw_roots(label: str, rank: int) -> tuple[int, list, list]:
     raise InvalidRank(f"unknown series label {label!r}")
 
 
-# every doubled root coordinate lies in [-4, 4]
-_HALF = {x: Fraction(x, 2) for x in range(-4, 5)}
+# doubled coordinates of roots lie in [-4, 4], of their sums and differences in [-8, 8]
+_HALF = {x: Fraction(x, 2) for x in range(-8, 9)}
+
+
+def halved(v2) -> Vec:
+    """The Fraction vector with doubled coordinates v2, each in [-8, 8]."""
+    return tuple(_HALF[x] for x in v2)
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +235,7 @@ def build(label: str, rank: int) -> RootSystem:
     is_positive = bytearray(len(coords))
     for _, p in positives:
         is_positive[p] = 1
-    roots = tuple(tuple(_HALF[x] for x in c) for c in coords)
+    roots = tuple(map(halved, coords))
     return RootSystem(
         label=label,
         rank=rank,

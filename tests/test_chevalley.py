@@ -13,7 +13,7 @@ from lieconformal.chevalley import (
     elem_h,
     structure_constants,
 )
-from lieconformal.errors import DimensionMismatch, NotARoot
+from lieconformal.errors import DimensionMismatch, NotARoot, SystemMismatch
 from lieconformal.rootsys import build, coroot, dot, doubled, vadd, vec
 from test_rootsys import CLASSIFY_SYSTEMS
 
@@ -250,3 +250,21 @@ def test_elem_h_rejects_wrong_dimension():
         with pytest.raises(DimensionMismatch):
             elem_h(rs, v)
     assert elem_h(rs, vec(Fraction(1, 2), 1)).cartan == (1, 2)
+
+
+def test_bracket_rejects_elements_of_another_system():
+    """Elements of one system bracket normally; an element of another
+    system raises SystemMismatch, even where B3 and C3 share the root
+    vectors and the ambient space."""
+    sc = cached_constants("B", 3)
+    b3, c3 = build("B", 3), build("C", 3)
+    x, y = vec(1, -1, 0), vec(0, 1, 1)
+    out = bracket(sc, elem_e(b3, x), elem_e(b3, y))
+    assert set(out.coeffs) == {b3.index_of(vec(1, 0, 1))} and not any(out.cartan)
+    for u, v in [
+        (elem_e(c3, x), elem_e(b3, y)),
+        (elem_e(b3, x), elem_e(c3, y)),
+        (elem_h(c3, x), elem_e(b3, y)),
+    ]:
+        with pytest.raises(SystemMismatch):
+            bracket(sc, u, v)

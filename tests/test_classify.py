@@ -9,14 +9,20 @@ from lieconformal.classify import (
     expected_survivors,
 )
 from lieconformal.errors import Reducible
-from lieconformal.rootsys import build, vec
+from lieconformal.rootsys import build, dot, pair_orbit, vec
+from test_rootsys import CLASSIFY_SYSTEMS
+
+
+def vector_pairs(rs, pairs):
+    """Index pairs of `enumerate_case1` as pairs of root vectors."""
+    return [(rs.roots[m], rs.roots[a]) for m, a in pairs]
 
 
 def test_case1_pair_enumeration_bn():
     """B_n reduces to the single constrained pair (e1, e2)."""
     for n in (2, 3, 5, 8):
         rs = build("B", n)
-        pairs = enumerate_case1(rs)
+        pairs = vector_pairs(rs, enumerate_case1(rs))
         assert pairs == [(vec(*([1, 0] + [0] * (n - 2))), vec(*([0, 1] + [0] * (n - 2))))]
 
 
@@ -24,14 +30,14 @@ def test_case1_pair_enumeration_cn():
     """C_n reduces to the single constrained pair (e1+e2, e1-e2)."""
     for n in (3, 5, 8):
         rs = build("C", n)
-        pairs = enumerate_case1(rs)
+        pairs = vector_pairs(rs, enumerate_case1(rs))
         assert pairs == [(vec(*([1, 1] + [0] * (n - 2))), vec(*([1, -1] + [0] * (n - 2))))]
 
 
 def test_case1_pair_enumeration_f4_single_orbit():
     """All constrained F4 pairs collapse to one orbit represented by (e1, e2)."""
     rs = build("F4", 4)
-    pairs = enumerate_case1(rs)
+    pairs = vector_pairs(rs, enumerate_case1(rs))
     assert pairs == [(vec(1, 0, 0, 0), vec(0, 1, 0, 0))]
 
 
@@ -42,6 +48,28 @@ def test_case1_pair_enumeration_f4_single_orbit():
 def test_case1_pair_enumeration_empty(label, rank):
     """Simply-laced and G2 systems admit no orthogonal summing pair."""
     assert enumerate_case1(build(label, rank)) == []
+
+
+@pytest.mark.parametrize("label,rank", [s for s in CLASSIFY_SYSTEMS if s[0] != "A1xA1"])
+def test_case1_orbits_partition_constrained_pairs(label, rank):
+    """Each representative is the max of its orbit, each orbit is closed
+    under every simple reflection, and the orbits partition the constrained
+    pairs: m + a a root and m orthogonal to a."""
+    rs = build(label, rank)
+    constrained = {
+        (m, a)
+        for m, row in enumerate(rs.add)
+        for a, total in enumerate(row)
+        if total >= 0 and dot(rs.coords[m], rs.coords[a]) == 0
+    }
+    covered = set()
+    for rep in enumerate_case1(rs):
+        orbit = pair_orbit(rs, rep)
+        assert rep == max(orbit)
+        assert all((perm[m], perm[a]) in orbit for perm in rs.refl for m, a in orbit)
+        assert not covered & orbit
+        covered |= orbit
+    assert covered == constrained
 
 
 def test_case1_reducible_rejected():

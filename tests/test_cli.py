@@ -124,9 +124,19 @@ def test_classify_expect_golden(capsys):
     assert rc == 0
 
 
+def test_classify_rank12_report_hash(capsys):
+    """The rank-12 report, past the rank-8 golden file, is pinned by its hash."""
+    rc, out = capture(capsys, ["classify", "--max-rank", "12", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "28a42078bc28355788b420d6cb5288a046fcd565740e5913cc3b6def199d7a55"
+    )
+
+
 def test_solve_feasible_config(capsys):
     rc, out = capture(capsys, ["solve", str(DATA / "b3_alpha_e3.json")])
     assert rc == 0
+    assert out == (DATA / "b3_alpha_e3_solve.json").read_text(encoding="utf-8")
     data = json.loads(out)
     assert data["feasible"] is True
     assert data["dimension"] == 1
@@ -149,6 +159,7 @@ def test_solve_case2_config(tmp_path, capsys):
 def test_solve_infeasible_config(capsys):
     rc, out = capture(capsys, ["solve", str(DATA / "a2_alpha_e1e2.json")])
     assert rc == 0
+    assert out == (DATA / "a2_alpha_e1e2_solve.json").read_text(encoding="utf-8")
     data = json.loads(out)
     assert data["feasible"] is False
     assert data["certificate"]
@@ -204,6 +215,17 @@ def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
     assert_usage_error(rc, capsys.readouterr())
+
+
+@pytest.mark.parametrize("content", ["[1,2,3]", '"x"', "null", "5"])
+def test_solve_config_not_an_object(tmp_path, capsys, content):
+    """A config that is JSON but not an object is named as such."""
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    rc = run(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: config must be a JSON object\n"
 
 
 @pytest.mark.parametrize("argv", [

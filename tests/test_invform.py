@@ -38,10 +38,9 @@ from lieconformal.rootsys import (
     random_weyl_word,
     vadd,
     vec,
-    vneg,
 )
 from test_chevalley import VectorElement, vector_bracket
-from test_rootsys import halved
+from test_rootsys import halved, vneg
 
 
 # the first twenty odd primes, the weights of the witness

@@ -33,10 +33,9 @@ from lieconformal.rootsys import (
     random_weyl_word,
     vadd,
     vec,
-    vneg,
     vsub,
 )
-from test_rootsys import halved, weyl_reflect
+from test_rootsys import halved, vneg, weyl_reflect
 
 
 def case1_distortion(rs, m):

@@ -18,9 +18,12 @@ from lieconformal.rootsys import (
     random_weyl_word,
     vadd,
     vec,
-    vneg,
     vsub,
 )
+
+
+def vneg(a):
+    return tuple(-x for x in a)
 
 
 def vscale(c, a):
