@@ -6,8 +6,13 @@ with [h, E_r] = r(h) E_r, [E_r, E_{-r}] = (coroot of r) and
 standard extraspecial-pair convention: order the positive roots by height
 and then lexicographically, give each non-simple positive root its
 minimal decomposition, and make that constant +(p+1) where p is the
-length of the descending root string.  Algebra elements and their bracket
-read the integer root tables of `rootsys` directly.
+length of the descending root string.  The table is filled in one pass up
+the positive roots: each pair of positive roots with a + b = c writes the
+twelve entries of its triple a + b + (-c) = 0 at once, through the
+negation and cyclic identities (Carter, Simple Groups of Lie Type,
+Thm 4.1.2), and the four-root identity for the other pairs of c reads
+constants of lower roots that are already in the table.  Algebra elements
+and their bracket read the integer root tables of `rootsys` directly.
 """
 
 from __future__ import annotations
@@ -51,22 +56,16 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
     # order: height, then lexicographically decreasing; index order is lex order
     pos = sorted(rs.positive_idx, key=lambda i: (rs.height[i], -i))
     order = {r: k for k, r in enumerate(pos)}
-    npp: dict = {}
+    table = [array("b", bytes(len(row))) for row in add]
 
-    def const(x, y):
-        """n(x, y) for arbitrary root indices with x+y a root."""
-        xp, yp = is_pos[x], is_pos[y]
-        if xp and yp:
-            if (x, y) in npp:
-                return npp[(x, y)]
-            return -npp[(y, x)]
-        if not xp and not yp:
-            return -const(neg[x], neg[y])
+    def put(x, y, v):
+        """n(x, y) = v and the other eleven entries of the triple x + y + z = 0."""
         z = neg[add[x][y]]
-        # x + y + z = 0: n(x,y)/(z,z) = n(y,z)/(x,x) = n(z,x)/(y,y)
-        if is_pos[y] == is_pos[z]:
-            return _ratio(const(y, z), norm[z], norm[x])
-        return _ratio(const(z, x), norm[z], norm[y])
+        # n(x,y)/(z,z) = n(y,z)/(x,x) = n(z,x)/(y,y), and n(b,a) = n(-a,-b) = -n(a,b)
+        nyz, nzx = _ratio(v, norm[x], norm[z]), _ratio(v, norm[y], norm[z])
+        for a, b, n in ((x, y, v), (y, z, nyz), (z, x, nzx)):
+            table[a][b] = table[neg[b]][neg[a]] = n
+            table[b][a] = table[neg[a]][neg[b]] = -n
 
     for k, gamma in enumerate(pos):
         row = add[gamma]
@@ -82,28 +81,18 @@ def structure_constants(rs: RootSystem) -> StructureConstants:
         p, cur = 0, add[eta][neg[xi]]
         while cur >= 0:
             p, cur = p + 1, add[cur][neg[xi]]
-        npp[(xi, eta)] = p + 1
+        put(xi, eta, p + 1)
         for alpha, beta in pairs[1:]:
-            # four-root identity on (xi, eta, -alpha, -beta)
-            total = Fraction(0)
-            d1 = add[eta][neg[alpha]]
-            if d1 >= 0:
-                total += Fraction(const(eta, neg[alpha]) * const(xi, neg[beta]), norm[d1])
-            d2 = add[xi][neg[alpha]]
-            if d2 >= 0:
-                total += Fraction(const(neg[alpha], xi) * const(eta, neg[beta]), norm[d2])
-            value = norm[gamma] * total / npp[(xi, eta)]
-            assert value.denominator == 1, "structure constants must be integers"
-            npp[(alpha, beta)] = value.numerator
-
-    table = []
-    for x, row in enumerate(add):
-        out = array("b", bytes(len(row)))
-        for y, z in enumerate(row):
-            if z >= 0:
-                out[y] = const(x, y)
-                assert out[y] != 0
-        table.append(out)
+            # four-root identity on (xi, eta, -alpha, -beta); every constant
+            # it reads belongs to a lower root, so `put` has written it
+            num, den = 0, 1
+            for a, b, c, d in ((eta, neg[alpha], xi, neg[beta]), (neg[alpha], xi, eta, neg[beta])):
+                s = add[a][b]
+                if s >= 0:
+                    num, den = num * norm[s] + table[a][b] * table[c][d] * den, den * norm[s]
+            put(alpha, beta, _ratio(num, norm[gamma], den * (p + 1)))
+    # every root-sum pair got a nonzero constant
+    assert sum(len(t) - t.count(0) for t in table) == sum(len(r) - r.count(-1) for r in add)
     return StructureConstants(system=rs, table=tuple(table))
 
 

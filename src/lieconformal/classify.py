@@ -68,7 +68,6 @@ class ClassificationReport:
     cases: str
     verdicts: list = field(default_factory=list)
     survivors: list = field(default_factory=list)
-    expected: set = field(default_factory=set)
     matches_expected: bool = False
 
 
@@ -110,13 +109,11 @@ def enumerate_case1(rs: RootSystem):
 
 
 def enumerate_case2(rs: RootSystem):
-    """Distortion candidate (the minimal root), or None when the forced
-    coroots already fill the Cartan subalgebra."""
+    """Cartan normal of the Case2 kernel (`isotropy.case2_normal`), or None
+    when the forced coroots already fill the Cartan subalgebra."""
     if rs.label == "A1xA1":
         raise Reducible("Case2 needs an irreducible system")
-    if isotropy.case2_normal(rs) is None:
-        return None
-    return Distortion(minimal_root(rs))
+    return isotropy.case2_normal(rs)
 
 
 def eliminate_parabolic(rs: RootSystem, k) -> CandidateVerdict:
@@ -280,13 +277,11 @@ def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
                 verdicts.append(eliminate_parabolic(rs, k))
     verdicts.sort(key=lambda v: (v.label, v.rank, v.case, v.alpha or (), v.delta or ()))
     survivors = [v for v in verdicts if not v.eliminated]
-    expected = expected_survivors(max_rank, cases)
     got = {v.survivor_key() for v in survivors}
     return ClassificationReport(
         max_rank=max_rank,
         cases=cases,
         verdicts=verdicts,
         survivors=survivors,
-        expected=expected,
-        matches_expected=(got == expected),
+        matches_expected=(got == expected_survivors(max_rank, cases)),
     )

@@ -247,9 +247,8 @@ def _g2_relations():
     ]
 
 
-def check_g2_relations(sc: StructureConstants | None = None) -> dict:
-    sc = sc or cached_constants("G2", 2)
-    return _consistency_verdict(sc, _g2_relations())
+def check_g2_relations() -> dict:
+    return _consistency_verdict(cached_constants("G2", 2), _g2_relations())
 
 
 def so7_relations():

@@ -1,4 +1,5 @@
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,13 @@ EXHAUSTIVE = [
     ("G2", 2), ("F4", 4),
     ("A1xA1", 2),
 ]
+
+# the simply-laced systems of the Frenkel-Kac check
+SIMPLY_LACED = (
+    [("A", n) for n in range(1, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E6", 6), ("E7", 7), ("E8", 8)]
+)
 
 
 def basis_elements(rs):
@@ -206,6 +214,94 @@ def test_determinism_across_regeneration():
     assert fresh.table == cached_constants("F4", 4).table
     again = structure_constants(build("F4", 4))
     assert again.table == fresh.table
+
+
+def frenkel_kac_eps(rs):
+    """eps(x, y) as the bit 0 or 1 of the sign +1 or -1: the bimultiplicative
+    sign of the root lattice with eps(a_i, a_j) = -1 for i = j, and for
+    i < j when the simple roots a_i and a_j are joined in the Dynkin
+    diagram (Kac, Infinite-dimensional Lie algebras, 7.8)."""
+    coords, simples = rs.coords, rs.simple_idx
+    rank = len(simples)
+    joined = lambda i, j: dot(coords[simples[i]], coords[simples[j]]) != 0
+    odd = [[i == j or (i < j and joined(i, j)) for j in range(rank)] for i in range(rank)]
+    # bimultiplicative: eps(x, y) is the parity of sum_ij x_i odd_ij y_j
+    parity = [sum((c & 1) << j for j, c in enumerate(e)) for e in rs.expansions]
+    left = [
+        sum((sum(c * odd[i][j] for i, c in enumerate(e)) & 1) << j for j in range(rank))
+        for e in rs.expansions
+    ]
+    return lambda x, y: bin(left[x] & parity[y]).count("1") & 1
+
+
+def frenkel_kac_signs(rs, table):
+    """Sign bits s, bit r of the int for root r, with
+    n(x, y) = (-1)^(s_x + s_y + s_(x+y)) eps(x, y) on every root-sum pair,
+    or None when there are none.  Solved over GF(2), one int bitset per
+    equation; shares no code with the extraspecial-pair recursion."""
+    eps = frenkel_kac_eps(rs)
+    pivots: dict = {}  # leading bit -> (equation bitset, right-hand side)
+    for x, row in enumerate(rs.add):
+        for y, z in enumerate(row):
+            if z < 0:
+                continue
+            mask, rhs = (1 << x) ^ (1 << y) ^ (1 << z), (table[x][y] < 0) ^ eps(x, y)
+            while mask:
+                top = mask.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = (mask, rhs)
+                    break
+                m, b = pivots[top]
+                mask, rhs = mask ^ m, rhs ^ b
+            if not mask and rhs:
+                return None
+    signs = 0  # free bits stay 0; a pivot's lower bits are set before it
+    for top in sorted(pivots):
+        m, b = pivots[top]
+        if b ^ (bin(m & signs).count("1") & 1):
+            signs |= 1 << top
+    return signs
+
+
+def flip_triple(rs, table, x, y):
+    """A copy of the table with the twelve entries of the triple
+    x + y + z = 0 negated: one constant changed, consistently with the
+    negation and cyclic identities."""
+    out = [array("b", row) for row in table]
+    z = rs.neg[rs.add[x][y]]
+    for a, b in ((x, y), (y, z), (z, x)):
+        for p, q in ((a, b), (b, a), (rs.neg[a], rs.neg[b]), (rs.neg[b], rs.neg[a])):
+            out[p][q] = -out[p][q]
+    return out
+
+
+@pytest.mark.parametrize("label,rank", SIMPLY_LACED)
+def test_frenkel_kac_cocycle(label, rank):
+    """Every simply-laced table is the Frenkel-Kac sign eps up to a sign
+    rescaling E_r -> s_r E_r; the solved signs are checked entry by entry."""
+    sc = structure_constants(build(label, rank))
+    rs = sc.system
+    signs = frenkel_kac_signs(rs, sc.table)
+    assert signs is not None
+    eps = frenkel_kac_eps(rs)
+    for x, row in enumerate(rs.add):
+        for y, z in enumerate(row):
+            if z >= 0:
+                flip = ((signs >> x) ^ (signs >> y) ^ (signs >> z) ^ eps(x, y)) & 1
+                assert sc.table[x][y] == (-1 if flip else 1)
+
+
+@pytest.mark.parametrize("label,rank", [("A", 4), ("D", 5), ("E6", 6)])
+def test_frenkel_kac_rejects_a_flipped_constant(label, rank):
+    """Negating the triple of the last pair summing to the highest root, on
+    which no other constant depends, leaves a table that no sign rescaling
+    of eps reaches."""
+    sc = cached_constants(label, rank)
+    rs = sc.system
+    top = rs.positive_idx[-1]
+    a = max(a for a in rs.positive_idx if rs.add[top][rs.neg[a]] >= 0)
+    assert frenkel_kac_signs(rs, sc.table) is not None
+    assert frenkel_kac_signs(rs, flip_triple(rs, sc.table, a, rs.add[top][rs.neg[a]])) is None
 
 
 def test_cartan_action():

@@ -109,7 +109,8 @@ CONSTANT_HASHES = json.loads((DATA / "constants_sha256.json").read_text(encoding
 @pytest.mark.parametrize("system", sorted(CONSTANT_HASHES))
 def test_dump_constants_hashes(capsys, system):
     """dump-constants reproduces the pinned table of every system that
-    classify --max-rank 8 builds, including the rendering of each n."""
+    classify --max-rank 8 builds, and of B12, C12 and D12, including the
+    rendering of each n."""
     rc, out = capture(capsys, ["dump-constants", *system.split()])
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTANT_HASHES[system]
