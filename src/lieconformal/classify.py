@@ -91,20 +91,16 @@ def enumerate_case1(rs: RootSystem):
     if rs.label == "A1xA1":
         raise Reducible("Case1 needs an irreducible system")
     coords = rs.coords
-    pairs = [
-        (m, a)
-        for m, row in enumerate(rs.add)
-        for a, total in enumerate(row)
-        if total >= 0 and dot(coords[m], coords[a]) == 0
-    ]
+    # W is transitive on the roots of each length of an irreducible system
+    # (hence the A1xA1 guard), so every orbit meets the first root m of its length
     reps = []
     seen = set()
-    for pair in pairs:
-        if pair in seen:
-            continue
-        orbit = pair_orbit(rs, pair)
-        seen |= orbit
-        reps.append(max(orbit))
+    for m in {rs.norm.index(n) for n in set(rs.norm)}:
+        for a, total in enumerate(rs.add[m]):
+            if total >= 0 and dot(coords[m], coords[a]) == 0 and (m, a) not in seen:
+                orbit = pair_orbit(rs, (m, a))
+                seen |= orbit
+                reps.append(max(orbit))
     return sorted(reps, reverse=True)
 
 

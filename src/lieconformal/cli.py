@@ -125,11 +125,12 @@ def _print_table(report):
 
 def _config_vec(data, key):
     """The rationals of a config entry `key`, or None when it is absent or
-    empty; ValueError unless it is a list with no boolean entry."""
+    empty; ValueError unless it is a list of strings and numbers (no
+    boolean, null, list or object entry)."""
     entries = data.get(key)
     if entries is None:
         return None
-    if not isinstance(entries, list) or any(isinstance(e, bool) for e in entries):
+    if not isinstance(entries, list) or any(type(e) not in (str, int, float) for e in entries):
         raise ValueError(f"{key} must be a list of rationals")
     return parse_vec(entries) if entries else None
 

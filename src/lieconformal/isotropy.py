@@ -27,7 +27,6 @@ from .rootsys import (
     doubled,
     minimal_root,
     minimal_root_index,
-    mirror_index,
     ratio,
     vsub,
 )
@@ -368,11 +367,13 @@ def quotient_basis(config: IsotropyConfig) -> list:
 
 
 def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
-    """Apply a Weyl word (of root vectors) to every ingredient of a configuration.
+    """Apply a Weyl word to every ingredient of a configuration.
 
-    Everything moves on doubled coordinates, with one reflection rule: the
-    distortion and the Cartan normal as vectors, the kernel and normalizer
-    roots and alpha as root indices.
+    The word lists simple-root positions k, first letter first, each the
+    reflection whose root permutation is `rs.refl[k]`; every Weyl element
+    is such a word.  The kernel and normalizer roots and alpha move through
+    those permutations, the distortion and the Cartan normal as vectors on
+    doubled coordinates.
 
     The result is marked validated: Weyl elements are automorphisms, so
     every structural invariant transports along them (the translated
@@ -380,27 +381,29 @@ def translate_config(config: IsotropyConfig, word) -> IsotropyConfig:
     of the feasibility-invariance property).
     """
     rs = config.system
-    mirrors = [mirror_index(rs, m) for m in word]
-    coords, norm = rs.coords, rs.norm
+    for k in word:
+        if type(k) is not int or not 0 <= k < rs.rank:
+            raise ValueError(f"Weyl word entry {k!r} is not in range({rs.rank})")
+    perm = range(len(rs.roots))
+    for k in word:
+        perm = list(map(rs.refl[k].__getitem__, perm))
 
     def move(c):
-        # s_m(v) = v - k m with k = 2 (v.m)/(m.m): an integer for roots,
+        # s(v) = v - q s with q = 2 (v.s)/(s.s): an integer for roots,
         # rational for other vectors
-        for m in mirrors:
-            mc = coords[m]
-            k = ratio(2 * dot(c, mc), norm[m])
-            if k:
-                c = tuple(a - k * b for a, b in zip(c, mc))
+        for k in word:
+            s = rs.simple_idx[k]
+            q = ratio(2 * dot(c, rs.coords[s]), rs.norm[s])
+            if q:
+                c = tuple(a - q * b for a, b in zip(c, rs.coords[s]))
         return c
 
-    # alpha is a positive root, so it lies in p
-    image = {i: rs.at[move(coords[i])] for i in config.h_roots | config.p_roots}
     return replace(
         config,
         d2=move(config.d2),
         nu2=None if config.nu2 is None else move(config.nu2),
-        h_roots=frozenset(map(image.__getitem__, config.h_roots)),
-        p_roots=frozenset(map(image.__getitem__, config.p_roots)),
-        alpha=None if config.alpha is None else image[config.alpha],
+        h_roots=frozenset(map(perm.__getitem__, config.h_roots)),
+        p_roots=frozenset(map(perm.__getitem__, config.p_roots)),
+        alpha=None if config.alpha is None else perm[config.alpha],
         validated=True,
     )

@@ -277,18 +277,10 @@ def minimal_root(rs: RootSystem) -> Vec:
     return rs.roots[minimal_root_index(rs)]
 
 
-def mirror_index(rs: RootSystem, mirror) -> int:
-    """Root index of a reflection mirror; raises DimensionMismatch off the
-    ambient space and NotARoot when the mirror is not a root."""
-    mirror = check_dim(rs, mirror)
-    k = rs.index_of(mirror)
-    if k < 0:
-        raise NotARoot(f"mirror {mirror} is not a root")
-    return k
-
-
-def random_weyl_word(rs: RootSystem, rng, length: int) -> list[Vec]:
-    return [rng.choice(rs.simples) for _ in range(length)]
+def random_weyl_word(rs: RootSystem, rng, length: int) -> list[int]:
+    """A Weyl word of `length` simple-root positions, each indexing `rs.refl`;
+    the draws are those of `rng.choice(rs.simples)`."""
+    return [rng.randrange(rs.rank) for _ in range(length)]
 
 
 def pair_orbit(rs: RootSystem, pair: tuple[int, int]) -> set:

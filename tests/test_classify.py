@@ -50,11 +50,16 @@ def test_case1_pair_enumeration_empty(label, rank):
     assert enumerate_case1(build(label, rank)) == []
 
 
-@pytest.mark.parametrize("label,rank", [s for s in CLASSIFY_SYSTEMS if s[0] != "A1xA1"])
+@pytest.mark.parametrize(
+    "label,rank",
+    [s for s in CLASSIFY_SYSTEMS if s[0] != "A1xA1"]
+    + [(label, rank) for label in "BCD" for rank in (12, 16)],
+)
 def test_case1_orbits_partition_constrained_pairs(label, rank):
     """Each representative is the max of its orbit, each orbit is closed
     under every simple reflection, and the orbits partition the constrained
-    pairs: m + a a root and m orthogonal to a."""
+    pairs, found by a scan of every root pair: m + a a root and m
+    orthogonal to a."""
     rs = build(label, rank)
     constrained = {
         (m, a)

@@ -134,6 +134,16 @@ def test_classify_rank12_report_hash(capsys):
     )
 
 
+def test_classify_rank16_report_hash(capsys):
+    """The rank-16 report is pinned by its size and hash."""
+    rc, out = capture(capsys, ["classify", "--max-rank", "16", "--format", "json"])
+    assert rc == 0
+    assert len(out.encode("utf-8")) == 223425
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "15527b2b78c963980d4b6fa3e56cc9d69c790694f92f1eb1e778f1108fda70da"
+    )
+
+
 def test_solve_feasible_config(capsys):
     rc, out = capture(capsys, ["solve", str(DATA / "b3_alpha_e3.json")])
     assert rc == 0
@@ -205,17 +215,30 @@ def assert_usage_error(rc, captured):
         {"label": "B", "rank": 3, "case": "Parabolic", "alpha": "001"}, id="alpha-string"
     ),
     pytest.param({"label": "B", "rank": 300, "case": "Case2"}, id="rank-above-bound"),
+    *(
+        pytest.param(
+            {"label": "B", "rank": 3, "case": case, key: [entry, "0", "-1"]},
+            id=f"{key}-{kind}-entry",
+        )
+        for key, case in (("delta", "Case1"), ("alpha", "Parabolic"))
+        for kind, entry in (("null", None), ("list", ["1"]), ("object", {"p": 1}))
+    ),
 ])
-def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, config):
+def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, request, config):
     """A reducible Case1 system, an unknown case tag, a non-object config, a
     number too large for a rational, a vector of the wrong length, an entry
     with a zero denominator, a rank or label of the wrong JSON type, a vector
     that is not a list of rationals or a rank above the bound ends with one
-    error line and exit 2, never a traceback or a verdict."""
+    error line and exit 2, never a traceback or a verdict.  A vector entry
+    that is a boolean, null, a list or an object names its key."""
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
-    assert_usage_error(rc, capsys.readouterr())
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    key, _, kind = request.node.callspec.id.partition("-")
+    if key in ("delta", "alpha") and kind in ("bool", "null-entry", "list-entry", "object-entry"):
+        assert captured.err == f"error: {key} must be a list of rationals\n"
 
 
 @pytest.mark.parametrize("content", ["[1,2,3]", '"x"', "null", "5"])

@@ -188,9 +188,23 @@ def test_orbit_rep_is_weyl_invariant():
     pair = (vec(1, 1, 0), vec(1, -1, 0))
     rep = orbit_rep(rs, pair)
     for _ in range(25):
-        word = random_weyl_word(rs, rng, rng.randint(1, 8))
+        word = [rs.simples[k] for k in random_weyl_word(rs, rng, rng.randint(1, 8))]
         moved = tuple(reflect_word(rs, word, r) for r in pair)
         assert orbit_rep(rs, moved) == rep
+
+
+def test_random_weyl_word_draws_like_choice():
+    """A seeded word names, position by position, the simple roots that
+    rng.choice(rs.simples) draws from the same seed."""
+    import random
+
+    for label, rank in [("A", 1), ("A1xA1", 2), ("C", 3), ("F4", 4), ("E6", 6), ("E8", 8)]:
+        rs = build(label, rank)
+        ours, theirs = random.Random(17), random.Random(17)
+        for length in (0, 1, 6, 12):
+            word = random_weyl_word(rs, ours, length)
+            assert all(type(k) is int for k in word)
+            assert [rs.simples[k] for k in word] == [theirs.choice(rs.simples) for _ in word]
 
 
 def test_f4_displayed_pairs_share_one_orbit():
