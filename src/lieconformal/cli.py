@@ -217,21 +217,33 @@ def _cmd_check_examples(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.construction in ("g2", "all"):
-        rs = build("G2", 2)
-        delta = isotropy.parabolic_distortion(rs, rs.simples[0])
-        _, system, solution = classify_mod.judge(rs, delta, PARABOLIC)
-        align = constructions.align_g2_form(system, solution.nondegenerate_witness)
-        relations = constructions.check_g2_relations()
-        results["g2"] = {
-            "ok": True,
-            "form_dimension": solution.dimension,
-            "global_scale": align["global_scale"],
-            "scalars": {",".join(format_vec(k)): v for k, v in align["scalars"].items()},
-            "relations_checked": relations["relations"],
-        }
+        results["g2"] = _check_g2()
     ok = all(r.get("ok") for r in results.values())
     _emit({"ok": ok, "results": results})
     return 0 if ok else 1
+
+
+def _check_g2() -> dict:
+    """The solved G2 parabolic form aligned to the reference form, and the
+    G2 bracket relations; ok only when both checks pass."""
+    rs = build("G2", 2)
+    delta = isotropy.parabolic_distortion(rs, rs.simples[0])
+    _, system, solution = classify_mod.judge(rs, delta, PARABOLIC)
+    out = {"form_dimension": solution.dimension}
+    try:
+        align = constructions.align_g2_form(system, solution.nondegenerate_witness)
+    except ValueError as exc:  # Unalignable, or a reference root outside the quotient
+        out["alignment"] = str(exc)
+    else:
+        out["global_scale"] = align["global_scale"]
+        out["scalars"] = {",".join(format_vec(k)): v for k, v in align["scalars"].items()}
+    relations = constructions.check_g2_relations()
+    if relations["consistent"]:
+        out["relations_checked"] = relations["relations"]
+    else:
+        out["conflict"] = relations["conflict"]
+    out["ok"] = relations["consistent"] and "alignment" not in out
+    return out
 
 
 def _cmd_dump_roots(args) -> int:

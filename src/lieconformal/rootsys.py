@@ -2,10 +2,14 @@
 
 Every system is realised in a fixed ambient Q^dim: the A series in the
 sum-zero hyperplane of Q^(n+1), B/C/D in Q^n, G2 in the sum-zero
-hyperplane of Q^3, F4 in Q^4 and the E series inside Q^8.  Roots are held
-on doubled coordinates (2r), so the half-integral F4/E roots become ints,
-and root i is the i-th in the lexicographic order of those coordinates.
-Positivity is read off the expansion in the canonical simple roots.
+hyperplane of Q^3, F4 in Q^4 and the E series inside Q^8.  A system is
+given by its canonical simple roots alone: every root is a simple root
+moved by simple reflections, so one orbit pass makes the roots, the
+reflection tables `refl` and the simple-root expansions.  The explicit
+root lists of each series live in the tests, as the independent reference.
+Roots are held on doubled coordinates (2r), so the half-integral F4/E roots
+become ints, and root i is the i-th in the lexicographic order of those
+coordinates.  Positivity is read off the expansion in the simple roots.
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
 `Distortion`s, through the `roots`, `simples` and `positives` views and
@@ -18,7 +22,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 from operator import mul
 
 from .errors import DimensionMismatch, InvalidRank, NotARoot, Reducible
@@ -111,22 +114,6 @@ class RootSystem:
         return self.at.get(doubled(v), -1)
 
 
-def _pairs(n: int) -> list:
-    """Doubled coordinates of ±e_i ± e_j, i < j."""
-    out = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((2, -2), repeat=2):
-            v = [0] * n
-            v[i], v[j] = si, sj
-            out.append(tuple(v))
-    return out
-
-
-def _axes(n: int, c: int) -> list:
-    """Doubled coordinates ±c of the coordinate axes."""
-    return [tuple(s if k == i else 0 for k in range(n)) for i in range(n) for s in (c, -c)]
-
-
 def _chain(n: int) -> list:
     """Doubled coordinates of e_i - e_(i+1), i < n - 1."""
     return [
@@ -134,47 +121,36 @@ def _chain(n: int) -> list:
     ]
 
 
-def _raw_roots(label: str, rank: int) -> tuple[int, list, list]:
-    """Ambient dimension, all roots and the canonical simple roots, on
-    doubled coordinates."""
+def _simple_roots(label: str, rank: int) -> tuple[int, list]:
+    """Ambient dimension and the canonical simple roots, on doubled coordinates."""
     n = rank
     if label == "A":
         if n < 1:
             raise InvalidRank("A series needs rank >= 1")
-        return n + 1, [r for r in _pairs(n + 1) if sum(r) == 0], _chain(n + 1)
+        return n + 1, _chain(n + 1)
     if label == "B":
         if n < 2:
             raise InvalidRank("B series needs rank >= 2")
-        return n, _axes(n, 2) + _pairs(n), _chain(n) + [(0,) * (n - 1) + (2,)]
+        return n, _chain(n) + [(0,) * (n - 1) + (2,)]
     if label == "C":
         if n < 2:
             raise InvalidRank("C series needs rank >= 2")
-        return n, _axes(n, 4) + _pairs(n), _chain(n) + [(0,) * (n - 1) + (4,)]
+        return n, _chain(n) + [(0,) * (n - 1) + (4,)]
     if label == "D":
         if n < 3:
             raise InvalidRank("D series needs rank >= 3")
-        return n, _pairs(n), _chain(n) + [(0,) * (n - 2) + (2, 2)]
+        return n, _chain(n) + [(0,) * (n - 2) + (2, 2)]
     if label == "G2":
-        short = [r for r in _pairs(3) if sum(r) == 0]
-        long = [
-            tuple(4 * s if k == i else -2 * s for k in range(3)) for i in range(3) for s in (1, -1)
-        ]
-        return 3, short + long, [(2, -2, 0), (-4, 2, 2)]
+        return 3, [(2, -2, 0), (-4, 2, 2)]
     if label == "F4":
-        roots = _axes(4, 2) + _pairs(4) + list(product((1, -1), repeat=4))
-        return 4, roots, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+        return 4, [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
     if label in ("E6", "E7", "E8"):
-        roots = _pairs(8) + [s for s in product((1, -1), repeat=8) if s.count(-1) % 2 == 0]
         simples = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
         simples += [tuple(-x for x in c) for c in _chain(8)[:6]]
-        if label == "E8":
-            return 8, roots, simples
-        if label == "E7":
-            return 8, [r for r in roots if r[6] == -r[7]], simples[:7]
-        return 8, [r for r in roots if r[5] == r[6] == -r[7]], simples[:6]
+        # E6 and E7 are the subsystems of E8 on its first 6 or 7 simple roots
+        return 8, simples[:n]
     if label == "A1xA1":
-        roots = [(2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2)]
-        return 4, roots, [roots[0], roots[2]]
+        return 4, [(2, -2, 0, 0), (0, 0, 2, -2)]
     raise InvalidRank(f"unknown series label {label!r}")
 
 
@@ -195,46 +171,51 @@ def build(label: str, rank: int) -> RootSystem:
     if label in EXCEPTIONAL_RANK:
         if rank != EXCEPTIONAL_RANK[label]:
             raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
-    dim, raw, simple_coords = _raw_roots(label, rank)
-    coords = tuple(sorted(raw))
-    at = {c: i for i, c in enumerate(coords)}
+    dim, simple_coords = _simple_roots(label, rank)
     # doubled coordinates of a sum of two roots lie in [-8, 8], so these
     # base-32 keys add like the vectors they encode
     weights = [32**k for k in range(dim)]
-    keys = [dot(c, weights) for c in coords]
+    simple_keys = [dot(s, weights) for s in simple_coords]
+    # cartan[k][j] = <simple k, coroot of simple j>
+    cartan = [[2 * dot(a, s) // dot(s, s) for s in simple_coords] for a in simple_coords]
+    # one orbit pass: the simple reflections move the simple roots onto
+    # every root (Humphreys, Lie Algebras, 10.3), and root b reflects in
+    # simple root k to b - <b, coroot k> simple k; roots are numbered in
+    # the order found until the sort below
+    found = {key: k for k, key in enumerate(simple_keys)}
+    raw, keys, cartans = list(simple_coords), list(simple_keys), list(cartan)
+    expansions = [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+    images = [[] for _ in range(rank)]
+    b = 0
+    while b < len(raw):
+        for k, image in enumerate(images):
+            c = cartans[b][k]
+            key = keys[b] - c * simple_keys[k]
+            i = found.setdefault(key, len(raw))
+            if i == len(raw):
+                raw.append(tuple(x - c * y for x, y in zip(raw[b], simple_coords[k])))
+                keys.append(key)
+                cartans.append([x - c * y for x, y in zip(cartans[b], cartan[k])])
+                expansion = list(expansions[b])
+                expansion[k] -= c
+                expansions.append(tuple(expansion))
+            image.append(i)
+        b += 1
+    order = sorted(range(len(raw)), key=raw.__getitem__)
+    index = {b: i for i, b in enumerate(order)}
+    coords = tuple(raw[b] for b in order)
+    at = {c: i for i, c in enumerate(coords)}
+    keys = [keys[b] for b in order]
     by_key = {key: i for i, key in enumerate(keys)}
     add = tuple(array("h", [by_key.get(ki + kj, -1) for kj in keys]) for ki in keys)
     neg = array("h", [by_key[-key] for key in keys])
     norm = array("h", [dot(c, c) for c in coords])
-    simple_idx = tuple(at[s] for s in simple_coords)
-    refl = []
-    for k in simple_idx:
-        s, ks = coords[k], keys[k]
-        image = [by_key[kr - 2 * dot(c, s) // norm[k] * ks] for c, kr in zip(coords, keys)]
-        refl.append(array("h", image))
-    # each positive root is a simple root plus simple roots added one at a
-    # time through positive roots, so this search reaches exactly the positives
-    expansions = [None] * len(coords)
-    frontier = list(simple_idx)
-    for k, s in enumerate(simple_idx):
-        expansions[s] = tuple(int(j == k) for j in range(rank))
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, s in enumerate(simple_idx):
-                q = add[p][s]
-                if q >= 0 and expansions[q] is None:
-                    expansions[q] = tuple(c + (j == k) for j, c in enumerate(expansions[p]))
-                    nxt.append(q)
-        frontier = nxt
-    positives = sorted((sum(expansions[i]), i) for i, e in enumerate(expansions) if e is not None)
-    for _, p in positives:
-        expansions[neg[p]] = tuple(-c for c in expansions[p])
-    if 2 * len(positives) != len(coords) or None in expansions:
+    simple_idx = tuple(index[k] for k in range(rank))
+    refl = tuple(array("h", [index[image[b]] for b in order]) for image in images)
+    expansions = [expansions[b] for b in order]
+    if any(min(e) < 0 < max(e) for e in expansions):
         raise NotARoot(f"the simple roots of {label}{rank} do not split the roots")
-    is_positive = bytearray(len(coords))
-    for _, p in positives:
-        is_positive[p] = 1
+    positives = sorted((sum(e), i) for i, e in enumerate(expansions) if max(e) > 0)
     roots = tuple(map(halved, coords))
     return RootSystem(
         label=label,
@@ -247,12 +228,12 @@ def build(label: str, rank: int) -> RootSystem:
         at=at,
         neg=neg,
         add=add,
-        refl=tuple(refl),
+        refl=refl,
         norm=norm,
         height=array("h", [sum(e) for e in expansions]),
         expansions=tuple(expansions),
         positive_idx=tuple(p for _, p in positives),
-        is_positive=bytes(is_positive),
+        is_positive=bytes(max(e) > 0 for e in expansions),
         simple_idx=simple_idx,
     )
 

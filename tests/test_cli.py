@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from lieconformal import constructions
 from lieconformal.cli import _emit, run
+from lieconformal.errors import Unalignable
+from lieconformal.rootsys import vec
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +117,18 @@ def test_dump_constants_hashes(capsys, system):
     rc, out = capture(capsys, ["dump-constants", *system.split()])
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTANT_HASHES[system]
+
+
+ROOT_HASHES = json.loads((DATA / "roots_sha256.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("system", sorted(ROOT_HASHES))
+def test_dump_roots_hashes(capsys, system):
+    """dump-roots reproduces the pinned simple and positive roots, in order,
+    of every system up to rank 16."""
+    rc, out = capture(capsys, ["dump-roots", *system.split()])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ROOT_HASHES[system]
 
 
 def test_classify_expect_golden(capsys):
@@ -327,6 +342,31 @@ def test_check_examples_g2(capsys):
     assert data["ok"] is True
     assert data["results"]["g2"]["global_scale"] == "2/3"
     assert data["results"]["g2"]["form_dimension"] == 1
+
+
+def inconsistent_g2_relations():
+    return {"consistent": False, "conflict": "no rescaling witness"}
+
+
+def unalignable_g2_form(system, coeffs):
+    raise Unalignable("vanishing pairing")
+
+
+@pytest.mark.parametrize("name,fake", [
+    ("check_g2_relations", inconsistent_g2_relations),
+    ("align_g2_form", unalignable_g2_form),
+    # a reference root outside the quotient: align_g2_form cannot index it
+    ("G2_REFERENCE_FORM", {(vec(1, -1, 0), vec(1, -1, 0)): Fraction(1)}),
+], ids=["relations", "alignment", "reference-root"])
+def test_check_examples_g2_failure_exits_1(capsys, monkeypatch, name, fake):
+    """A failed G2 check is reported as ok: false with exit code 1, not as
+    a traceback or a passing report."""
+    monkeypatch.setattr(constructions, name, fake)
+    rc, out = capture(capsys, ["check-examples", "--construction", "g2"])
+    assert rc == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["results"]["g2"]["ok"] is False
 
 
 def test_check_examples_embeddings(capsys):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
-from lieconformal import linalg
+from lieconformal import linalg, rootsys
 from lieconformal.errors import InvalidRank, NotARoot
 from lieconformal.rootsys import (
     MAX_RANK,
@@ -164,6 +165,15 @@ def test_invalid_rank():
         build("Z", 3)
 
 
+def test_build_rejects_simple_roots_that_do_not_split(monkeypatch):
+    """Two roots of A2 that are no base, e1 - e2 and e1 - e3, still reach
+    every root by reflections, but e2 - e3 has a mixed-sign expansion in
+    them: the orbit pass refuses them."""
+    monkeypatch.setattr(rootsys, "_simple_roots", lambda label, rank: (3, [(2, -2, 0), (2, 0, -2)]))
+    with pytest.raises(NotARoot):
+        build.__wrapped__("A", 2)  # past the cache, which holds the true A2
+
+
 def test_rank_bound():
     """Ranks up to MAX_RANK build (the stress range reaches 16); one more is
     refused before any table is built."""
@@ -303,38 +313,57 @@ def vector_raw_roots(label, n):
     return 4, roots, [roots[0], roots[2]]
 
 
+def doubled_ints(v):
+    """The integer coordinates of 2v."""
+    out = [divmod(2 * x.numerator, x.denominator) for x in v]
+    assert not any(rem for _, rem in out), v
+    return tuple(q for q, _ in out)
+
+
 def vector_expansions(simples, roots):
     """Reference: simple-root expansion of every root, from one exact inverse
-    of the Gram matrix of the simple roots."""
+    of the Gram matrix of the simple roots, scaled to integers so that each
+    root costs integer arithmetic only."""
     k = len(simples)
     gram = [
         tuple(dot(a, b) for b in simples) + tuple(Fraction(int(i == j)) for j in range(k))
         for i, a in enumerate(simples)
     ]
     red, _ = linalg.rref(gram, 2 * k)
-    inverse = [row[k:] for row in red]
+    den = lcm(*(x.denominator for row in red for x in row[k:]))
+    inverse = [[int(x * den) for x in row[k:]] for row in red]
+    simples2 = [doubled_ints(s) for s in simples]
     out = {}
     for r in roots:
-        proj = [dot(s, r) for s in simples]
-        coeffs = tuple(dot(row, proj) for row in inverse)
-        recon = (Fraction(0),) * len(r)
-        for c, s in zip(coeffs, simples):
-            recon = vadd(recon, vscale(c, s))
-        assert recon == r, r
-        assert all(c.denominator == 1 for c in coeffs), r
+        r2 = doubled_ints(r)
+        # on doubled coordinates each projection is 4 <s, r>
+        proj = [dot(s, r2) for s in simples2]
+        coeffs = []
+        for row in inverse:
+            c, rem = divmod(dot(row, proj), 4 * den)
+            assert rem == 0, r
+            coeffs.append(c)
+        recon = tuple(dot(coeffs, column) for column in zip(*simples2))
+        assert recon == r2, r
         assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), r
-        out[r] = tuple(int(c) for c in coeffs)
+        out[r] = tuple(coeffs)
     return out
 
 
-@pytest.mark.parametrize("label,rank", CLASSIFY_SYSTEMS)
+@pytest.mark.parametrize(
+    "label,rank", CLASSIFY_SYSTEMS + [(label, n) for label in "ABCD" for n in (12, 16)]
+)
 def test_root_core_matches_vector_ops(label, rank):
     """Every integer table of `build` agrees with the Fraction-vector
-    construction and with vadd / vneg / weyl_reflect on vectors."""
+    construction, with vadd / vneg on vectors and with the reflection
+    formula on coordinates; past rank 8 the |Φ|² sum table is left out, to
+    keep the test fast."""
     rs = build(label, rank)
     dim, vroots, vsimples = vector_raw_roots(label, rank)
     roots = tuple(sorted(vroots))
     expansions = vector_expansions(vsimples, roots)
+    roots2 = [doubled_ints(r) for r in roots]
+    simples2 = [doubled_ints(s) for s in vsimples]
     positives = sorted(
         (sum(expansions[r]), r) for r in roots if all(c >= 0 for c in expansions[r])
     )
@@ -355,8 +384,11 @@ def test_root_core_matches_vector_ops(label, rank):
         assert rs.expansions[i] == expansions[r]
         assert rs.height[i] == sum(expansions[r])
         assert bool(rs.is_positive[i]) == (r in positive_set)
-        assert [rs.add[i][j] for j in range(len(roots))] == [
-            index.get(vadd(r, s), -1) for s in roots
-        ]
-        for k, mirror in enumerate(rs.simples):
-            assert roots[rs.refl[k][i]] == weyl_reflect(rs, mirror, r)
+        if rank <= 8:
+            assert [rs.add[i][j] for j in range(len(roots))] == [
+                index.get(vadd(r, s), -1) for s in roots
+            ]
+        for k, m in enumerate(simples2):
+            c, rem = divmod(2 * dot(roots2[i], m), dot(m, m))
+            assert rem == 0
+            assert roots2[rs.refl[k][i]] == tuple(x - c * y for x, y in zip(roots2[i], m))
