@@ -119,14 +119,15 @@ def eliminate_parabolic(rs: RootSystem, k) -> CandidateVerdict:
     if k is None:
         a, b = (coords[s] for s in rs.simple_idx)
         return _verdict(rs, LOWRANK, halved(tuple(-x - y for x, y in zip(a, b))), None)
-    alpha = rs.simple_idx[k]
-    d2 = tuple(map(sub, coords[minimal_root_index(rs)], coords[alpha]))
+    low, alpha = minimal_root_index(rs), rs.simple_idx[k]
+    d2 = tuple(map(sub, coords[low], coords[alpha]))
     case = LOWRANK if rs.rank == 1 else PARABOLIC
     # fast root-combinatorial stage: every root space outside the kernel
     # must be paired, i.e. -beta must have a partner for every positive
     # beta whose expansion involves alpha
+    kd = rs.keys[low] - rs.keys[alpha]
     for beta in rs.positive_idx:
-        if rs.expansions[beta][k] and isotropy.partner(rs, d2, rs.neg[beta]) is None:
+        if rs.expansions[beta][k] and isotropy.partner(rs, kd, rs.neg[beta]) is None:
             return _verdict(rs, case, halved(d2), alpha, ("unpaired", rs.roots[rs.neg[beta]]))
     return _verdict(rs, case, halved(d2), alpha)
 

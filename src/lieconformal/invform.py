@@ -66,9 +66,11 @@ class FormSolution:
 def form_unknowns(config: IsotropyConfig) -> FormUnknowns:
     labels = quotient_basis(config)
     position = {l: i for i, l in enumerate(labels)}
+    rs = config.system
+    kd = rs.key(config.d2)
     pairs = []
     for i, l in enumerate(labels):
-        j = position.get(partner(config.system, config.d2, l))
+        j = position.get(partner(rs, kd, l))
         if j is not None and j >= i:
             pairs.append((i, j))
     return FormUnknowns(labels=labels, pairs=pairs)
@@ -101,11 +103,14 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     unknowns = form_unknowns(config)
     labels = unknowns.labels
     rs = sc.system
-    neg, coords, norm = rs.neg, rs.coords, rs.norm
-    d2, nu2 = config.d2, config.nu2
+    kd = rs.key(config.d2)
+    if kd is None:  # off the key box no label pair reaches a root
+        return AssembledSystem(config=config, unknowns=unknowns, rows=[])
+    neg, coords, norm, find = rs.neg, rs.coords, rs.norm, rs.by_key.get
+    nu2 = config.nu2
     if nu2 is not None:  # the Cartan label exists
         nn = dot(nu2, nu2)
-    weights = [(0,) * rs.dim if l == CARTAN_LABEL else coords[l] for l in labels]
+    weights = [0 if l == CARTAN_LABEL else rs.keys[l] for l in labels]  # as keys
     unknown_of = {}  # label -> the unknown of its pair
     for u, (i, j) in enumerate(unknowns.pairs):
         unknown_of[i] = unknown_of[j] = u
@@ -123,7 +128,7 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     rows = set()
     for i, wi in enumerate(weights):
         for j in range(i, len(labels)):
-            g = rs.find(tuple(d - a - b for d, a, b in zip(d2, wi, weights[j])))
+            g = find(kd - wi - weights[j], -1)
             if g < 0 or g not in config.p_roots:
                 continue
             row = [0] * len(unknowns.pairs)

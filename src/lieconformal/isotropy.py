@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import sub
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
@@ -77,27 +76,27 @@ class ValidationReport:
         return [c for c in self.checks if not c[1]]
 
 
-def partner(rs: RootSystem, d2, label):
+def partner(rs: RootSystem, kd, label):
     """The label whose root space delta pairs with that of `label`: the root
     delta - r, the Cartan label when r = delta (the Cartan label, of weight
-    zero, gets the root delta back), or None when r is unpaired."""
+    zero, gets the root delta back), or None when r is unpaired.  kd is
+    `rs.key` of doubled delta; None (off the key box) pairs nothing."""
+    if kd is None:
+        return None
     if label == CARTAN_LABEL:
-        k = rs.find(d2)
-    else:
-        m = tuple(map(sub, d2, rs.coords[label]))
-        if not any(m):
-            return CARTAN_LABEL
-        k = rs.find(m)
-    return k if k >= 0 else None
+        return rs.by_key.get(kd)
+    m = kd - rs.keys[label]
+    return rs.by_key.get(m) if m else CARTAN_LABEL
 
 
-def _paired(rs: RootSystem, d2) -> set:
-    """Indices of the roots that delta pairs (d2 = doubled delta): the roots
-    r for which `partner` finds delta - r a root or zero, in one pass."""
-    at = rs.at
-    return {
-        i for i, c in enumerate(rs.coords) if (m := tuple(map(sub, d2, c))) in at or not any(m)
-    }
+def _paired(rs: RootSystem, kd) -> set:
+    """Indices of the roots that delta pairs (kd = `rs.key` of doubled
+    delta): the roots r for which `partner` finds delta - r a root or zero,
+    in one pass."""
+    if kd is None:
+        return set()
+    by_key = rs.by_key
+    return {i for i, k in enumerate(rs.keys) if kd - k in by_key or k == kd}
 
 
 @lru_cache(maxsize=None)
@@ -226,12 +225,13 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         raise ValueError(f"unknown case tag {case_tag!r}")
     dvec = check_dim(rs, delta.functional)
     d2 = doubled(dvec)
-    paired = _paired(rs, d2)
+    kd = rs.key(d2)
+    paired = _paired(rs, kd)
 
     if case_tag in (CASE1, CASE2):
         if rs.label == "A1xA1":
             raise Reducible("Case1/Case2 need an irreducible system")
-        d = rs.find(d2)
+        d = rs.by_key.get(kd, -1)  # kd is None off the key box
         if d < 0:
             raise Inconsistent("distortion must be a root in this case", witness=dvec)
         if rs.is_positive[d]:
@@ -267,7 +267,7 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         return _config(rs, LOWRANK, d2, set(rs.positive_idx), None, None)
 
     # parabolic: delta = minimal root - alpha for a single simple root alpha
-    alpha = rs.find(tuple(map(sub, rs.coords[minimal_root_index(rs)], d2)))
+    alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
     if alpha not in rs.simple_idx:
         raise Inconsistent(
             "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
@@ -317,7 +317,8 @@ def validate(config: IsotropyConfig) -> ValidationReport:
                 break
     record("coroots of opposite kernel pairs stay in the Cartan part", witness is None, witness)
 
-    paired = _paired(rs, d2)
+    kd = rs.key(d2)
+    paired = _paired(rs, kd)
     bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
     record(
         "kernel matches the pairing rule exactly", not bad, rs.roots[bad[0]] if bad else None
@@ -327,12 +328,12 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     record("p is a proper subalgebra", len(config.p_roots) < len(rs.roots))
 
     if config.case_tag == CASE1:
-        record("Case1 distortion is a root", rs.find(d2) >= 0)
+        record("Case1 distortion is a root", kd in rs.by_key)
         record(
             "Case1 orthogonal root",
             alpha is not None
             and dot(d2, rs.coords[alpha]) == 0
-            and partner(rs, d2, alpha) is not None,
+            and partner(rs, kd, alpha) is not None,
         )
         record("Case1 Cartan part is a hyperplane", nu2 is not None)
     elif config.case_tag == CASE2:

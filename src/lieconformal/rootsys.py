@@ -10,6 +10,20 @@ root lists of each series live in the tests, as the independent reference.
 Roots are held on doubled coordinates (2r), so the half-integral F4/E roots
 become ints, and root i is the i-th in the lexicographic order of those
 coordinates.  Positivity is read off the expansion in the simple roots.
+
+A root is found by its base-32 key, the sum of v2[k] * 32**k over its
+doubled coordinates v2: `find` and `index_of` look the key up in
+`by_key`.  Keys add like the vectors, so delta - r and delta - w_i - w_j
+are found as `kd - keys[r]` and `kd - w_i - w_j` from the key kd of delta,
+with no coordinate tuple.  Only vectors in the key box have a key: `dim`
+int entries, each in [-8, 8], which holds every root (in [-4, 4]) and
+every sum or difference of two roots.  A vector off the box matches no
+root.  Equal keys mean equal vectors: two int vectors whose entries
+differ by less than 32 have equal keys only if they are equal (their
+lowest differing entry would be a multiple of 32), and every lookup
+compares a root with a vector in [-16, 16] (at most, delta - w_i - w_j),
+so their entries differ by at most 20.
+
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
 `Distortion`s, through the `roots`, `simples` and `positives` views and
@@ -91,7 +105,8 @@ class RootSystem:
     simples: tuple[Vec, ...]
     positives: tuple[Vec, ...]  # by height, then lex
     coords: tuple  # doubled coordinates of root i
-    at: dict  # doubled coordinates -> i
+    keys: tuple  # base-32 key of coords[i], in the key box
+    by_key: dict  # key -> i, the one way to find a root
     neg: array  # index of -root i
     add: tuple  # add[i][j]: index of root i + root j, or -1
     refl: tuple  # refl[k][i]: root i reflected in simple root k
@@ -105,13 +120,28 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.label}, rank={self.rank}, {len(self.roots)} roots)"
 
+    def key(self, v2):
+        """Base-32 key of the doubled coordinates v2, or None when v2 is off
+        the key box (not `dim` int entries in [-8, 8])."""
+        if len(v2) != self.dim or not all(type(x) is int and -8 <= x <= 8 for x in v2):
+            return None
+        return _key(v2)
+
     def find(self, v2) -> int:
         """Index of the root with doubled coordinates v2, or -1."""
-        return self.at.get(v2, -1)
+        return self.by_key.get(self.key(v2), -1)
 
     def index_of(self, v) -> int:
         """Index of the root vector v, or -1 when v is not a root."""
-        return self.at.get(doubled(v), -1)
+        return self.find(doubled(v))
+
+
+def _key(v2) -> int:
+    """The sum of v2[k] * 32**k."""
+    key = 0
+    for x in reversed(v2):
+        key = 32 * key + x
+    return key
 
 
 def _chain(n: int) -> list:
@@ -172,10 +202,7 @@ def build(label: str, rank: int) -> RootSystem:
         if rank != EXCEPTIONAL_RANK[label]:
             raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
     dim, simple_coords = _simple_roots(label, rank)
-    # doubled coordinates of a sum of two roots lie in [-8, 8], so these
-    # base-32 keys add like the vectors they encode
-    weights = [32**k for k in range(dim)]
-    simple_keys = [dot(s, weights) for s in simple_coords]
+    simple_keys = list(map(_key, simple_coords))
     # cartan[k][j] = <simple k, coroot of simple j>
     cartan = [[2 * dot(a, s) // dot(s, s) for s in simple_coords] for a in simple_coords]
     # one orbit pass: the simple reflections move the simple roots onto
@@ -204,8 +231,7 @@ def build(label: str, rank: int) -> RootSystem:
     order = sorted(range(len(raw)), key=raw.__getitem__)
     index = {b: i for i, b in enumerate(order)}
     coords = tuple(raw[b] for b in order)
-    at = {c: i for i, c in enumerate(coords)}
-    keys = [keys[b] for b in order]
+    keys = tuple(keys[b] for b in order)
     by_key = {key: i for i, key in enumerate(keys)}
     add = tuple(array("h", [by_key.get(ki + kj, -1) for kj in keys]) for ki in keys)
     neg = array("h", [by_key[-key] for key in keys])
@@ -225,7 +251,8 @@ def build(label: str, rank: int) -> RootSystem:
         simples=tuple(roots[k] for k in simple_idx),
         positives=tuple(roots[p] for _, p in positives),
         coords=coords,
-        at=at,
+        keys=keys,
+        by_key=by_key,
         neg=neg,
         add=add,
         refl=refl,
@@ -239,9 +266,12 @@ def build(label: str, rank: int) -> RootSystem:
 
 
 def check_dim(rs: RootSystem, v) -> Vec:
-    """v as a Fraction vector; raises DimensionMismatch off the ambient space."""
+    """v as a Fraction vector (a tuple of Fractions is v itself); raises
+    DimensionMismatch off the ambient space."""
     if len(v) != rs.dim:
         raise DimensionMismatch(f"expected dimension {rs.dim}, got {len(v)}")
+    if type(v) is tuple and set(map(type, v)) == {Fraction}:
+        return v
     return tuple(Fraction(x) for x in v)
 
 

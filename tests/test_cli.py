@@ -191,6 +191,18 @@ def test_solve_infeasible_config(capsys):
     assert data["certificate"]
 
 
+@pytest.mark.parametrize(
+    "name", ["b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"]
+)
+def test_solve_off_lattice_config(capsys, name):
+    """A distortion off the root lattice, or with an entry past any sum of
+    two roots, is an elimination verdict with a pinned output."""
+    rc, out = capture(capsys, ["solve", str(DATA / f"{name}.json")])
+    assert rc == 0
+    assert out == (DATA / f"{name}_solve.json").read_text(encoding="utf-8")
+    assert json.loads(out)["feasible"] is False
+
+
 def test_solve_missing_file(capsys):
     rc = run(["solve", "/nonexistent/config.json"])
     capsys.readouterr()

@@ -102,7 +102,7 @@ def test_pairing_partner_rule():
     """r is paired exactly when delta - r is a root or zero."""
     rs = build("C", 3)
     d = case1_distortion(rs, vec(1, 1, 0))
-    paired = _paired(rs, doubled(d.functional))
+    paired = _paired(rs, rs.key(doubled(d.functional)))
     r = vec(1, -1, 0)
     assert rs.index_of(r) in paired
     assert vsub(d.functional, r) == vec(-2, 0, 0) and rs.index_of(vec(-2, 0, 0)) >= 0
@@ -115,17 +115,17 @@ def test_partner_is_an_involution_on_the_paired_labels():
     unpaired root has none, and partner(partner(l)) == l for every paired
     label."""
     rs = build("C", 3)
-    d2 = doubled(case1_distortion(rs, vec(1, 1, 0)).functional)
+    kd = rs.key(doubled(case1_distortion(rs, vec(1, 1, 0)).functional))
     d = rs.index_of(vec(-1, -1, 0))
-    assert partner(rs, d2, CARTAN_LABEL) == d
-    assert partner(rs, d2, d) == CARTAN_LABEL
-    assert partner(rs, d2, rs.index_of(vec(0, 1, -1))) is None
-    assert partner(rs, d2, rs.index_of(vec(1, -1, 0))) == rs.index_of(vec(-2, 0, 0))
-    paired = [l for l in [*range(len(rs.roots)), CARTAN_LABEL] if partner(rs, d2, l) is not None]
+    assert partner(rs, kd, CARTAN_LABEL) == d
+    assert partner(rs, kd, d) == CARTAN_LABEL
+    assert partner(rs, kd, rs.index_of(vec(0, 1, -1))) is None
+    assert partner(rs, kd, rs.index_of(vec(1, -1, 0))) == rs.index_of(vec(-2, 0, 0))
+    paired = [l for l in [*range(len(rs.roots)), CARTAN_LABEL] if partner(rs, kd, l) is not None]
     assert CARTAN_LABEL in paired and len(paired) > 2
     for l in paired:
-        assert partner(rs, d2, partner(rs, d2, l)) == l
-    assert set(paired) - {CARTAN_LABEL} == _paired(rs, d2)
+        assert partner(rs, kd, partner(rs, kd, l)) == l
+    assert set(paired) - {CARTAN_LABEL} == _paired(rs, kd)
 
 
 def test_paired_is_the_set_view_of_partner():
@@ -135,11 +135,60 @@ def test_paired_is_the_set_view_of_partner():
 
     judged = 0
     for v in classify_all(8).verdicts:
-        rs, d2 = build(v.label, v.rank), doubled(v.delta)
-        want = {i for i in range(len(rs.coords)) if partner(rs, d2, i) is not None}
-        assert _paired(rs, d2) == want
+        rs = build(v.label, v.rank)
+        kd = rs.key(doubled(v.delta))
+        want = {i for i in range(len(rs.coords)) if partner(rs, kd, i) is not None}
+        assert _paired(rs, kd) == want
         judged += 1
     assert judged == 215
+
+
+def tuple_partner(rs, at, d2, label):
+    """Reference: `partner` on coordinate tuples, with `at` the tuple-keyed
+    dict of the roots and d2 the doubled distortion."""
+    if label == CARTAN_LABEL:
+        return at.get(d2)
+    m = tuple(d - c for d, c in zip(d2, rs.coords[label]))
+    return at.get(m) if any(m) else CARTAN_LABEL
+
+
+def test_paired_and_partner_match_tuple_lookup(rank8_survivors):
+    """`_paired` and `partner` on keys agree with tuple arithmetic and a
+    tuple-keyed dict for the distortion of every `classify_all(8)`
+    candidate and of 3 seeded Weyl translates of each rank <= 5 survivor;
+    and off the key box, where nothing pairs, for each distortion with one
+    entry moved to 9, to a Fraction, or by +32 with -1 on the next entry,
+    which keeps its raw key."""
+    from lieconformal.classify import classify_all
+
+    rng = random.Random(2525)
+    cases = [(build(v.label, v.rank), doubled(v.delta)) for v in classify_all(8).verdicts]
+    for system, _ in rank8_survivors:
+        cfg = system.config
+        if cfg.system.rank <= 5:
+            cases += [
+                (cfg.system, translate_config(cfg, random_weyl_word(cfg.system, rng, 6)).d2)
+                for _ in range(3)
+            ]
+    assert len(cases) > 215
+    off_box = 0
+    for rs, d2 in cases:
+        at = {c: i for i, c in enumerate(rs.coords)}
+        labels = [*range(len(rs.coords)), CARTAN_LABEL]
+        for v2 in (
+            d2,
+            (9,) + d2[1:],
+            (Fraction(1, 3),) + d2[1:],
+            (d2[0] + 32, d2[1] - 1) + d2[2:],
+        ):
+            kd = rs.key(v2)
+            want = {l: tuple_partner(rs, at, v2, l) for l in labels}
+            assert {l: partner(rs, kd, l) for l in labels} == want
+            assert _paired(rs, kd) == {
+                i for i in range(len(rs.coords)) if want[i] is not None
+            }
+            off_box += kd is None
+    assert off_box == 3 * len(cases)
 
 
 def test_case1_c3_derives_and_validates():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from operator import add
 
 import pytest
 
 from lieconformal import linalg, rootsys
-from lieconformal.errors import InvalidRank, NotARoot
+from lieconformal.errors import DimensionMismatch, InvalidRank, NotARoot
 from lieconformal.rootsys import (
     MAX_RANK,
     build,
@@ -226,6 +227,19 @@ def test_f4_displayed_pairs_share_one_orbit():
     assert orbit_rep(rs, p1) == orbit_rep(rs, p2)
 
 
+def test_check_dim_keeps_fraction_tuples():
+    """A tuple of Fractions passes through as it is; any other entries
+    become the same Fractions; a wrong length is refused with its count."""
+    rs = build("B", 3)
+    v = parse_vec(["1/2", "0", "-3"])
+    assert check_dim(rs, v) is v
+    for other in ([Fraction(1, 2), 0, -3], (Fraction(1, 2), 0, -3), ("1/2", "0", "-3")):
+        got = check_dim(rs, other)
+        assert got == v and type(got) is tuple and all(type(x) is Fraction for x in got)
+    with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+        check_dim(rs, v[:2])
+
+
 def test_parse_format_roundtrip():
     v = (Fraction(1, 2), Fraction(-3), Fraction(0))
     assert parse_vec(format_vec(v)) == v
@@ -392,3 +406,42 @@ def test_root_core_matches_vector_ops(label, rank):
             c, rem = divmod(2 * dot(roots2[i], m), dot(m, m))
             assert rem == 0
             assert roots2[rs.refl[k][i]] == tuple(x - c * y for x, y in zip(roots2[i], m))
+
+
+# every system up to rank 16, and the largest classical ones
+KEY_SYSTEMS = (
+    [("A", n) for n in range(1, 17)]
+    + [(label, n) for label in "BC" for n in range(2, 17)]
+    + [("D", n) for n in range(3, 17)]
+    + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8), ("A1xA1", 2)]
+    + [("B", 32), ("C", 32), ("D", 32)]
+)
+
+
+@pytest.mark.parametrize("label,rank", KEY_SYSTEMS)
+def test_find_matches_tuple_lookup(label, rank):
+    """`find`'s key lookup agrees with a tuple-keyed dict on every root and
+    on every sum of two roots, which, as the roots are closed under
+    negation, are also every difference; at rank 32, where that is millions
+    of sums, on every root plus or minus each simple root.  Vectors off the
+    key box find nothing: an entry of +-9, +-16 or a Fraction, one entry
+    short or long (a short vector has the key of the zero-padded one), and
+    r + 32 e_k - e_(k+1), whose raw key is that of the root r."""
+    rs = build(label, rank)
+    coords, dim = rs.coords, rs.dim
+    oracle = {c: i for i, c in enumerate(coords)}
+    assert all(rs.find(c) == i for c, i in oracle.items())
+    if rank <= 16:
+        partners = [coords[j:] for j in range(len(coords))]
+    else:
+        simples = [coords[k] for k in rs.simple_idx] + [coords[rs.neg[k]] for k in rs.simple_idx]
+        partners = [simples] * len(coords)
+    sums = {tuple(map(add, r, s)) for r, ss in zip(coords, partners) for s in ss}
+    assert all(rs.find(v) == oracle.get(v, -1) for v in sums)
+    for i, r in enumerate(coords):
+        k = min(i % dim, dim - 2)
+        for x in (9, -9, 16, -16, Fraction(1, 3)):
+            assert rs.find(r[:k] + (x,) + r[k + 1 :]) == -1
+        alias = r[:k] + (r[k] + 32, r[k + 1] - 1) + r[k + 2 :]
+        assert rootsys._key(alias) == rs.keys[i] and rs.find(alias) == -1
+        assert rs.find(r[:-1]) == rs.find(r + (0,)) == -1
