@@ -52,47 +52,51 @@ def _ratio(n: int, num: int, den: int) -> int:
 
 
 def structure_constants(rs: RootSystem) -> StructureConstants:
-    add, neg, norm, is_pos = rs.add, rs.neg, rs.norm, rs.is_positive
+    sums, keys, by_key, neg, norm = rs.sums, rs.keys, rs.by_key, rs.neg, rs.norm
     # order: height, then lexicographically decreasing; index order is lex order
     pos = sorted(rs.positive_idx, key=lambda i: (rs.height[i], -i))
-    order = {r: k for k, r in enumerate(pos)}
-    table = [array("b", bytes(len(row))) for row in add]
+    order = [-1] * len(keys)  # -1 for the negative roots
+    for k, r in enumerate(pos):
+        order[r] = k
+    table = [array("b", bytes(len(keys))) for _ in keys]
 
-    def put(x, y, v):
+    def put(x, y, z, v):
         """n(x, y) = v and the other eleven entries of the triple x + y + z = 0."""
-        z = neg[add[x][y]]
         # n(x,y)/(z,z) = n(y,z)/(x,x) = n(z,x)/(y,y), and n(b,a) = n(-a,-b) = -n(a,b)
         nyz, nzx = _ratio(v, norm[x], norm[z]), _ratio(v, norm[y], norm[z])
         for a, b, n in ((x, y, v), (y, z, nyz), (z, x, nzx)):
             table[a][b] = table[neg[b]][neg[a]] = n
             table[b][a] = table[neg[a]][neg[b]] = -n
 
-    for k, gamma in enumerate(pos):
-        row = add[gamma]
-        pairs = []
-        for a in pos[:k]:
-            b = row[neg[a]]
-            if b >= 0 and is_pos[b] and order[a] < order[b]:
-                pairs.append((a, b))
+    for gamma in pos:
+        # the positive pairs a + b = gamma, read off gamma + (-a) = b, by the order of a
+        row, pairs = iter(sums[gamma]), []
+        for j, b in zip(row, row):
+            a = neg[j]
+            if 0 <= order[a] < order[b]:
+                pairs.append((order[a], a, b))
+        pairs.sort()
         if not pairs:
             continue
-        xi, eta = pairs[0]
-        # p + 1, with p the length of the string eta - xi, eta - 2 xi, ...
-        p, cur = 0, add[eta][neg[xi]]
-        while cur >= 0:
-            p, cur = p + 1, add[cur][neg[xi]]
-        put(xi, eta, p + 1)
-        for alpha, beta in pairs[1:]:
+        _, xi, eta = pairs[0]
+        # p + 1, with p the length of the string eta - xi, eta - 2 xi, ...;
+        # p <= 3, so the keys looked up stay exact (see `rootsys`)
+        p, cur = 0, keys[eta] - keys[xi]
+        while cur in by_key:
+            p, cur = p + 1, cur - keys[xi]
+        z = neg[gamma]
+        put(xi, eta, z, p + 1)
+        for _, alpha, beta in pairs[1:]:
             # four-root identity on (xi, eta, -alpha, -beta); every constant
             # it reads belongs to a lower root, so `put` has written it
             num, den = 0, 1
             for a, b, c, d in ((eta, neg[alpha], xi, neg[beta]), (neg[alpha], xi, eta, neg[beta])):
-                s = add[a][b]
-                if s >= 0:
+                s = by_key.get(keys[a] + keys[b])
+                if s is not None:
                     num, den = num * norm[s] + table[a][b] * table[c][d] * den, den * norm[s]
-            put(alpha, beta, _ratio(num, norm[gamma], den * (p + 1)))
+            put(alpha, beta, z, _ratio(num, norm[gamma], den * (p + 1)))
     # every root-sum pair got a nonzero constant
-    assert sum(len(t) - t.count(0) for t in table) == sum(len(r) - r.count(-1) for r in add)
+    assert sum(len(t) - t.count(0) for t in table) == sum(map(len, sums)) // 2
     return StructureConstants(system=rs, table=tuple(table))
 
 
@@ -158,7 +162,7 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
     rs = sc.system
     if x.system is not rs or y.system is not rs:
         raise SystemMismatch("elements belong to a different root system")
-    coords, radd, neg, table = rs.coords, rs.add, rs.neg, sc.table
+    coords, keys, by_key, neg, table = rs.coords, rs.keys, rs.by_key, rs.neg, sc.table
     coeffs: dict = {}
     for h2, elt, sign in ((x.cartan, y, 1), (y.cartan, x, -1)):
         if any(h2):
@@ -168,10 +172,10 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
                     coeffs[r] = coeffs.get(r, 0) + sign * c * ratio(v, 4)
     cartan = None
     for a, ca in x.coeffs.items():
-        row, n, opposite = radd[a], table[a], neg[a]
+        n, ka, opposite = table[a], keys[a], neg[a]
         for b, cb in y.coeffs.items():
-            s = row[b]
-            if s >= 0:
+            if n[b]:  # nonzero exactly when a + b is a root
+                s = by_key[ka + keys[b]]
                 coeffs[s] = coeffs.get(s, 0) + ca * cb * n[b]
             elif b == opposite:
                 c = ca * cb

@@ -96,8 +96,8 @@ def enumerate_case1(rs: RootSystem):
     reps = []
     seen = set()
     for m in {rs.norm.index(n) for n in set(rs.norm)}:
-        for a, total in enumerate(rs.add[m]):
-            if total >= 0 and dot(coords[m], coords[a]) == 0 and (m, a) not in seen:
+        for a in rs.sums[m][::2]:
+            if dot(coords[m], coords[a]) == 0 and (m, a) not in seen:
                 orbit = pair_orbit(rs, (m, a))
                 seen |= orbit
                 reps.append(max(orbit))

@@ -138,11 +138,16 @@ def _config_vec(data, key):
 def _config_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
+    for key in ("label", "rank", "case"):
+        if key not in data:
+            raise ValueError(f"config needs a {key}")
     label, rank, case = data["label"], data["rank"], data["case"]
     if not isinstance(label, str):
         raise ValueError("label must be a string")
     if type(rank) is not int:
         raise ValueError("rank must be a JSON integer")
+    if not isinstance(case, str):
+        raise ValueError("case must be a string")
     rs = build(label, rank)
     alpha = _config_vec(data, "alpha")
     dvec = _config_vec(data, "delta")

@@ -146,9 +146,10 @@ def _closure(rs: RootSystem, d2, forced, nu2) -> set:
     not proportional to nu.  All three rules only ever add roots, so a
     worklist reaches the same least fixed point as repeated sweeps.  Every
     kernel root joins p when it is added, so of two kernel roots the one
-    swept later meets the other in p.
+    swept later meets the other in p.  A sweep of x walks the sum row of x
+    and keeps the pairs whose other summand is in p.
     """
-    add, neg, coords = rs.add, rs.neg, rs.coords
+    sums, neg, coords = rs.sums, rs.neg, rs.coords
     seeds = list(forced)
     if nu2 is not None:
         # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
@@ -160,24 +161,20 @@ def _closure(rs: RootSystem, d2, forced, nu2) -> set:
                 seeds.append(lam)
     in_s = bytearray(len(coords))
     in_p = bytearray(rs.is_positive)
-    p, work = list(rs.positive_idx), []
+    work = []
 
     def put(x):
-        in_s[x] = 1
+        in_s[x] = in_p[x] = 1
         work.append(x)
-        if not in_p[x]:
-            in_p[x] = 1
-            p.append(x)
 
     for x in seeds:
         if not in_s[x]:
             put(x)
     while work:
         x = work.pop()
-        row = add[x]
-        for g in p:
-            t = row[g]
-            if t >= 0 and not in_s[t]:
+        pairs = iter(sums[x])
+        for g, t in zip(pairs, pairs):
+            if in_p[g] and not in_s[t]:
                 put(t)
         if not in_s[neg[x]] and dot(d2, coords[x]) == 0:
             put(neg[x])  # the whole sl2 of x sits inside h
@@ -298,11 +295,10 @@ def validate(config: IsotropyConfig) -> ValidationReport:
 
     # h is a subalgebra and an ideal of p = (Cartan + positives + h)
     witness = None
-    closed = s | {-1}
-    p = sorted(config.p_roots)
+    p = config.p_roots
     for b in sorted(s):
-        row = rs.add[b]
-        g = next((g for g in p if row[g] not in closed), None)
+        pairs = iter(rs.sums[b])
+        g = min((g for g, t in zip(pairs, pairs) if g in p and t not in s), default=None)
         if g is not None:
             witness = (rs.roots[b], rs.roots[g])
             break

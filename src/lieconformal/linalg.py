@@ -1,6 +1,8 @@
-"""Exact linear algebra over `fractions.Fraction`.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of row tuples, reduced by plain Gaussian elimination.
+Matrices are lists of row tuples of ints or Fractions.  `rref` (and so
+`nullspace`) eliminates on ints and returns Fractions; `det` is plain
+Gaussian elimination over Fractions.
 The systems have few rows: the Case2 normal reduces at most rank + 1 rows
 of rank <= 32 columns, the sl stabilizer of `constructions` at most
 2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and the solver's witness
@@ -9,6 +11,7 @@ determinant is square in the quotient labels.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = tuple[Fraction, ...]
@@ -17,27 +20,46 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _int_row(row) -> list:
+    """The row times the lcm of its denominators: ints, the same up to scale."""
+    m = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
+
+
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Rows may hold ints or Fractions.  The elimination is fraction-free:
+    each row is scaled to ints, a row update is an integer combination
+    divided by the gcd of the result, and the pivot rows are divided by
+    their pivots once, at the end.  Scaling a row changes no row space, so
+    the result is the unique RREF, as Fractions.
+    """
+    work = [_int_row(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row  # g is 0 on a zero row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    reduced = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        reduced.append(tuple(Fraction(a, p) if a else ZERO for a in row))
+    return reduced, pivots
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:

@@ -21,8 +21,12 @@ every sum or difference of two roots.  A vector off the box matches no
 root.  Equal keys mean equal vectors: two int vectors whose entries
 differ by less than 32 have equal keys only if they are equal (their
 lowest differing entry would be a multiple of 32), and every lookup
-compares a root with a vector in [-16, 16] (at most, delta - w_i - w_j),
-so their entries differ by at most 20.
+compares a root with a vector in [-20, 20] (at most, the end eta - 4 xi
+of a root string in `chevalley`), so their entries differ by at most 24.
+
+Root addition is sparse: `sums[i]` holds the (j, t) pairs with root i +
+root j = root t, unsorted, and `_sum_rows` moves one row per Weyl orbit
+through `refl`, so no |Phi|^2 table is built; a lone sum is looked up by key.
 
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
@@ -44,8 +48,9 @@ Vec = tuple[Fraction, ...]
 
 EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2, "A1xA1": 2}
 
-# the largest rank built: B32 and C32 have 2,048 roots and an 8 MB sum table,
-# which grows as the fourth power of the rank
+# the largest rank built: B32 and C32 have 2,048 roots, and their dense
+# structure-constants table of |Phi|^2 bytes (4 MB, growing as the fourth
+# power of the rank) is the largest table of a system
 MAX_RANK = 32
 
 
@@ -108,7 +113,7 @@ class RootSystem:
     keys: tuple  # base-32 key of coords[i], in the key box
     by_key: dict  # key -> i, the one way to find a root
     neg: array  # index of -root i
-    add: tuple  # add[i][j]: index of root i + root j, or -1
+    sums: tuple  # sums[i]: flat (j, index of root i + root j) pairs, unsorted
     refl: tuple  # refl[k][i]: root i reflected in simple root k
     norm: array  # squared norm of the doubled root, 4 |r|^2
     height: array
@@ -184,6 +189,34 @@ def _simple_roots(label: str, rank: int) -> tuple[int, list]:
     raise InvalidRank(f"unknown series label {label!r}")
 
 
+def _sum_rows(keys, by_key, refl) -> tuple:
+    """The sparse sum row of every root: flat (j, t) pairs, root i + root j
+    = root t.  Root addition is Weyl-equivariant, w(a) + w(b) = w(a + b),
+    and each simple reflection permutes the roots, so the row of perm[b]
+    is the row of b with both entries of each pair moved by perm.  One row
+    per Weyl orbit (per root length, per factor of A1xA1) is found by key
+    lookups, and a pass over `refl` moves it onto the rest of its orbit."""
+    rows = [None] * len(keys)
+    perms = [list(perm) for perm in refl]  # list items need no boxing, unlike array items
+    for seed, ks in enumerate(keys):
+        if rows[seed] is not None:
+            continue
+        row = rows[seed] = array("h")
+        for j, t in enumerate(map(by_key.get, [ks + kj for kj in keys])):
+            if t is not None:
+                row.append(j)
+                row.append(t)
+        work = [seed]
+        while work:
+            b = work.pop()
+            for perm in perms:
+                c = perm[b]
+                if rows[c] is None:
+                    rows[c] = array("h", map(perm.__getitem__, rows[b]))
+                    work.append(c)
+    return tuple(rows)
+
+
 # doubled coordinates of roots lie in [-4, 4], of their sums and differences in [-8, 8]
 _HALF = {x: Fraction(x, 2) for x in range(-8, 9)}
 
@@ -233,11 +266,11 @@ def build(label: str, rank: int) -> RootSystem:
     coords = tuple(raw[b] for b in order)
     keys = tuple(keys[b] for b in order)
     by_key = {key: i for i, key in enumerate(keys)}
-    add = tuple(array("h", [by_key.get(ki + kj, -1) for kj in keys]) for ki in keys)
     neg = array("h", [by_key[-key] for key in keys])
     norm = array("h", [dot(c, c) for c in coords])
     simple_idx = tuple(index[k] for k in range(rank))
     refl = tuple(array("h", [index[image[b]] for b in order]) for image in images)
+    sums = _sum_rows(keys, by_key, refl)
     expansions = [expansions[b] for b in order]
     if any(min(e) < 0 < max(e) for e in expansions):
         raise NotARoot(f"the simple roots of {label}{rank} do not split the roots")
@@ -254,7 +287,7 @@ def build(label: str, rank: int) -> RootSystem:
         keys=keys,
         by_key=by_key,
         neg=neg,
-        add=add,
+        sums=sums,
         refl=refl,
         norm=norm,
         height=array("h", [sum(e) for e in expansions]),

@@ -1,6 +1,17 @@
 import sys
+from operator import add
 
 import pytest
+
+
+def dense_sums(rs) -> tuple:
+    """The dense sum table of a root system, as a reference for its sparse
+    `sums` rows: entry [i][j] is the index of root i + root j, or -1.  Made
+    by tuple addition of the doubled coordinates, with no root key and no
+    `sums` row."""
+    coords = rs.coords
+    index = {c: i for i, c in enumerate(coords)}
+    return tuple(tuple(index.get(tuple(map(add, a, b)), -1) for b in coords) for a in coords)
 
 
 @pytest.fixture(scope="session")

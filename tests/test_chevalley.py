@@ -16,6 +16,7 @@ from lieconformal.chevalley import (
 )
 from lieconformal.errors import DimensionMismatch, NotARoot, SystemMismatch
 from lieconformal.rootsys import build, coroot, dot, doubled, vadd, vec
+from conftest import dense_sums
 from test_rootsys import CLASSIFY_SYSTEMS
 
 EXHAUSTIVE = [
@@ -150,36 +151,38 @@ def test_a2_sign_oracle():
 def test_antisymmetry_and_opposites():
     sc = cached_constants("B", 3)
     rs = sc.system
+    dense = dense_sums(rs)
     for a, row in enumerate(sc.table):
         for b, n in enumerate(row):
             if not n:
                 continue
             assert sc.table[b][a] == -n
             # N(-a,-b) = -N(a,b) in a Chevalley basis.
-            if rs.add[rs.neg[a]][rs.neg[b]] >= 0:
+            if dense[rs.neg[a]][rs.neg[b]] >= 0:
                 assert sc.table[rs.neg[a]][rs.neg[b]] == -n
 
 
 def test_constants_are_nonzero_integers():
     sc = cached_constants("F4", 4)
-    rs = sc.system
+    dense = dense_sums(sc.system)
     for a, row in enumerate(sc.table):
         for b, n in enumerate(row):
             assert isinstance(n, int)
-            assert (n != 0) == (rs.add[a][b] >= 0)
+            assert (n != 0) == (dense[a][b] >= 0)
 
 
 def test_root_string_magnitudes():
     """|N(a,b)| = p+1 where p is the string length below b in direction a."""
     sc = cached_constants("G2", 2)
     rs = sc.system
+    dense = dense_sums(rs)
     for a, row in enumerate(sc.table):
         for b, n in enumerate(row):
             if not n:
                 continue
-            p, cur = 0, rs.add[b][rs.neg[a]]
+            p, cur = 0, dense[b][rs.neg[a]]
             while cur >= 0:
-                p, cur = p + 1, rs.add[cur][rs.neg[a]]
+                p, cur = p + 1, dense[cur][rs.neg[a]]
             assert abs(n) == p + 1
 
 
@@ -241,7 +244,7 @@ def frenkel_kac_signs(rs, table):
     equation; shares no code with the extraspecial-pair recursion."""
     eps = frenkel_kac_eps(rs)
     pivots: dict = {}  # leading bit -> (equation bitset, right-hand side)
-    for x, row in enumerate(rs.add):
+    for x, row in enumerate(dense_sums(rs)):
         for y, z in enumerate(row):
             if z < 0:
                 continue
@@ -268,7 +271,7 @@ def flip_triple(rs, table, x, y):
     x + y + z = 0 negated: one constant changed, consistently with the
     negation and cyclic identities."""
     out = [array("b", row) for row in table]
-    z = rs.neg[rs.add[x][y]]
+    z = rs.neg[dense_sums(rs)[x][y]]
     for a, b in ((x, y), (y, z), (z, x)):
         for p, q in ((a, b), (b, a), (rs.neg[a], rs.neg[b]), (rs.neg[b], rs.neg[a])):
             out[p][q] = -out[p][q]
@@ -284,7 +287,7 @@ def test_frenkel_kac_cocycle(label, rank):
     signs = frenkel_kac_signs(rs, sc.table)
     assert signs is not None
     eps = frenkel_kac_eps(rs)
-    for x, row in enumerate(rs.add):
+    for x, row in enumerate(dense_sums(rs)):
         for y, z in enumerate(row):
             if z >= 0:
                 flip = ((signs >> x) ^ (signs >> y) ^ (signs >> z) ^ eps(x, y)) & 1
@@ -299,9 +302,10 @@ def test_frenkel_kac_rejects_a_flipped_constant(label, rank):
     sc = cached_constants(label, rank)
     rs = sc.system
     top = rs.positive_idx[-1]
-    a = max(a for a in rs.positive_idx if rs.add[top][rs.neg[a]] >= 0)
+    dense = dense_sums(rs)
+    a = max(a for a in rs.positive_idx if dense[top][rs.neg[a]] >= 0)
     assert frenkel_kac_signs(rs, sc.table) is not None
-    assert frenkel_kac_signs(rs, flip_triple(rs, sc.table, a, rs.add[top][rs.neg[a]])) is None
+    assert frenkel_kac_signs(rs, flip_triple(rs, sc.table, a, dense[top][rs.neg[a]])) is None
 
 
 def test_cartan_action():

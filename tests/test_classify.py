@@ -10,6 +10,7 @@ from lieconformal.classify import (
 )
 from lieconformal.errors import Reducible
 from lieconformal.rootsys import build, dot, pair_orbit, vec
+from conftest import dense_sums
 from test_rootsys import CLASSIFY_SYSTEMS
 
 
@@ -63,7 +64,7 @@ def test_case1_orbits_partition_constrained_pairs(label, rank):
     rs = build(label, rank)
     constrained = {
         (m, a)
-        for m, row in enumerate(rs.add)
+        for m, row in enumerate(dense_sums(rs))
         for a, total in enumerate(row)
         if total >= 0 and dot(rs.coords[m], rs.coords[a]) == 0
     }

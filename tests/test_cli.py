@@ -268,6 +268,24 @@ def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, request, config):
         assert captured.err == f"error: {key} must be a list of rationals\n"
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"rank": 3, "case": "Case2"}, "config needs a label"),
+    ({"label": "B", "case": "Case2"}, "config needs a rank"),
+    ({"label": "B", "rank": 3, "delta": ["-1", "0", "0"]}, "config needs a case"),
+    ({"label": "B", "rank": 3, "case": ["x"]}, "case must be a string"),
+    ({"label": "B", "rank": 3, "case": None, "delta": ["-1", "0", "0"]}, "case must be a string"),
+])
+def test_solve_config_names_a_missing_or_bad_key(tmp_path, capsys, config, message):
+    """A config without label, rank or case names the key it lacks, and a
+    case that is not a string says so, with exit 2."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = run(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("content", ["[1,2,3]", '"x"', "null", "5"])
 def test_solve_config_not_an_object(tmp_path, capsys, content):
     """A config that is JSON but not an object is named as such."""

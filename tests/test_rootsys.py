@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -22,6 +23,7 @@ from lieconformal.rootsys import (
     vec,
     vsub,
 )
+from conftest import dense_sums
 
 
 def vneg(a):
@@ -364,14 +366,20 @@ def vector_expansions(simples, roots):
     return out
 
 
+def sum_pairs(row) -> list:
+    """The (j, t) pairs of a flat sum row, sorted."""
+    pairs = iter(row)
+    return sorted(zip(pairs, pairs))
+
+
 @pytest.mark.parametrize(
     "label,rank", CLASSIFY_SYSTEMS + [(label, n) for label in "ABCD" for n in (12, 16)]
 )
 def test_root_core_matches_vector_ops(label, rank):
     """Every integer table of `build` agrees with the Fraction-vector
     construction, with vadd / vneg on vectors and with the reflection
-    formula on coordinates; past rank 8 the |Φ|² sum table is left out, to
-    keep the test fast."""
+    formula on coordinates; past rank 8 the sum rows, |Φ|² vector sums,
+    are left out, to keep the test fast."""
     rs = build(label, rank)
     dim, vroots, vsimples = vector_raw_roots(label, rank)
     roots = tuple(sorted(vroots))
@@ -399,9 +407,8 @@ def test_root_core_matches_vector_ops(label, rank):
         assert rs.height[i] == sum(expansions[r])
         assert bool(rs.is_positive[i]) == (r in positive_set)
         if rank <= 8:
-            assert [rs.add[i][j] for j in range(len(roots))] == [
-                index.get(vadd(r, s), -1) for s in roots
-            ]
+            totals = (index.get(vadd(r, s), -1) for s in roots)
+            assert sum_pairs(rs.sums[i]) == [(j, t) for j, t in enumerate(totals) if t >= 0]
         for k, m in enumerate(simples2):
             c, rem = divmod(2 * dot(roots2[i], m), dot(m, m))
             assert rem == 0
@@ -416,6 +423,31 @@ KEY_SYSTEMS = (
     + [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8), ("A1xA1", 2)]
     + [("B", 32), ("C", 32), ("D", 32)]
 )
+
+
+@pytest.mark.parametrize("label,rank", KEY_SYSTEMS)
+def test_sum_rows_match_vector_sums(label, rank):
+    """The sparse row `sums[i]` holds every (j, t) with root i + root j =
+    root t, each once.  Up to rank 16 every row equals the dense oracle of
+    tuple sums.  At rank 32, where that oracle is millions of sums, every
+    entry is checked by tuple addition, a seeded sample of rows for
+    completeness, and the row of refl[k][i] against the image of row i
+    under refl[k] for every k and i, as Weyl equivariance asks."""
+    rs = build(label, rank)
+    coords = rs.coords
+    rows = [sum_pairs(row) for row in rs.sums]
+    if rank <= 16:
+        assert rows == [[(j, t) for j, t in enumerate(d) if t >= 0] for d in dense_sums(rs)]
+        return
+    for i, row in enumerate(rows):
+        assert all(tuple(map(add, coords[i], coords[j])) == coords[t] for j, t in row)
+    index = {c: i for i, c in enumerate(coords)}
+    for i in random.Random(26).sample(range(len(coords)), 32):
+        totals = (index.get(tuple(map(add, coords[i], c)), -1) for c in coords)
+        assert rows[i] == [(j, t) for j, t in enumerate(totals) if t >= 0]
+    for perm in rs.refl:
+        for i, row in enumerate(rs.sums):
+            assert sum_pairs(map(perm.__getitem__, row)) == rows[perm[i]]
 
 
 @pytest.mark.parametrize("label,rank", KEY_SYSTEMS)
