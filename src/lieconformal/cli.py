@@ -74,7 +74,7 @@ def _read_expected(path) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             expected = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"cannot read expected survivors: {exc}") from None
     try:
         if isinstance(expected, list):
@@ -167,7 +167,7 @@ def _cmd_solve(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         rs, delta, case = _config_from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -2,9 +2,11 @@
 
 Everything here is a verification against reference data: the symplectic
 and special-linear quadric embeddings are exercised on random rational
-inputs (seeded, exact arithmetic), and displayed bracket relations /
-invariant-form values are matched against our Chevalley basis up to a
-diagonal rescaling of the root vectors.
+inputs (seeded, exact arithmetic), and invariant-form values are matched
+against our Chevalley basis up to a diagonal rescaling of the root vectors.
+Displayed bracket relations are decided exactly: they hold under some
+rescaling E_r -> c_r E_r over C, or a cycle of relations whose product no
+rescaling changes is not 1, and that cycle is the certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import linalg
 from .chevalley import StructureConstants, cached_constants
 from .errors import NoWitness, Unalignable
 from .invform import AssembledSystem, gram_matrix
-from .rootsys import Vec, vadd, vec
+from .rootsys import Vec, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,75 +177,69 @@ class BracketRelation:
 
 
 def verify_relations_up_to_rescaling(sc: StructureConstants, relations) -> dict:
-    """Find diagonal scalings c_r with c_a c_b n(a,b) = value * c_target.
+    """Decide whether a rescaling E_r -> c_r E_r over C makes our constants
+    satisfy every relation [E_a, E_b] = value E_target.
 
-    Returns the witness scalings; raises NoWitness when the relations are
-    not compatible with our structure constants under any rescaling.
+    It maps n(a, b) to n(a, b) c_a c_b / c_target, so relation k reads
+    prod_r c_r^M[k][r] = value_k / n_k.  Row operations of determinant +-1
+    (Euclid on each column) reduce M, each row carrying its ratio and the
+    combination of relations it came from.  The rows reduced to zero give a
+    basis y of the integer cycles (y^T M = 0), whose product prod_k
+    ratio_k^y_k no rescaling changes, and the relations hold exactly when
+    each is 1.  Returns the cycles, each first nonzero entry positive;
+    raises NoWitness naming the first cycle of another product.
     """
-    rs = sc.system
-    ratios = []
-    variables = set()
-    for rel in relations:
-        if vadd(rel.a, rel.b) != rel.target:
+    rs, m, roots = sc.system, len(relations), len(sc.system.roots)
+    rows = []  # the exponents of a relation on every root, then its combination
+    for k, rel in enumerate(relations):
+        a, b, t = (rs.index_of(r) for r in (rel.a, rel.b, rel.target))
+        n = sc.table[a][b] if min(a, b) >= 0 else 0
+        if n and (t < 0 or rs.keys[a] + rs.keys[b] != rs.keys[t]):
             raise NoWitness(f"relation target mismatch: {rel}")
-        a, b = rs.index_of(rel.a), rs.index_of(rel.b)
-        n = sc.table[a][b] if a >= 0 and b >= 0 else 0
-        if n == 0:
+        if n == 0 or rel.value == 0:
             raise NoWitness(f"bracket vanishes for {rel}")
-        # c_a * c_b / c_target = value / n
-        ratios.append(((rel.a, rel.b, rel.target), Fraction(rel.value) / n))
-        variables |= {rel.a, rel.b, rel.target}
-    assign: dict = {}
+        row = [0] * (roots + m)
+        row[a] = row[b] = row[roots + k] = 1
+        row[t] = -1
+        rows.append((row, Fraction(rel.value) / n))
+    for c in range(roots):
+        while len(live := [r for r in rows if r[0][c]]) > 1:
+            p = min(live, key=lambda r: abs(r[0][c]))
+            rows = [r if r is p or not r[0][c] else _reduce(r, p, c) for r in rows]
+        rows = [r for r in rows if not r[0][c]]
+    cycles = []
+    for row, ratio in rows:
+        y = row[roots:]
+        if next(filter(None, y)) < 0:
+            y, ratio = [-x for x in y], 1 / ratio
+        if ratio != 1:
+            raise NoWitness(f"relation cycle {tuple(y)} has product {ratio} under every rescaling")
+        cycles.append(tuple(y))
+    return {"cycles": cycles, "relations": m}
 
-    def residual_unknowns(key):
-        a, b, t = key
-        return [v for v in (a, b, t) if v not in assign]
 
-    pending = list(ratios)
-    order = sorted(variables)
-    while pending:
-        progress = False
-        for key, val in list(pending):
-            a, b, t = key
-            unknown = residual_unknowns(key)
-            if len(unknown) == 0:
-                if assign[a] * assign[b] / assign[t] != val:
-                    raise NoWitness(f"inconsistent relation at {key}")
-                pending.remove((key, val))
-                progress = True
-            elif len(unknown) == 1:
-                u = unknown[0]
-                if u == t:
-                    assign[t] = assign[a] * assign[b] / val
-                elif u == a:
-                    assign[a] = val * assign[t] / assign[b]
-                else:
-                    assign[b] = val * assign[t] / assign[a]
-                pending.remove((key, val))
-                progress = True
-        if not progress:
-            free = next(v for v in order if v not in assign)
-            assign[free] = Fraction(1)
-    for v in order:
-        assign.setdefault(v, Fraction(1))
-    return {"witness": assign, "relations": len(ratios)}
+def _reduce(row, pivot, c):
+    """row - q pivot, entries and ratio, for q = row[c] // pivot[c]: the
+    entry at c drops below |pivot[c]|."""
+    (r, ratio), (p, pratio) = row, pivot
+    q = r[c] // p[c]
+    return [x - q * z for x, z in zip(r, p)], ratio / pratio**q
 
 
 def _g2_relations():
-    mk = lambda *xs: vec(*xs)
     return [
         # [E_{2e1-e2-e3}, E_{-(e1-e2)}] = -E_{-(e3-e1)}
-        BracketRelation(mk(2, -1, -1), mk(-1, 1, 0), mk(1, 0, -1), Fraction(-1)),
+        BracketRelation(vec(2, -1, -1), vec(-1, 1, 0), vec(1, 0, -1), Fraction(-1)),
         # [E_{2e1-e2-e3}, E_{-(e1+e3-2e2)}] = -E_{-(2e3-e1-e2)}
-        BracketRelation(mk(2, -1, -1), mk(-1, 2, -1), mk(1, 1, -2), Fraction(-1)),
+        BracketRelation(vec(2, -1, -1), vec(-1, 2, -1), vec(1, 1, -2), Fraction(-1)),
         # [E_{e3-e1}, E_{-(e3-e2)}] = -2 E_{-(e1-e2)}
-        BracketRelation(mk(-1, 0, 1), mk(0, 1, -1), mk(-1, 1, 0), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1), vec(0, 1, -1), vec(-1, 1, 0), Fraction(-2)),
         # [E_{e3-e1}, E_{-(2e3-e1-e2)}] = E_{-(e3-e2)}
-        BracketRelation(mk(-1, 0, 1), mk(1, 1, -2), mk(0, 1, -1), Fraction(1)),
+        BracketRelation(vec(-1, 0, 1), vec(1, 1, -2), vec(0, 1, -1), Fraction(1)),
         # [E_{e1-e2}, E_{-(e3-e2)}] = -2 E_{-(e3-e1)}
-        BracketRelation(mk(1, -1, 0), mk(0, 1, -1), mk(1, 0, -1), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0), vec(0, 1, -1), vec(1, 0, -1), Fraction(-2)),
         # [E_{e1-e2}, E_{-(e1+e3-2e2)}] = -E_{-(e3-e2)}
-        BracketRelation(mk(1, -1, 0), mk(-1, 2, -1), mk(0, 1, -1), Fraction(-1)),
+        BracketRelation(vec(1, -1, 0), vec(-1, 2, -1), vec(0, 1, -1), Fraction(-1)),
     ]
 
 
@@ -252,26 +248,24 @@ def check_g2_relations() -> dict:
 
 
 def so7_relations():
-    mk = lambda *xs: vec(*xs)
     return [
-        BracketRelation(mk(1, -1, 0), mk(-1, 0, 0), mk(0, -1, 0), Fraction(-2)),
-        BracketRelation(mk(1, -1, 0), mk(-1, 0, -1), mk(0, -1, -1), Fraction(-2)),
-        BracketRelation(mk(0, 1, -1), mk(0, -1, 0), mk(0, 0, -1), Fraction(-2)),
-        BracketRelation(mk(0, 1, -1), mk(-1, -1, 0), mk(-1, 0, -1), Fraction(-2)),
-        BracketRelation(mk(-1, 0, 1), mk(0, 0, -1), mk(-1, 0, 0), Fraction(-2)),
-        BracketRelation(mk(-1, 0, 1), mk(0, -1, -1), mk(-1, -1, 0), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0), vec(-1, 0, 0), vec(0, -1, 0), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0), vec(-1, 0, -1), vec(0, -1, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1), vec(0, -1, 0), vec(0, 0, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1), vec(-1, -1, 0), vec(-1, 0, -1), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1), vec(0, 0, -1), vec(-1, 0, 0), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1), vec(0, -1, -1), vec(-1, -1, 0), Fraction(-2)),
     ]
 
 
 def so8_relations():
-    mk = lambda *xs: vec(*xs)
     return [
-        BracketRelation(mk(1, -1, 0, 0), mk(-1, 0, 0, -1), mk(0, -1, 0, -1), Fraction(-2)),
-        BracketRelation(mk(1, -1, 0, 0), mk(-1, 0, -1, 0), mk(0, -1, -1, 0), Fraction(-2)),
-        BracketRelation(mk(0, 1, -1, 0), mk(0, -1, 0, -1), mk(0, 0, -1, -1), Fraction(-2)),
-        BracketRelation(mk(0, 1, -1, 0), mk(-1, -1, 0, 0), mk(-1, 0, -1, 0), Fraction(-2)),
-        BracketRelation(mk(-1, 0, 1, 0), mk(0, 0, -1, -1), mk(-1, 0, 0, -1), Fraction(-2)),
-        BracketRelation(mk(-1, 0, 1, 0), mk(0, -1, -1, 0), mk(-1, -1, 0, 0), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, 0, -1), vec(0, -1, 0, -1), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, -1, 0), vec(0, -1, -1, 0), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1, 0), vec(0, -1, 0, -1), vec(0, 0, -1, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1, 0), vec(-1, -1, 0, 0), vec(-1, 0, -1, 0), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1, 0), vec(0, 0, -1, -1), vec(-1, 0, 0, -1), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1, 0), vec(0, -1, -1, 0), vec(-1, -1, 0, 0), Fraction(-2)),
     ]
 
 
@@ -285,8 +279,9 @@ def _consistency_verdict(sc, relations) -> dict:
 
 def check_so7_relations() -> dict:
     """The six displayed so(7) cycle relations are NOT simultaneously
-    realizable: the sign cycle they claim has the wrong basis-invariant
-    product, which is why the corresponding candidate is feasible."""
+    realizable under any rescaling over C: the cycle through all six has
+    product -1, which no rescaling changes, and the conflict names it.  This
+    is why the corresponding candidate is feasible."""
     return _consistency_verdict(cached_constants("B", 3), so7_relations())
 
 

@@ -58,10 +58,6 @@ def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 

@@ -4,6 +4,11 @@ from operator import add
 import pytest
 
 
+def vadd(a, b) -> tuple:
+    """The sum of two coordinate tuples, entry by entry."""
+    return tuple(map(add, a, b))
+
+
 def dense_sums(rs) -> tuple:
     """The dense sum table of a root system, as a reference for its sparse
     `sums` rows: entry [i][j] is the index of root i + root j, or -1.  Made

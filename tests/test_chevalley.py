@@ -15,8 +15,8 @@ from lieconformal.chevalley import (
     structure_constants,
 )
 from lieconformal.errors import DimensionMismatch, NotARoot, SystemMismatch
-from lieconformal.rootsys import build, coroot, dot, doubled, vadd, vec
-from conftest import dense_sums
+from lieconformal.rootsys import build, coroot, dot, doubled, vec
+from conftest import dense_sums, vadd
 from test_rootsys import CLASSIFY_SYSTEMS
 
 EXHAUSTIVE = [

@@ -321,6 +321,21 @@ def test_classify_expect_bad_shape_is_a_usage_error(tmp_path, capsys, content):
     assert_usage_error(rc, capsys.readouterr())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["classify", "--max-rank", "2", "--format", "json", "--expect"],
+])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, argv):
+    """A JSON file nested deeper than the decoder recurses ends with one
+    error line and exit 2, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    rc = run(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    assert "recursion" in captured.err
+
+
 def test_repeated_runs_in_one_process(capsys):
     """`run` keeps no state between calls: an interleaved sequence of
     subcommands, a usage error among them, gives the same exit code and

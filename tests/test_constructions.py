@@ -1,14 +1,18 @@
 import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieconformal import constructions
+from lieconformal import constructions, linalg
 from lieconformal.chevalley import cached_constants
 from lieconformal.cli import run
 from lieconformal.constructions import (
+    _g2_relations,
     _omega,
     _rand_frac,
     _rand_vec,
@@ -157,17 +161,42 @@ def test_sl_embedding_needs_rank_three():
         check_sl_embedding(2)
 
 
+def _cycle_product(sc, relations, y) -> Fraction:
+    """The product of (value / n(a, b))^y_k over the relations, after
+    checking on root vectors that y is a cycle: every root's exponents in
+    c_a c_b / c_target cancel."""
+    rs = sc.system
+    exponents = Counter()
+    product = Fraction(1)
+    for rel, k in zip(relations, y):
+        for root, e in ((rel.a, 1), (rel.b, 1), (rel.target, -1)):
+            exponents[root] += k * e
+        product *= (Fraction(rel.value) / sc.table[rs.index_of(rel.a)][rs.index_of(rel.b)]) ** k
+    assert not any(exponents.values())
+    return product
+
+
 def test_g2_relations_consistent():
     out = check_g2_relations()
     assert out["consistent"]
-    assert out["relations"] >= 6
+    assert out["relations"] == 6
+    assert out["cycles"] == [(1, -1, 1, -1, -1, 1)]
+    assert _cycle_product(cached_constants("G2", 2), _g2_relations(), out["cycles"][0]) == 1
 
 
 def test_so7_so8_relations_inconsistent():
-    """The six-term so(7)/so(8) sign cycles admit no diagonal rescaling."""
-    for out in (check_so7_relations(), check_so8_relations()):
-        assert out["consistent"] is False
-        assert out["conflict"]
+    """The six-term so(7)/so(8) sign cycles admit no diagonal rescaling:
+    the conflict names the cycle through all six relations, of product -1."""
+    cycle = (1, -1, 1, -1, 1, -1)
+    for out, sc, relations in (
+        (check_so7_relations(), cached_constants("B", 3), so7_relations()),
+        (check_so8_relations(), cached_constants("D", 4), so8_relations()),
+    ):
+        assert out == {
+            "consistent": False,
+            "conflict": f"relation cycle {cycle} has product -1 under every rescaling",
+        }
+        assert _cycle_product(sc, relations, cycle) == -1
 
 
 def test_relation_cycle_ratio_is_basis_invariant():
@@ -181,13 +210,100 @@ def test_relation_cycle_ratio_is_basis_invariant():
 
 
 def test_verify_relations_finds_witness():
-    """A single true relation admits the identity rescaling."""
+    """A single true relation admits the identity rescaling and closes no
+    cycle; restated as [E_b, E_a] = -E_{a+b}, the two close the cycle (1, -1)."""
+    sc = cached_constants("A", 2)
+    a, b, t = vec(1, -1, 0), vec(0, 1, -1), vec(1, 0, -1)
+    rel = BracketRelation(a, b, t, Fraction(1))
+    assert verify_relations_up_to_rescaling(sc, [rel]) == {"cycles": [], "relations": 1}
+    swapped = BracketRelation(b, a, t, Fraction(-1))
+    assert verify_relations_up_to_rescaling(sc, [rel, swapped]) == {
+        "cycles": [(1, -1)],
+        "relations": 2,
+    }
+
+
+def test_a2_pair_consistent_by_rescaling_one_root_pair():
+    """[E_{e1-e3}, E_{e3-e2}] = 2 E_{e1-e2} and [E_{e1-e2}, E_{e2-e3}] =
+    2 E_{e1-e3} hold after c = 2 on E_{+-(e2-e3)}; they share no cycle."""
+    sc = cached_constants("A", 2)
+    relations = [
+        BracketRelation(vec(1, 0, -1), vec(0, -1, 1), vec(1, -1, 0), Fraction(2)),
+        BracketRelation(vec(1, -1, 0), vec(0, 1, -1), vec(1, 0, -1), Fraction(2)),
+    ]
+    assert verify_relations_up_to_rescaling(sc, relations) == {"cycles": [], "relations": 2}
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_scaled_relation_breaks_its_cycle(k, factor):
+    """Scaling one G2 relation on the returned cycle by -1 or 2 multiplies
+    the cycle's product by factor^y_k, and the conflict names that cycle."""
+    relations = _g2_relations()
+    cycle = check_g2_relations()["cycles"][0]
+    rel = relations[k]
+    relations[k] = BracketRelation(rel.a, rel.b, rel.target, factor * rel.value)
+    product = Fraction(factor) ** cycle[k]
+    message = f"relation cycle {cycle} has product {product} under every rescaling"
+    with pytest.raises(NoWitness) as info:
+        verify_relations_up_to_rescaling(cached_constants("G2", 2), relations)
+    assert str(info.value) == message
+
+
+def test_relation_input_checks():
+    """A target other than a + b, and a bracket that vanishes on either
+    side, are refused before any elimination."""
     sc = cached_constants("A", 2)
     a, b = vec(1, -1, 0), vec(0, 1, -1)
-    rel = BracketRelation(a, b, vec(1, 0, -1), Fraction(1))
-    out = verify_relations_up_to_rescaling(sc, [rel])
-    assert out["witness"]
-    assert out["relations"] == 1
+    for rel, message in (
+        (BracketRelation(a, b, vec(0, 1, -1), Fraction(1)), "relation target mismatch"),
+        (BracketRelation(a, vec(1, 0, -1), vec(2, -1, -1), Fraction(1)), "bracket vanishes"),
+        (BracketRelation(a, b, vec(1, 0, -1), Fraction(0)), "bracket vanishes"),
+        (BracketRelation(a, vec(1, 1, 1), vec(2, 0, 1), Fraction(1)), "bracket vanishes"),
+    ):
+        with pytest.raises(NoWitness, match=message):
+            verify_relations_up_to_rescaling(sc, [rel])
+
+
+RESCALING_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2), ("F4", 4)]
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_hidden_rescaling_is_always_found(data):
+    """Relations made from our own constants under a hidden nonzero rational
+    rescaling are always consistent; each returned cycle is a cycle of
+    product 1, the cycles span the rational left kernel of M, and scaling a
+    relation with an odd entry in the first cycle by -1 breaks that cycle."""
+    sc = cached_constants(*data.draw(st.sampled_from(RESCALING_SYSTEMS)))
+    rs = sc.system
+    triples = [(i, j, t) for i, row in enumerate(rs.sums) for j, t in zip(row[::2], row[1::2])]
+    picked = data.draw(st.lists(st.sampled_from(triples), min_size=1, max_size=8))
+    nonzero = st.integers(-6, 6).filter(bool)
+    c = data.draw(
+        st.lists(st.builds(Fraction, nonzero, st.integers(1, 6)),
+                 min_size=len(rs.roots), max_size=len(rs.roots))
+    )
+    relations = [
+        BracketRelation(rs.roots[i], rs.roots[j], rs.roots[t], sc.table[i][j] * c[i] * c[j] / c[t])
+        for i, j, t in picked
+    ]
+    out = verify_relations_up_to_rescaling(sc, relations)
+    assert out["relations"] == len(relations)
+    for y in out["cycles"]:
+        assert _cycle_product(sc, relations, y) == 1
+    roots = sorted({v for i, j, t in picked for v in (i, j, t)})
+    m = [[(v == i) + (v == j) - (v == t) for v in roots] for i, j, t in picked]
+    rank = len(linalg.rref(m, len(roots))[1])
+    assert len(out["cycles"]) == len(relations) - rank
+    if out["cycles"]:
+        assert len(linalg.rref(out["cycles"], len(relations))[1]) == len(out["cycles"])
+        first = out["cycles"][0]
+        k = next(k for k, y in enumerate(first) if y % 2)
+        rel = relations[k]
+        relations[k] = BracketRelation(rel.a, rel.b, rel.target, -rel.value)
+        with pytest.raises(NoWitness, match=re.escape(f"relation cycle {first} has product -1")):
+            verify_relations_up_to_rescaling(sc, relations)
 
 
 def test_align_g2_form():

@@ -36,9 +36,9 @@ from lieconformal.rootsys import (
     dot,
     minimal_root,
     random_weyl_word,
-    vadd,
     vec,
 )
+from conftest import vadd
 from test_chevalley import VectorElement, vector_bracket
 from test_rootsys import halved, vneg
 

@@ -31,10 +31,10 @@ from lieconformal.rootsys import (
     minimal_root,
     minimal_root_index,
     random_weyl_word,
-    vadd,
     vec,
     vsub,
 )
+from conftest import vadd
 from test_rootsys import halved, vneg, weyl_reflect
 
 

@@ -19,11 +19,10 @@ from lieconformal.rootsys import (
     pair_orbit,
     parse_vec,
     random_weyl_word,
-    vadd,
     vec,
     vsub,
 )
-from conftest import dense_sums
+from conftest import dense_sums, vadd
 
 
 def vneg(a):
