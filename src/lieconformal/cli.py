@@ -17,9 +17,9 @@ from functools import lru_cache
 from . import classify as classify_mod
 from . import constructions, isotropy
 from .chevalley import cached_constants
-from .errors import InvalidRank
+from .errors import Unalignable
 from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
-from .rootsys import EXCEPTIONAL_RANK, MAX_RANK, build, format_vec, minimal_root, parse_vec
+from .rootsys import EXCEPTIONAL_RANK, build, format_vec, minimal_root, parse_vec
 
 
 def _fraction_str(obj):
@@ -68,14 +68,20 @@ def _survivor_sort_key(d):
     return (d["label"], d["rank"], d["case"], d["alpha"] or [], d["delta"] or [])
 
 
+def _read_json(path, context=""):
+    """The JSON value in the file at `path`; ValueError, its message led by
+    `context`, if the file is unreadable, not UTF-8 JSON or nested too deep."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{context}{exc}") from None
+
+
 def _read_expected(path) -> list:
     """The survivor objects of an --expect file, sorted; ValueError if the
     file is unreadable or not a list of survivor objects."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            expected = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ValueError(f"cannot read expected survivors: {exc}") from None
+    expected = _read_json(path, "cannot read expected survivors: ")
     try:
         if isinstance(expected, list):
             return sorted(expected, key=_survivor_sort_key)
@@ -85,12 +91,8 @@ def _read_expected(path) -> list:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        expected = _read_expected(args.expect) if args.expect else None
-        report = classify_mod.classify_all(args.max_rank, args.case)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    expected = _read_expected(args.expect) if args.expect else None
+    report = classify_mod.classify_all(args.max_rank, args.case)
     survivors = sorted(
         (_survivor_key_dict(v.survivor_key()) for v in report.survivors),
         key=_survivor_sort_key,
@@ -163,18 +165,8 @@ def _config_from_json(data):
 
 
 def _cmd_solve(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        rs, delta, case = _config_from_json(data)
-    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        witness, system, solution = classify_mod.judge(rs, delta, case)
-    except ValueError as exc:  # Reducible system, unknown case tag or wrong dimension
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs, delta, case = _config_from_json(_read_json(args.config))
+    witness, system, solution = classify_mod.judge(rs, delta, case)
     if solution is None:
         # an elimination verdict, not an input error
         _emit({"feasible": False, "dimension": 0, "witness": [], "unknowns": [],
@@ -205,22 +197,11 @@ def _label_str(rs, label):
 
 
 def _cmd_check_examples(args) -> int:
-    if args.construction != "g2" and args.n > MAX_RANK:
-        print(f"error: n {args.n} exceeds the maximum rank {MAX_RANK}", file=sys.stderr)
-        return 2
     results = {}
-    try:
-        if args.construction in ("sp", "all"):
-            results["sp"] = constructions.check_sp_embedding(
-                args.n, trials=args.trials, seed=args.seed
-            )
-        if args.construction in ("sl", "all"):
-            results["sl"] = constructions.check_sl_embedding(
-                args.n, trials=args.trials, seed=args.seed
-            )
-    except ValueError as exc:  # n or trials out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.construction in ("sp", "all"):
+        results["sp"] = constructions.check_sp_embedding(args.n, args.trials, args.seed)
+    if args.construction in ("sl", "all"):
+        results["sl"] = constructions.check_sl_embedding(args.n, args.trials, args.seed)
     if args.construction in ("g2", "all"):
         results["g2"] = _check_g2()
     ok = all(r.get("ok") for r in results.values())
@@ -237,7 +218,7 @@ def _check_g2() -> dict:
     out = {"form_dimension": solution.dimension}
     try:
         align = constructions.align_g2_form(system, solution.nondegenerate_witness)
-    except ValueError as exc:  # Unalignable, or a reference root outside the quotient
+    except Unalignable as exc:  # a verdict, not an input error
         out["alignment"] = str(exc)
     else:
         out["global_scale"] = align["global_scale"]
@@ -252,11 +233,7 @@ def _check_g2() -> dict:
 
 
 def _cmd_dump_roots(args) -> int:
-    try:
-        rs = build(args.label, args.rank)
-    except InvalidRank as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = build(args.label, args.rank)
     _emit(
         {
             "label": rs.label,
@@ -269,11 +246,7 @@ def _cmd_dump_roots(args) -> int:
 
 
 def _cmd_dump_constants(args) -> int:
-    try:
-        sc = cached_constants(args.label, args.rank)
-    except InvalidRank as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sc = cached_constants(args.label, args.rank)
     roots = sc.system.roots
     # root index order is the lexicographic order of the root vectors
     for x, row in enumerate(sc.table):
@@ -283,11 +256,19 @@ def _cmd_dump_constants(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are input errors like any
+    other: a ValueError for `run` to report on one line, with no usage."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process; parsing
     leaves it unchanged, so `run` may be called again and again."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lieconformal",
         description="Exact classification of essential conformal homogeneous structures.",
     )
@@ -324,11 +305,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one subcommand and return its exit code.  This is the one place
+    where bad input becomes exit 2: every input error, argparse's included,
+    is a ValueError and prints one `error:` line; any other exception is a
+    bug and keeps its traceback."""
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from . import linalg
 from .chevalley import StructureConstants, cached_constants
 from .errors import NoWitness, Unalignable
 from .invform import AssembledSystem, gram_matrix
-from .rootsys import Vec, vec
+from .rootsys import MAX_RANK, Vec, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,6 +80,8 @@ def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     compared on ints; a Fraction is built only for a nonzero residual."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MAX_RANK:
+        raise ValueError(f"n {n} exceeds the maximum rank {MAX_RANK}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = random.Random(seed)
@@ -148,6 +150,8 @@ def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
         # a line in C^2 determines its hyperplane, so the point/flag
         # stabilizer gap below only exists from n = 3 on
         raise ValueError("need n >= 3")
+    if n > MAX_RANK:
+        raise ValueError(f"n {n} exceeds the maximum rank {MAX_RANK}")
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = random.Random(seed)
@@ -306,6 +310,8 @@ def align_g2_form(system: AssembledSystem, coeffs) -> dict:
     gram = gram_matrix(system.unknowns, coeffs)
     ref = {}
     for (a, b), v in G2_REFERENCE_FORM.items():
+        if a not in labels or b not in labels:
+            raise Unalignable(f"reference pair {a}, {b} lies outside the quotient")
         ref[(labels.index(a), labels.index(b))] = v
     n = len(labels)
     values = {}

@@ -30,7 +30,7 @@ import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMA
 
 from . import linalg
 from .chevalley import AlgebraElement, StructureConstants, bracket
-from .errors import NotValidated, ResidualNonzero
+from .errors import ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, partner, quotient_basis
 from .rootsys import dot, ratio
 
@@ -98,8 +98,6 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     most one row, with entries on the unknowns (partner(j), j) and
     (partner(i), i).
     """
-    if not config.validated:
-        raise NotValidated("validate the configuration before assembling")
     unknowns = form_unknowns(config)
     labels = unknowns.labels
     rs = sc.system
@@ -257,8 +255,6 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     ResidualNonzero on the first violated constraint in (generator, i, j)
     order.
     """
-    if not config.validated:
-        raise NotValidated("validate the configuration before verifying")
     rs = config.system
     unknowns = form_unknowns(config)
     labels = unknowns.labels

@@ -344,8 +344,11 @@ def format_vec(v: Vec) -> list[str]:
 
 
 def parse_vec(entries) -> Vec:
-    """A Fraction vector from "p/q" strings; a zero q is a ValueError."""
+    """A Fraction vector from "p/q" strings; a zero q or an infinite float
+    is a ValueError."""
     try:
         return tuple(Fraction(e) for e in entries)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {entries}") from None
+    except OverflowError as exc:  # an infinite float, such as JSON's 1e400
+        raise ValueError(str(exc)) from None

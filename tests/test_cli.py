@@ -2,16 +2,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from lieconformal import constructions
+from lieconformal import classify, constructions
 from lieconformal.cli import _emit, run
-from lieconformal.errors import Unalignable
+from lieconformal.errors import ResidualNonzero, Unalignable
 from lieconformal.rootsys import vec
 
 DATA = Path(__file__).parent / "data"
@@ -437,3 +439,135 @@ def test_console_script_subprocess():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["label"] == "A"
+
+
+@pytest.mark.parametrize("name,argv,exc", [
+    ("classify_all", ["classify", "--max-rank", "2"], TypeError("bug")),
+    ("judge", ["solve", str(DATA / "b3_alpha_e3.json")], ResidualNonzero("bug")),
+], ids=["TypeError", "ResidualNonzero"])
+def test_a_bug_is_not_a_usage_error(monkeypatch, name, argv, exc):
+    """An exception that is not a ValueError is a bug: it leaves `run` with
+    its traceback instead of becoming an `error:` line and exit 2."""
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(classify, name, fail)
+    with pytest.raises(type(exc)):
+        run(argv)
+
+
+FUZZ_STRINGS = ["", "x", "B", "G2", "A1xA1", "Case1", "Case2", "Parabolic", "1/2", "1/0", "-1"]
+FUZZ_KEYS = ["label", "rank", "case", "alpha", "delta", "x"]
+SOLVE_CONFIGS = [
+    json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    for name in ("a2_alpha_e1e2", "a3_case2_offbox", "b3_alpha_e3", "b3_case1_offlattice",
+                 "b3_parabolic_offbox")
+]
+
+
+def random_json(rng, depth=0):
+    """A small JSON value of any shape; ints stay small, so that a config
+    that happens to be valid names a cheap root system."""
+    kind = rng.randrange(7 if depth < 3 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.randint(-2, 5)
+    if kind == 3:
+        return rng.choice(FUZZ_STRINGS)
+    if kind == 4:
+        return rng.choice([0.5, -3.0, 1e300, float("inf"), float("nan")])
+    if kind == 5:
+        return [random_json(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {rng.choice(FUZZ_KEYS): random_json(rng, depth + 1) for _ in range(rng.randrange(5))}
+
+
+def mutated_config(rng):
+    """A pinned solve config with up to three keys dropped or redrawn, or
+    one vector entry or length changed; some come back unchanged."""
+    config = dict(rng.choice(SOLVE_CONFIGS))
+    for _ in range(rng.randrange(4)):
+        key = rng.choice(FUZZ_KEYS)
+        roll = rng.randrange(3)
+        if roll == 0:
+            config.pop(key, None)
+        elif roll == 1:
+            config[key] = random_json(rng)
+        elif isinstance(config.get(key), list):
+            entries = list(config[key])
+            if entries and rng.random() < 0.5:
+                entries[rng.randrange(len(entries))] = random_json(rng)
+            else:
+                entries = entries[:-1] if rng.random() < 0.5 else entries + ["0"]
+            config[key] = entries
+    return config
+
+
+def solve_text(rng):
+    """The text of a solve config: a random JSON value, a mutated pinned
+    config, or a mutated config cut short (not JSON at all)."""
+    roll = rng.randrange(10)
+    if roll < 3:
+        return json.dumps(random_json(rng))
+    text = json.dumps(mutated_config(rng))
+    return text[: rng.randrange(len(text))] if roll == 3 else text
+
+
+def fuzz_argv(rng, tmp_path, i):
+    """One seeded CLI call: a solve config, a dump-* label and rank, or
+    classify/check-examples flags, with argparse errors among them."""
+    family = rng.choices(["solve", "dump", "classify", "check"], weights=[6, 2, 1, 1])[0]
+    if family == "solve":
+        path = tmp_path / f"config{i}.json"
+        path.write_text(solve_text(rng), encoding="utf-8")
+        return ["solve", str(path)]
+    if family == "dump":
+        argv = [
+            rng.choice(["dump-roots", "dump-constants"]),
+            rng.choice(["A", "B", "C", "D", "E", "F", "G", "G2", "F4", "E6", "A1xA1", "Q", ""]),
+            rng.choice(["-1", "0", "1", "2", "3", "4", "33", "300", "x", "2.5", ""]),
+        ]
+        return argv[: rng.choice([1, 2, 3, 3, 3, 3])]
+    if family == "classify":
+        pools = {
+            "--max-rank": ["2", "3", "1", "33", "x", ""],
+            "--case": ["case1", "case2", "parabolic", "all", "case3"],
+            "--format": ["json", "table", "xml"],
+            "--expect": [str(DATA / "expected_survivors_rank8.json"), str(tmp_path / "missing")],
+        }
+        argv = ["classify", "--max-rank", "2"]
+    else:
+        pools = {
+            "--construction": ["sp", "sl", "g2", "all", "so"],
+            "--n": ["0", "1", "2", "3", "4", "33", "x"],
+            "--trials": ["-1", "0", "1", "3", "x"],
+            "--seed": ["0", "7", "-5", "x"],
+        }
+        argv = ["check-examples", "--trials", "2"]
+    for flag in rng.sample(sorted(pools), rng.randrange(len(pools) + 1)):
+        argv += [flag, rng.choice(pools[flag])]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(["--bogus", "extra", "--n"]))
+    return argv
+
+
+def test_cli_fuzz_keeps_the_exit_contract(tmp_path, capsys):
+    """A seeded fuzz of 1,000 CLI calls: each returns 0, 1 or 2 with no
+    exception escaping `run`, and each exit 2 prints nothing on stdout and
+    exactly one `error:` line on stderr.  Every exit code is reached."""
+    rng = random.Random(20261020)
+    codes = Counter()
+    for i in range(1000):
+        argv = fuzz_argv(rng, tmp_path, i)
+        try:
+            rc = run(argv)
+        except Exception as exc:  # any escape breaks the contract; name the input
+            pytest.fail(f"{argv}: {exc!r} escaped run")
+        captured = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert_usage_error(rc, captured)
+        codes[rc] += 1
+    assert set(codes) == {0, 1, 2}

@@ -32,7 +32,7 @@ from lieconformal.constructions import (
 from lieconformal.errors import NoWitness, Unalignable
 from lieconformal.invform import assemble, solve
 from lieconformal.isotropy import PARABOLIC, derive_isotropy, parabolic_distortion, validate
-from lieconformal.rootsys import build, vec
+from lieconformal.rootsys import MAX_RANK, build, vec
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -159,6 +159,13 @@ def test_check_examples_all_n8_is_pinned(capsys):
 def test_sl_embedding_needs_rank_three():
     with pytest.raises(ValueError):
         check_sl_embedding(2)
+
+
+@pytest.mark.parametrize("check", [check_sp_embedding, check_sl_embedding])
+def test_embedding_checks_refuse_n_above_max_rank(check):
+    """Both embedding checks bound n by MAX_RANK themselves, not only the CLI."""
+    with pytest.raises(ValueError, match=f"n {MAX_RANK + 1} exceeds the maximum rank {MAX_RANK}"):
+        check(MAX_RANK + 1)
 
 
 def _cycle_product(sc, relations, y) -> Fraction:
@@ -327,5 +334,5 @@ def test_align_g2_rejects_wrong_pattern():
     sc = cached_constants("G2", 2)
     system = assemble(sc, cfg)
     bad = tuple(Fraction(0) for _ in solve(system).nondegenerate_witness)
-    with pytest.raises((Unalignable, ZeroDivisionError)):
+    with pytest.raises(Unalignable, match="vanishing pairing"):
         align_g2_form(system, bad)
