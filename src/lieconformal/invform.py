@@ -10,12 +10,18 @@ nondegenerate point, certified by an exact Gram determinant.
 
 As the label weights are distinct, each label has at most one partner, so
 every row is a ratio edge c x_u + c' x_v = 0 or a forced zero c x_u = 0.
-`solve` reads the nullspace off the components of that graph, with no
-elimination.  The Gram at any point is a weighted partial involution whose
-determinant is +-(product of the unknowns, off-diagonal ones squared): it
-vanishes identically exactly when some label is unpaired or some unknown
-is zero on the whole solution space, and otherwise the prime-weighted sum
-of the basis, whose supports are disjoint, is a witness.
+`assemble` stores each row sparse, as its (unknown, int coefficient)
+pairs in unknown order, scaled to coprime ints with a positive first
+coefficient, so rows equal up to scale are stored once.  `solve` reads the
+nullspace off the components of that graph, with no elimination: the walk
+carries each value as an integer (numerator, denominator) pair and compares
+ratios by cross-multiplication, and only the basis and the witness it
+returns are built as Fractions.  The Gram at any point is a weighted
+partial involution whose determinant is +-(product of the unknowns,
+off-diagonal ones squared): it vanishes identically exactly when some
+label is unpaired or some unknown is zero on the whole solution space, and
+otherwise the prime-weighted sum of the basis, whose supports are
+disjoint, is a witness.
 """
 
 from __future__ import annotations
@@ -23,8 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
 
 import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
 
@@ -35,7 +40,6 @@ from .isotropy import CARTAN_LABEL, IsotropyConfig, partner, quotient_basis
 from .rootsys import dot, ratio
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -48,6 +52,7 @@ class FormUnknowns:
 class AssembledSystem:
     config: IsotropyConfig
     unknowns: FormUnknowns
+    # sorted sparse rows: tuples of (unknown, int coefficient) pairs
     rows: list = field(repr=False)
 
 
@@ -96,7 +101,9 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     ad E_g shifts weights by g, the row of a label pair (i, j) for E_g is
     nonzero only if g = delta - w_i - w_j, so each label pair yields at
     most one row, with entries on the unknowns (partner(j), j) and
-    (partner(i), i).
+    (partner(i), i).  A row is stored as its nonzero (unknown, coefficient)
+    pairs, scaled to coprime ints with a positive first coefficient, so rows
+    equal up to scale are stored once.
     """
     unknowns = form_unknowns(config)
     labels = unknowns.labels
@@ -105,7 +112,7 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     if kd is None:  # off the key box no label pair reaches a root
         return AssembledSystem(config=config, unknowns=unknowns, rows=[])
     neg, coords, norm, find = rs.neg, rs.coords, rs.norm, rs.by_key.get
-    nu2 = config.nu2
+    nu2, p_roots = config.nu2, config.p_roots
     if nu2 is not None:  # the Cartan label exists
         nn = dot(nu2, nu2)
     weights = [0 if l == CARTAN_LABEL else rs.keys[l] for l in labels]  # as keys
@@ -127,17 +134,33 @@ def assemble(sc: StructureConstants, config: IsotropyConfig) -> AssembledSystem:
     for i, wi in enumerate(weights):
         for j in range(i, len(labels)):
             g = find(kd - wi - weights[j], -1)
-            if g < 0 or g not in config.p_roots:
+            if g < 0 or g not in p_roots:
                 continue
-            row = [0] * len(unknowns.pairs)
-            for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
-                u = unknown_of.get(b)
-                if u is not None:
-                    # the pair (i, i) takes the image of label i in both slots
-                    row[u] += image(g, a) * (2 if i == j else 1)
-            if any(row):
-                rows.add(tuple(row))
+            # [E_g, label i] lands on the unknown of j, [E_g, label j] on that
+            # of i; the pair (i, i) takes the image of label i in both slots
+            u, v = unknown_of.get(j), unknown_of.get(i)
+            a = 0 if u is None else image(g, i)
+            b = 0 if v is None else image(g, j)
+            row = _primitive(u, a + b) if u == v else _primitive(u, a, v, b)
+            if row:
+                rows.add(row)
     return AssembledSystem(config=config, unknowns=unknowns, rows=sorted(rows))
+
+
+def _primitive(u, a, v=None, b=0) -> tuple:
+    """The row a x_u + b x_v (u != v, or b = 0) as sparse coprime ints in
+    unknown order with a positive first coefficient; () for a zero row.  a
+    and b are ints or Fractions, scaled by the lcm of their denominators."""
+    if not a:
+        return ((v, 1),) if b else ()
+    if not b:
+        return ((u, 1),)
+    m = lcm(a.denominator, b.denominator)
+    a, b = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+    if v < u:
+        u, a, v, b = v, b, u, a
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    return ((u, a // g), (v, b // g))
 
 
 def gram_matrix(unknowns: FormUnknowns, coeffs):
@@ -146,7 +169,6 @@ def gram_matrix(unknowns: FormUnknowns, coeffs):
     n = len(unknowns.labels)
     gram = [[0] * n for _ in range(n)]
     for (i, j), c in zip(unknowns.pairs, coeffs, strict=True):
-        c = Fraction(c)
         gram[i][j] = gram[j][i] = ratio(c.numerator, c.denominator)
     return gram
 
@@ -161,17 +183,11 @@ def _witness_weights(k: int) -> list:
     return weights
 
 
-def _scaled(v) -> tuple:
-    """(the ints or Fractions of v times the lcm m of their denominators, m)."""
-    m = lcm(*(c.denominator for c in v))
-    return [c.numerator * (m // c.denominator) for c in v], m
-
-
 def _residual(rows, x) -> Fraction:
     """The first nonzero row . x over the sparse int rows (row, k) of
     `solve`, or 0.  x is scaled to ints too, so the int dot products decide;
     the residual is unscaled only for the row that fails."""
-    xs, m = _scaled(x)
+    xs, m = linalg.int_row(x)
     for row, k in rows:
         r = sum([xs[u] * c for u, c in row])
         if r:
@@ -189,57 +205,73 @@ def solve(system: AssembledSystem) -> FormSolution:
                 raise ValueError(f"label {labels[i]!r} lies in two unknown pairs")
             paired.add(i)
     nunk = len(pairs)
-    # the rows are ratio edges c x_u + c' x_v = 0 and forced zeros c x_u = 0,
+    # the rows are ratio edges a x_u + b x_v = 0 and forced zeros a x_u = 0,
     # each kept as sparse ints times the lcm k of its denominators: that
     # keeps every ratio and puts the residual checks on ints
     rows = []
-    for row in system.rows:
-        ints, k = _scaled(row)
-        rows.append(([(u, c) for u, c in enumerate(ints) if c], k))
-    if any(len(row) > 2 for row, _ in rows):
-        raise ValueError("a row has more than two nonzero entries")
-    forced = {row[0][0] for row, _ in rows if len(row) == 1}
+    forced = set()
     edges = [[] for _ in range(nunk)]
-    for (u, a), (v, b) in (row for row, _ in rows if len(row) == 2):
-        edges[u].append((v, a, b))
-        edges[v].append((u, b, a))
+    for row in system.rows:
+        row = [(u, c) for u, c in row if c]
+        if len(row) > 2:
+            raise ValueError("a row has more than two nonzero entries")
+        k = lcm(*(c.denominator for _, c in row))
+        row = [(u, c.numerator * (k // c.denominator)) for u, c in row]
+        if len(row) == 2:
+            (u, a), (v, b) = row
+            edges[u].append((v, a, b))
+            edges[v].append((u, b, a))
+        elif row:
+            forced.add(row[0][0])
+        rows.append((row, k))
     # one basis vector per component with a consistent ratio on every edge and
-    # no forced zero, scaled to 1 at its largest unknown: the RREF nullspace
-    value = [None] * nunk
-    basis = []
+    # no forced zero, scaled to 1 at its largest unknown: the RREF nullspace.
+    # The value of u is num[u] / den[u]; den[u] == 0 marks u unvisited.
+    num, den = [0] * nunk, [0] * nunk
+    components = []
     for top in reversed(range(nunk)):
-        if value[top] is not None:
+        if den[top]:
             continue
-        value[top], component, ok = ONE, [top], top not in forced
+        num[top] = den[top] = 1
+        component, ok = [top], True
         for u in component:
+            n, d = num[u], den[u]
             for v, a, b in edges[u]:
-                x = value[u] * a / -b
-                if value[v] is None:
-                    value[v] = x
+                # a x_u + b x_v = 0 puts -a n / (b d) on v
+                if den[v]:
+                    ok = ok and num[v] * b * d == -a * n * den[v]
+                else:
+                    num[v], den[v] = -a * n, b * d
                     component.append(v)
-                ok = ok and v not in forced and value[v] == x
-        if ok:
-            basis.append(tuple(value[u] if u in component else ZERO for u in range(nunk)))
-    basis.reverse()
-    dim = len(basis)
+        if ok and forced.isdisjoint(component):
+            components.append(component)
+    components.reverse()
+    dim = len(components)
     if dim == 0:
         return FormSolution(0, [], None, "solution space is zero")
-    for b in basis:
+    basis = []
+    for component in components:
+        b = [ZERO] * nunk
+        for u in component:
+            b[u] = Fraction(num[u], den[u])
         residual = _residual(rows, b)
         if residual:
             raise ResidualNonzero(f"nullspace basis has residual {residual}")
+        basis.append(tuple(b))
     # the generic determinant is a product of the unknowns as linear forms
     # in the solution parameters: nonzero iff every factor is
-    columns = list(zip(*basis))
-    if len(paired) < len(labels) or not all(map(any, columns)):
+    if len(paired) < len(labels) or sum(map(len, components)) < nunk:
         return FormSolution(dim, basis, None, "generic Gram determinant is identically zero")
     # the supports are disjoint and cover every unknown, so every entry of
     # the weighted sum is nonzero
-    weights = _witness_weights(dim)
-    witness = tuple(sum(map(mul, col, weights), ZERO) for col in columns)
+    witness = [ZERO] * nunk
+    for w, component in zip(_witness_weights(dim), components):
+        for u in component:
+            witness[u] = Fraction(w * num[u], den[u])
+    witness = tuple(witness)
     if _residual(rows, witness):
         raise ResidualNonzero("witness fails the assembled constraints")
-    if linalg.det(gram_matrix(system.unknowns, witness)) == 0:
+    if linalg.det(gram_matrix(system.unknowns, linalg.int_row(witness)[0])) == 0:
         raise AssertionError("witness Gram determinant is zero")
     return FormSolution(dim, basis, witness, None)
 

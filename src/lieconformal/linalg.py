@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row tuples of ints or Fractions.  `rref` (and so
-`nullspace`) eliminates on ints and returns Fractions; `det` is plain
-Gaussian elimination over Fractions.
+`nullspace`) and `det` eliminate fraction-free on ints, each row scaled to
+ints and each row update divided by its gcd; `rref` returns Fractions and
+`det` one Fraction, rebuilt from the pivots and the tracked scale factors.
 The systems have few rows: the Case2 normal reduces at most rank + 1 rows
 of rank <= 32 columns, the sl stabilizer of `constructions` at most
 2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and the solver's witness
@@ -20,10 +21,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _int_row(row) -> list:
-    """The row times the lcm of its denominators: ints, the same up to scale."""
-    m = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (m // x.denominator) for x in row]
+def int_row(row) -> tuple[list, int]:
+    """(the row of ints or Fractions times the lcm m of its denominators, as
+    ints; m): the same row up to scale."""
+    m = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (m // x.denominator) for x in row], m
 
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
@@ -35,7 +37,7 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     their pivots once, at the end.  Scaling a row changes no row space, so
     the result is the unique RREF, as Fractions.
     """
-    work = [_int_row(r) for r in rows]
+    work = [int_row(r)[0] for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -80,22 +82,39 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
 
 
 def det(rows: list[Row]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by fraction-free elimination on ints.
+
+    Rows may hold ints or Fractions.  Each row is scaled to ints; a row is
+    updated only where its entry in the pivot column is nonzero, as an
+    integer combination that multiplies the determinant by the pivot, and
+    is divided by the gcd of the result.  The determinant is the product of
+    the pivots over the tracked scale factors.
+    """
     n = len(rows)
-    work = [list(r) for r in rows]
-    sign = 1
-    result = ONE
+    work = []
+    num = den = 1  # det(rows) = num / den * det(the block of work left to eliminate)
+    for r in rows:
+        r, m = int_row(r)
+        work.append(r)
+        den *= m
     for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
             return ZERO
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        result *= work[c][c]
-        inv = ONE / work[c][c]
+            num = -num
+        top = work[c]
+        p = top[c]
+        num *= p
         for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return result * sign
+            f = work[i][c]
+            if f:
+                row = [p * a - f * b for a, b in zip(work[i], top)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+                    num *= g
+                work[i] = row
+                den *= p
+    return Fraction(num, den)

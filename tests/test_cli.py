@@ -172,6 +172,18 @@ def test_solve_feasible_config(capsys):
     assert len(data["unknowns"]) == 3
 
 
+def test_solve_non_integral_basis(capsys):
+    """The G2 parabolic basis (-1/2, -1/2, 1) and its witness print as
+    "p/q" strings, not JSON numbers."""
+    rc, out = capture(capsys, ["solve", str(DATA / "g2_alpha_e1e2.json")])
+    assert rc == 0
+    assert out == (DATA / "g2_alpha_e1e2_solve.json").read_text(encoding="utf-8")
+    data = json.loads(out)
+    assert data["feasible"] is True
+    assert data["witness"] == [["-1/2", "-1/2", "1"]]
+    assert data["nondegenerate_witness"] == ["-3/2", "-3/2", "3"]
+
+
 def test_solve_case2_config(tmp_path, capsys):
     """The A3 Case2 basis is printed on the pinned scale of the Cartan label."""
     path = tmp_path / "config.json"

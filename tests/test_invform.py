@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import chain, product
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal import classify, invform
 from lieconformal.chevalley import AlgebraElement, bracket, cached_constants
@@ -61,9 +63,24 @@ def make_config(label, rank, case, *, alpha_idx=None, m=None):
     return cached_constants(label, rank), cfg
 
 
+def dense(row, n):
+    """The sparse row of (unknown, coefficient) pairs as a dense n-tuple."""
+    out = [0] * n
+    for u, c in row:
+        out[u] += c
+    return tuple(out)
+
+
+def dense_rows(system):
+    """The assembled rows, densified over the unknowns."""
+    return [dense(row, len(system.unknowns.pairs)) for row in system.rows]
+
+
 def dense_residual(system, coeffs):
-    """Oracle: the largest |row . coeffs| over the dense assembled rows."""
-    return max((abs(sum(a * b for a, b in zip(row, coeffs))) for row in system.rows), default=0)
+    """Oracle: the largest |row . coeffs| over the densified assembled rows."""
+    return max(
+        (abs(sum(a * b for a, b in zip(row, coeffs))) for row in dense_rows(system)), default=0
+    )
 
 
 def test_assemble_requires_validation():
@@ -316,17 +333,18 @@ def test_verify_invariance_matches_the_dense_loop(rank8_survivors):
 
 
 def test_solve_scales_fraction_rows_to_ints():
-    """Ratio rows with denominators 2 and 3 give the basis and witness of the
-    same rows times 6 and of `linalg.nullspace`; a basis vector moved off the
-    solution space fails the int residual check, whose message carries the
-    residual of the unscaled Fraction row."""
+    """Sparse ratio rows with denominators 2 and 3 give the basis and witness
+    of the same rows times 6 and of `linalg.nullspace` on the densified rows;
+    a basis vector moved off the solution space fails the int residual
+    check, whose message carries the residual of the unscaled Fraction row."""
     h, t = Fraction(1, 2), Fraction(1, 3)
-    rows = [(h, -t, 0, 0), (0, 2 * t, h, 0), (1, 0, h, 0), (0, 0, 0, 0)]
+    rows = [((0, h), (1, -t)), ((1, 2 * t), (2, h)), ((0, 1), (2, h)), ()]
     unknowns = FormUnknowns(labels=list(range(4)), pairs=[(i, i) for i in range(4)])
-    sol = solve(AssembledSystem(config=None, unknowns=unknowns, rows=rows))
-    whole = [tuple(int(6 * c) for c in row) for row in rows]
+    system = AssembledSystem(config=None, unknowns=unknowns, rows=rows)
+    sol = solve(system)
+    whole = [tuple((u, int(6 * c)) for u, c in row) for row in rows]
     assert sol == solve(AssembledSystem(config=None, unknowns=unknowns, rows=whole))
-    assert sol.basis == nullspace(rows, 4) == [
+    assert sol.basis == nullspace(dense_rows(system), 4) == [
         (Fraction(-1, 2), Fraction(-3, 4), 1, 0),
         (0, 0, 0, 1),
     ]
@@ -339,7 +357,9 @@ def test_solve_scales_fraction_rows_to_ints():
         return real(int_rows, (x[0] + moved, *x[1:]))
 
     x = (sol.basis[0][0] + moved, *sol.basis[0][1:])
-    unscaled = next(r for r in (sum(a * b for a, b in zip(row, x)) for row in rows) if r)
+    unscaled = next(
+        r for r in (sum(a * b for a, b in zip(row, x)) for row in dense_rows(system)) if r
+    )
     assert unscaled.denominator == 14
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invform, "_residual", off_the_solution_space)
@@ -357,9 +377,7 @@ def test_solve_rejects_a_row_with_three_unknowns():
     n = len(ratios) + 2
     rows = []
     for k, r in enumerate(ratios):
-        row = [0] * n
-        row[k], row[n - 2], row[n - 1] = 1, -r.denominator, r.numerator
-        rows.append(tuple(row))
+        rows.append(((k, 1), (n - 2, -r.denominator), (n - 1, r.numerator)))
     unknowns = FormUnknowns(labels=list(range(n)), pairs=[(i, i) for i in range(n)])
     system = AssembledSystem(config=None, unknowns=unknowns, rows=rows)
     with pytest.raises(ValueError, match="more than two nonzero entries"):
@@ -384,7 +402,7 @@ def test_solve_rejects_label_in_two_pairs():
         # label l2 is in no pair: its Gram row is zero at every point
         (3, [(0, 1)], []),
         # the only row forces the unknown of (1, 2) to zero on a 2-dim space
-        (4, [(0, 0), (1, 2), (3, 3)], [(0, 1, 0)]),
+        (4, [(0, 0), (1, 2), (3, 3)], [((1, 1),)]),
     ],
     ids=["unpaired-label", "forced-zero-unknown"],
 )
@@ -445,7 +463,7 @@ def test_witness_weights_extend_past_the_table():
 
 
 def assert_basis_is_elimination(system, sol):
-    expected = nullspace(list(system.rows), len(system.unknowns.pairs))
+    expected = nullspace(dense_rows(system), len(system.unknowns.pairs))
     assert sol.basis == expected
     assert [list(map(type, b)) for b in sol.basis] == [list(map(type, b)) for b in expected]
 
@@ -477,27 +495,83 @@ DEGENERATE = "generic Gram determinant is identically zero"
 
 
 @pytest.mark.parametrize(
-    "rows, basis, certificate",
+    "n, rows, basis, certificate",
     [
         # x0 = x1 = x2 along two edges, but x0 = 2 x2 along the third
-        ([(1, -1, 0), (0, 1, -1), (1, 0, -2)], [], "solution space is zero"),
+        (3, [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, -2))], [],
+         "solution space is zero"),
         # the forced zero x0 = 0 reaches x1 and x2 along the path; x3 has no row
-        ([(1, -1, 0, 0), (0, 1, 2, 0), (3, 0, 0, 0)], [(0, 0, 0, 1)], DEGENERATE),
+        (4, [((0, 1), (1, -1)), ((1, 1), (2, 2)), ((0, 3),)], [(0, 0, 0, 1)], DEGENERATE),
         # x0 = -x1, and x2 is in no row
-        ([(1, 1, 0)], [(-1, 1, 0), (0, 0, 1)], None),
+        (3, [((0, 1), (1, 1))], [(-1, 1, 0), (0, 0, 1)], None),
         # int and Fraction entries in one row: 2 x0 = 3/4 x1
-        ([(2, Fraction(-3, 4), 0), (0, 0, Fraction(1, 2))], [(Fraction(3, 8), 1, 0)], DEGENERATE),
+        (3, [((0, 2), (1, Fraction(-3, 4))), ((2, Fraction(1, 2)),)], [(Fraction(3, 8), 1, 0)],
+         DEGENERATE),
     ],
     ids=["inconsistent-cycle", "forced-zero-path", "unknown-without-row", "mixed-int-fraction"],
 )
-def test_ratio_graph_solver(rows, basis, certificate):
-    n = len(rows[0])
+def test_ratio_graph_solver(n, rows, basis, certificate):
     system = synthetic_system(n, [(i, i) for i in range(n)], rows)
     sol = solve(system)
     assert sol.basis == basis
     assert_basis_is_elimination(system, sol)
     assert sol.degeneracy_certificate == certificate
     assert sol.feasible == (certificate is None)
+
+
+NONZERO = st.integers(-6, 6).filter(bool)
+COEFFS = st.one_of(NONZERO, st.builds(Fraction, NONZERO, st.integers(1, 6)))
+
+
+@st.composite
+def ratio_systems(draw):
+    """A synthetic system of at most 8 unknowns: ratio edges with int or
+    Fraction coefficients, most consistent with a hidden nonzero point and
+    some bent off it, so that cycles can be inconsistent, and forced zeros.
+    Unknowns sit on diagonal or off-diagonal label pairs, and a trailing
+    label may be unpaired."""
+    nunk = draw(st.integers(1, 8))
+    pairs, nlabels = [], 0
+    for _ in range(nunk):
+        if draw(st.booleans()):
+            pairs.append((nlabels, nlabels))
+            nlabels += 1
+        else:
+            pairs.append((nlabels, nlabels + 1))
+            nlabels += 2
+    nlabels += draw(st.sampled_from([0, 0, 0, 1]))
+    hidden = [draw(COEFFS) for _ in range(nunk)]
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * nunk))):
+        kind = draw(st.sampled_from(["edge"] * 6 + ["bent", "zero"]))
+        u, a = draw(st.integers(0, nunk - 1)), draw(COEFFS)
+        if kind == "zero" or nunk == 1:
+            rows.append(((u, a),))
+            continue
+        v = draw(st.integers(0, nunk - 2))
+        v += v >= u
+        # a x_u + b x_v vanishes at the hidden point, unless the edge is bent
+        b = Fraction(-a * hidden[u]) / hidden[v] * (2 if kind == "bent" else 1)
+        b = b.numerator if b.denominator == 1 else b
+        rows.append(((u, a), (v, b)) if u < v else ((v, b), (u, a)))
+    return synthetic_system(nlabels, pairs, rows)
+
+
+@given(system=ratio_systems())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_ratio_graph_solver_properties(system):
+    """On drawn ratio-edge systems the basis is the RREF nullspace of the
+    densified rows, in value and type, and the system is feasible exactly
+    when the Gram at the prime point sum p_k b_k has a nonzero determinant;
+    the witness is then that point."""
+    sol = solve(system)
+    assert_basis_is_elimination(system, sol)
+    nunk = len(system.unknowns.pairs)
+    point = tuple(
+        sum((p * b[u] for p, b in zip(ODD_PRIMES, sol.basis)), Fraction(0)) for u in range(nunk)
+    )
+    assert sol.feasible == (det(gram_matrix(system.unknowns, point)) != 0)
+    assert sol.nondegenerate_witness == (point if sol.feasible else None)
 
 
 def test_feasibility_invariant_under_weyl_translation():
@@ -578,6 +652,18 @@ def vector_assemble(sc, config):
     return pairs, sorted(rows)
 
 
+def primitive(row):
+    """A dense row as `assemble` stores it: its nonzero entries as
+    (unknown, int) pairs, coprime, with a positive first coefficient."""
+    entries = [(u, Fraction(c)) for u, c in enumerate(row) if c]
+    m = lcm(*(c.denominator for _, c in entries))
+    ints = [(u, int(c * m)) for u, c in entries]
+    g = gcd(*(c for _, c in ints))
+    if ints[0][1] < 0:
+        g = -g
+    return tuple((u, c // g) for u, c in ints)
+
+
 def _assembled_configs(monkeypatch):
     """(constants, config) of every rank-8 candidate that reaches assembly."""
     seen = []
@@ -595,7 +681,8 @@ def _assembled_configs(monkeypatch):
 
 def test_assemble_matches_vector_path(monkeypatch):
     """Index assembly equals the vector path on every rank-8 candidate that
-    reaches the solver and on seeded Weyl translates of each survivor."""
+    reaches the solver and on seeded Weyl translates of each survivor, the
+    vector path's dense Fraction rows stored as `assemble` stores them."""
     report, seen = _assembled_configs(monkeypatch)
     assert len(seen) == 39
     rng = random.Random(2024)
@@ -608,5 +695,7 @@ def test_assemble_matches_vector_path(monkeypatch):
             configs.append(translate_config(cfg, word))
         for c in configs:
             system = assemble(sc, c)
-            assert (system.unknowns.pairs, system.rows) == vector_assemble(sc, c)
+            pairs, rows = vector_assemble(sc, c)
+            assert system.unknowns.pairs == pairs
+            assert system.rows == sorted({primitive(row) for row in rows})
     assert survivors == len(report.survivors) == 37

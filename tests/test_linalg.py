@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.linalg import ONE, ZERO, det, nullspace, rref
 
@@ -123,3 +124,37 @@ def test_rref_and_nullspace_match_gauss_jordan(rows, ncols):
             for c in range(ncols)
         )
         assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def cofactor_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+)
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_det_matches_cofactor_expansion(data):
+    """The fraction-free `det` equals the Laplace expansion, as a Fraction, on
+    square int/Fraction matrices of size 1 to 5, some sparse and some with a
+    last row that is a combination of the others."""
+    n = data.draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), ENTRIES) if data.draw(st.booleans()) else ENTRIES
+    rows = [tuple(data.draw(entry) for _ in range(n)) for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        weights = [data.draw(ENTRIES) for _ in range(n - 1)]
+        rows[-1] = tuple(sum(w * r[c] for w, r in zip(weights, rows)) for c in range(n))
+    got = det(rows)
+    assert got == cofactor_det(rows)
+    assert type(got) is Fraction

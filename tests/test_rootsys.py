@@ -5,6 +5,7 @@ from math import lcm
 from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal import linalg, rootsys
 from lieconformal.errors import DimensionMismatch, InvalidRank, NotARoot
@@ -447,6 +448,23 @@ def test_sum_rows_match_vector_sums(label, rank):
     for perm in rs.refl:
         for i, row in enumerate(rs.sums):
             assert sum_pairs(map(perm.__getitem__, row)) == rows[perm[i]]
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_sum_rows_and_pair_orbits_are_weyl_closed(data):
+    """On a drawn system up to rank 8: for every root i and simple k, the sum
+    row of refl[k][i] is the row of i mapped through refl[k], as sets of
+    pairs; and the `pair_orbit` orbit of a drawn index pair is closed under
+    every simple reflection."""
+    rs = build(*data.draw(st.sampled_from(CLASSIFY_SYSTEMS)))
+    rows = [set(sum_pairs(row)) for row in rs.sums]
+    for perm in rs.refl:
+        for i, row in enumerate(rs.sums):
+            assert set(sum_pairs(map(perm.__getitem__, row))) == rows[perm[i]]
+    index = st.integers(0, len(rs.coords) - 1)
+    orbit = pair_orbit(rs, (data.draw(index), data.draw(index)))
+    assert all((perm[a], perm[b]) in orbit for perm in rs.refl for a, b in orbit)
 
 
 @pytest.mark.parametrize("label,rank", KEY_SYSTEMS)
