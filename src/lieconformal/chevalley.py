@@ -111,7 +111,10 @@ class AlgebraElement:
     ``coeffs`` maps a root index r to the coefficient of E_r.  ``cartan``
     is the Cartan part h on doubled coordinates (the coordinates of 2h),
     as ints where integral, like ``RootSystem.coords``.  Coefficients stay
-    ints while every input is an int.
+    ints while every input is an int.  Invariant: ``coeffs`` never holds a
+    zero and ``cartan`` is always a ``dim``-tuple; `__init__` establishes
+    it, and `_element` builds the results of `bracket` and `add`, which keep
+    it already, without the copy and the zero filter.
     """
 
     __slots__ = ("system", "cartan", "coeffs")
@@ -138,8 +141,20 @@ class AlgebraElement:
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         coeffs = dict(self.coeffs)
         for r, c in other.coeffs.items():
-            coeffs[r] = coeffs.get(r, 0) + c
-        return AlgebraElement(self.system, tuple(map(add, self.cartan, other.cartan)), coeffs)
+            s = coeffs.get(r, 0) + c
+            if s:
+                coeffs[r] = s
+            else:  # c != 0, so r was a key of coeffs
+                del coeffs[r]
+        return _element(self.system, tuple(map(add, self.cartan, other.cartan)), coeffs)
+
+
+def _element(rs: RootSystem, cartan: tuple, coeffs: dict) -> AlgebraElement:
+    """An element from a ``dim``-tuple and a dict with no zero value, taken
+    as they are: no copy and no filter."""
+    elt = object.__new__(AlgebraElement)
+    elt.system, elt.cartan, elt.coeffs = rs, cartan, coeffs
+    return elt
 
 
 def elem_e(rs: RootSystem, root: Vec, c=1) -> AlgebraElement:
@@ -163,21 +178,32 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
     if x.system is not rs or y.system is not rs:
         raise SystemMismatch("elements belong to a different root system")
     coords, keys, by_key, neg, table = rs.coords, rs.keys, rs.by_key, rs.neg, sc.table
+    xc, yc = x.coeffs, y.coeffs
     coeffs: dict = {}
-    for h2, elt, sign in ((x.cartan, y, 1), (y.cartan, x, -1)):
-        if any(h2):
-            for r, c in elt.coeffs.items():
-                v = dot(coords[r], h2)
-                if v:
-                    coeffs[r] = coeffs.get(r, 0) + sign * c * ratio(v, 4)
+    # the Cartan action, [h, E_r] = r(h) E_r, for each side that has one
+    if yc and any(x.cartan):
+        h2 = x.cartan
+        for r, c in yc.items():
+            v = dot(coords[r], h2)
+            if v:
+                coeffs[r] = c * ratio(v, 4)
+    if xc and any(y.cartan):
+        h2 = y.cartan
+        for r, c in xc.items():
+            v = dot(coords[r], h2)
+            if v:
+                coeffs[r] = coeffs.get(r, 0) - c * ratio(v, 4)
     cartan = None
-    for a, ca in x.coeffs.items():
+    for a, ca in xc.items():
         n, ka, opposite = table[a], keys[a], neg[a]
-        for b, cb in y.coeffs.items():
-            if n[b]:  # nonzero exactly when a + b is a root
+        for b, cb in yc.items():
+            nb = n[b]
+            if nb:  # nonzero exactly when a + b is a root
                 s = by_key[ka + keys[b]]
-                coeffs[s] = coeffs.get(s, 0) + ca * cb * n[b]
+                coeffs[s] = coeffs.get(s, 0) + ca * cb * nb
             elif b == opposite:
                 c = ca * cb
                 cartan = [u + c * w for u, w in zip(cartan or (0,) * rs.dim, sc.coroots[a])]
-    return AlgebraElement(rs, tuple(cartan) if cartan else None, coeffs)
+    if 0 in coeffs.values():  # terms cancelled
+        coeffs = {r: c for r, c in coeffs.items() if c}
+    return _element(rs, tuple(cartan) if cartan else (0,) * rs.dim, coeffs)

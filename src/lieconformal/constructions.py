@@ -308,10 +308,16 @@ def align_g2_form(system: AssembledSystem, coeffs) -> dict:
     # the G2 parabolic quotient has no Cartan label: every label is a root index
     labels = [roots[l] for l in system.unknowns.labels]
     gram = gram_matrix(system.unknowns, coeffs)
-    ref = {}
+    ref, seen = {}, set()
     for (a, b), v in G2_REFERENCE_FORM.items():
         if a not in labels or b not in labels:
             raise Unalignable(f"reference pair {a}, {b} lies outside the quotient")
+        # the scalars below are guessed one pair at a time, which holds
+        # only while no label lies in two pairs
+        for r in (a,) if a == b else (a, b):
+            if r in seen:
+                raise Unalignable(f"label {r} lies in two reference pairs")
+            seen.add(r)
         ref[(labels.index(a), labels.index(b))] = v
     n = len(labels)
     values = {}

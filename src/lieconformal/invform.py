@@ -26,7 +26,6 @@ disjoint, is a witness.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -87,7 +86,7 @@ def _generators(sc: StructureConstants, config: IsotropyConfig):
     gens = []
     for k in rs.simple_idx:
         h2 = sc.coroots[k]
-        gens.append((AlgebraElement(rs, cartan=h2), Fraction(dot(config.d2, h2), 4)))
+        gens.append((AlgebraElement(rs, cartan=h2), ratio(dot(config.d2, h2), 4)))
     for gamma in sorted(config.p_roots):
         gens.append((AlgebraElement(rs, coeffs={gamma: 1}), 0))
     return gens
@@ -280,8 +279,9 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     """Re-check invariance by direct bracket evaluation over all of p.
 
     Independent of `assemble`: evaluates the form on actual algebra
-    elements rather than through precomputed action rows.  Each of the
-    n(n + 1)/2 label pairs (i <= j) is checked against every generator of p;
+    elements, one `bracket` per (generator, label) pair, rather than
+    through precomputed action rows.  Each of the n(n + 1)/2 label pairs
+    (i <= j) is checked against every generator of p;
     the difference of the two sides is summed over the nonzero entries of
     the Gram only, which holds for any Gram, paired or not.  Raises
     ResidualNonzero on the first violated constraint in (generator, i, j)
@@ -294,20 +294,17 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     gram = gram_matrix(unknowns, coeffs)
     positions = {l: i for i, l in enumerate(labels)}
     nu2 = config.nu2
+    if nu2 is not None:
+        nn, cartan_at = dot(nu2, nu2), positions[CARTAN_LABEL]
 
     def project(elt: AlgebraElement) -> dict:
         """Coefficients of an element on the quotient labels; the roots of h
-        drop out."""
-        out = {}
-        for r, c in elt.coeffs.items():
-            i = positions.get(r)
-            if i is not None:
-                out[i] = out.get(i, 0) + c
+        drop out.  The labels are distinct, so no two terms land together."""
+        out = {i: c for r, c in elt.coeffs.items() if (i := positions.get(r)) is not None}
         if nu2 is not None and any(elt.cartan):
-            t = Fraction(dot(nu2, elt.cartan), dot(nu2, nu2))
+            t = Fraction(dot(nu2, elt.cartan), nn)
             if t:
-                i = positions[CARTAN_LABEL]
-                out[i] = out.get(i, 0) + t
+                out[cartan_at] = t
         return out
 
     basis_elems = [
@@ -323,19 +320,19 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         # lhs - rhs of every pair (i, j), i <= j, summed over the nonzero Gram
         # entries only: B([p, u_a], u_b) lands on the pair (a, b) and, as
         # B(u_b, [p, u_a]), on (b, a); a pair with no term stays 0 = 0
-        residual = Counter()
+        residual = {}
         for a in range(n):
             for k, c in moved[a].items():
                 for b, g in nonzero[k]:
                     t = c * g
                     if a <= b:
-                        residual[a, b] += t
+                        residual[a, b] = residual.get((a, b), 0) + t
                     if b <= a:
-                        residual[b, a] += t
+                        residual[b, a] = residual.get((b, a), 0) + t
             if dval:
                 for b, g in nonzero[a]:
                     if a <= b:
-                        residual[a, b] -= dval * g
+                        residual[a, b] = residual.get((a, b), 0) - dval * g
         failed = [pair for pair, r in residual.items() if r]
         if failed:
             # B([p, u_i], u_j) + B(u_i, [p, u_j]) = delta(p) B(u_i, u_j)

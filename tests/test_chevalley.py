@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.chevalley import (
     AlgebraElement,
@@ -137,6 +138,72 @@ def test_bracket_matches_vector_path(label, rank):
         opposite_pairs += any(rs.neg[a] in y.coeffs for a in x.coeffs)
         assert to_vector(bracket(sc, x, y)) == vector_bracket(sc, to_vector(x), to_vector(y))
     assert opposite_pairs > 0
+
+
+PROPERTY_SYSTEMS = [("G2", 2), ("B", 3), ("C", 3), ("A", 4), ("F4", 4)]
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4).filter(lambda f: f.denominator > 1)
+)
+
+
+def draw_element(data, rs):
+    """An element with up to four int or Fraction root coefficients and
+    maybe a Cartan part on doubled coordinates."""
+    roots = st.integers(0, len(rs.roots) - 1)
+    coeffs = data.draw(st.dictionaries(roots, coefficients, max_size=4))
+    cartan = data.draw(st.none() | st.tuples(*[coefficients] * rs.dim))
+    return AlgebraElement(rs, cartan, coeffs)
+
+
+def scaled(c, x):
+    """c x, through the public constructor."""
+    return AlgebraElement(
+        x.system, tuple(c * v for v in x.cartan), {r: c * v for r, v in x.coeffs.items()}
+    )
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_bracket_is_a_lie_bracket(data):
+    """On drawn elements with int and Fraction coefficients and Cartan
+    parts, `bracket` is bilinear, antisymmetric and satisfies Jacobi
+    exactly."""
+    sc = cached_constants(*data.draw(st.sampled_from(PROPERTY_SYSTEMS)))
+    rs = sc.system
+    x, y, z = (draw_element(data, rs) for _ in range(3))
+    c = data.draw(coefficients)
+    assert bracket(sc, x.add(y), z) == bracket(sc, x, z).add(bracket(sc, y, z))
+    assert bracket(sc, scaled(c, x), y) == scaled(c, bracket(sc, x, y))
+    assert bracket(sc, x, y).add(bracket(sc, y, x)).is_zero()
+    assert jacobi_residual(sc, x, y, z).is_zero()
+
+
+def test_bracket_keeps_ints_and_drops_zeros():
+    """Results of `bracket` and `add` skip `__init__`'s copy and filter, so
+    they must keep its invariant themselves: int coefficients stay ints, no
+    coefficient is zero, and a zero Cartan part is the zero dim-tuple."""
+    sc = cached_constants("B", 3)
+    rs = sc.system
+    a, b, c = (rs.index_of(v) for v in (vec(1, -1, 0), vec(0, 1, 1), vec(0, 1, 0)))
+    h = elem_h(rs, coroot(rs.simples[0]))
+    x = AlgebraElement(rs, h.cartan, {a: 2, b: 3, rs.neg[a]: 1})
+    y = AlgebraElement(rs, coeffs={b: 5, rs.neg[a]: -1, rs.neg[b]: 1})
+    out = bracket(sc, x, y)
+    assert out.coeffs and any(out.cartan)
+    # type, not ==, tells 2 from Fraction(2)
+    assert all(type(v) is int for v in out.coeffs.values())
+    assert all(type(v) is int for v in out.cartan)
+    # [x, x] cancels in the Cartan action, the root pairs and the coroots
+    zero = bracket(sc, x, x)
+    assert zero == AlgebraElement(rs) and not zero.coeffs
+    assert zero.cartan == (0,) * rs.dim
+    ec = elem_e(rs, rs.roots[c])
+    partial = bracket(sc, x, x.add(ec))
+    assert 0 not in partial.coeffs.values()
+    assert partial == bracket(sc, x, ec) and partial.coeffs
+    assert bracket(sc, elem_e(rs, rs.roots[a]), elem_e(rs, rs.roots[b])).cartan == (0,) * rs.dim
+    assert x.add(scaled(-1, x)).is_zero()
 
 
 # ------------------------------------------------ the constants table

@@ -327,6 +327,23 @@ def test_align_g2_form():
     assert set(out["scalars"].values()) <= {Fraction(1), Fraction(-1)}
 
 
+@pytest.mark.parametrize("extra", [
+    (vec(-1, 1, 0), vec(-1, 2, -1)),  # shares a label with the first pair
+    (vec(0, 1, -1), vec(1, 0, -1)),  # shares the self-paired label
+])
+def test_align_g2_rejects_a_label_in_two_pairs(monkeypatch, extra):
+    """A label in two reference pairs is named before any scalar is guessed."""
+    rs = build("G2", 2)
+    cfg = derive_isotropy(rs, parabolic_distortion(rs, rs.simples[0]), PARABOLIC)
+    assert validate(cfg).ok
+    system = assemble(cached_constants("G2", 2), cfg)
+    reference = {**constructions.G2_REFERENCE_FORM, extra: Fraction(1)}
+    monkeypatch.setattr(constructions, "G2_REFERENCE_FORM", reference)
+    shared = re.escape(str(extra[0]))
+    with pytest.raises(Unalignable, match=f"label {shared} lies in two reference pairs"):
+        align_g2_form(system, solve(system).nondegenerate_witness)
+
+
 def test_align_g2_rejects_wrong_pattern():
     rs = build("G2", 2)
     cfg = derive_isotropy(rs, parabolic_distortion(rs, rs.simples[0]), PARABOLIC)

@@ -256,6 +256,29 @@ def test_verify_invariance_guard(rank8_survivors):
     assert checked > 0
 
 
+def test_verify_invariance_brackets_and_never_assembles(monkeypatch):
+    """The oracle stays independent of the assembled rows: on a B3 survivor
+    it calls `bracket` once per (generator, label) pair and still passes
+    when `assemble` cannot run."""
+    sc, cfg = make_config("B", 3, PARABOLIC, alpha_idx=2)
+    sol = solve(assemble(sc, cfg))
+    assert sol.feasible
+    calls = []
+
+    def counting_bracket(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    def no_assemble(*args):
+        raise AssertionError("verify_invariance read the assembled rows")
+
+    monkeypatch.setattr(invform, "bracket", counting_bracket)
+    monkeypatch.setattr(invform, "assemble", no_assemble)
+    out = verify_invariance(sc, cfg, sol.nondegenerate_witness)
+    assert out["max_residual"] == 0
+    assert len(calls) == len(_generators(sc, cfg)) * len(quotient_basis(cfg))
+
+
 def dense_verify_invariance(sc, config, coeffs):
     """Oracle: `verify_invariance` as a dense loop over every label pair,
     each side summed over all the labels [p, u] lands on."""
