@@ -36,6 +36,7 @@ from .rootsys import (
     minimal_root,
     minimal_root_index,
     pair_orbit,
+    vec,
 )
 
 STAGE_ROOTS = "RootCombinatorics"
@@ -217,44 +218,39 @@ def expected_survivors(max_rank: int, cases: str = "all") -> set:
     def add(label, rank, case, alpha, delta, tag):
         out.add((label, rank, case, alpha, delta, tag))
 
-    def fr(*xs):
-        from fractions import Fraction as F
-
-        return tuple(F(x) for x in xs)
-
     if cases in ("all", "case1"):
-        add("B", 2, CASE1, fr(0, 1), fr(-1, 0), "Sp_case")
+        add("B", 2, CASE1, vec(0, 1), vec(-1, 0), "Sp_case")
         for n in range(2, max_rank + 1):
-            delta = fr(*[-1 if k in (0, 1) else 0 for k in range(n)])
-            alpha = fr(*[1 if k == 0 else (-1 if k == 1 else 0) for k in range(n)])
+            delta = vec(*[-1 if k in (0, 1) else 0 for k in range(n)])
+            alpha = vec(*[1 if k == 0 else (-1 if k == 1 else 0) for k in range(n)])
             add("C", n, CASE1, alpha, delta, "Sp_case")
     if cases in ("all", "case2"):
         for n in range(2, max_rank + 1):
-            delta = fr(*[-1 if k == 0 else (1 if k == n else 0) for k in range(n + 1)])
+            delta = vec(*[-1 if k == 0 else (1 if k == n else 0) for k in range(n + 1)])
             add("A", n, CASE2, None, delta, "SL_case")
         if max_rank >= 3:
             # the D3 = A3 coincidence enters through the D-series sweep
-            add("D", 3, CASE2, None, fr(-1, -1, 0), "SL_case")
+            add("D", 3, CASE2, None, vec(-1, -1, 0), "SL_case")
     if cases in ("all", "parabolic"):
-        add("A", 1, LOWRANK, fr(1, -1), fr(-2, 2), "CP1")
-        add("A1xA1", 2, LOWRANK, None, fr(-1, 1, -1, 1), "CP1xCP1")
+        add("A", 1, LOWRANK, vec(1, -1), vec(-2, 2), "CP1")
+        add("A1xA1", 2, LOWRANK, None, vec(-1, 1, -1, 1), "CP1xCP1")
         if max_rank >= 3:
-            add("A", 3, PARABOLIC, fr(0, 1, -1, 0), fr(-1, -1, 1, 1), "Einstein_Dn")
-        add("B", 2, PARABOLIC, fr(1, -1), fr(-2, 0), "Eins3_B2")
-        add("C", 2, PARABOLIC, fr(0, 2), fr(-2, -2), "Eins3_B2")
+            add("A", 3, PARABOLIC, vec(0, 1, -1, 0), vec(-1, -1, 1, 1), "Einstein_Dn")
+        add("B", 2, PARABOLIC, vec(1, -1), vec(-2, 0), "Eins3_B2")
+        add("C", 2, PARABOLIC, vec(0, 2), vec(-2, -2), "Eins3_B2")
         for n in range(3, max_rank + 1):
-            alpha = fr(*[1 if k == 0 else (-1 if k == 1 else 0) for k in range(n)])
-            delta = fr(*[-2 if k == 0 else 0 for k in range(n)])
+            alpha = vec(*[1 if k == 0 else (-1 if k == 1 else 0) for k in range(n)])
+            delta = vec(*[-2 if k == 0 else 0 for k in range(n)])
             add("B", n, PARABOLIC, alpha, delta, "Einstein_Bn")
             add("D", n, PARABOLIC, alpha, delta, "Einstein_Dn")
         if max_rank >= 3:
             # Spin(7) on the six-dimensional quadric (spinor variety)
-            add("B", 3, PARABOLIC, fr(0, 0, 1), fr(-1, -1, -1), "Spin7_Eins6")
+            add("B", 3, PARABOLIC, vec(0, 0, 1), vec(-1, -1, -1), "Spin7_Eins6")
         if max_rank >= 4:
             # triality relabelings of the D4 alpha=e1-e2 candidate
-            add("D", 4, PARABOLIC, fr(0, 0, 1, -1), fr(-1, -1, -1, 1), "Einstein_Dn")
-            add("D", 4, PARABOLIC, fr(0, 0, 1, 1), fr(-1, -1, -1, -1), "Einstein_Dn")
-        add("G2", 2, PARABOLIC, fr(1, -1, 0), fr(0, 2, -2), "G2_Eins5")
+            add("D", 4, PARABOLIC, vec(0, 0, 1, -1), vec(-1, -1, -1, 1), "Einstein_Dn")
+            add("D", 4, PARABOLIC, vec(0, 0, 1, 1), vec(-1, -1, -1, -1), "Einstein_Dn")
+        add("G2", 2, PARABOLIC, vec(1, -1, 0), vec(0, 2, -2), "G2_Eins5")
     return out
 
 

@@ -239,7 +239,7 @@ def _cmd_dump_roots(args) -> int:
             "label": rs.label,
             "rank": rs.rank,
             "simples": rs.simples,
-            "positives": rs.positives,
+            "positives": [rs.roots[i] for i in rs.positive_idx],
         }
     )
     return 0

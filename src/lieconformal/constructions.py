@@ -23,11 +23,10 @@ from .invform import AssembledSystem, gram_matrix
 from .rootsys import MAX_RANK, Vec, vec
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-# every random draw is p / q with q <= 6, so 60 times it is an int: the sp
-# check works on those ints
+# every random draw is p / q with q <= 6, so 60 times it is an int: both
+# embedding checks work on those ints
 SCALE = 60
 CUBE = SCALE**3
 
@@ -35,14 +34,6 @@ CUBE = SCALE**3
 def _rand_scaled(rng) -> int:
     """60 p / q for random p in [-6, 6] and q in [1, 6]: an int, as q divides 60."""
     return SCALE * rng.randint(-6, 6) // rng.randint(1, 6)
-
-
-def _rand_frac(rng) -> Fraction:
-    return Fraction(_rand_scaled(rng), SCALE)
-
-
-def _rand_vec(rng, n):
-    return [_rand_frac(rng) for _ in range(n)]
 
 
 def _omega(n, x, y):
@@ -104,22 +95,23 @@ def check_sp_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
 
 
 def _sl_trial(rng, n):
-    """Draw g, a product of 2n elementary operations 1 + c e_i e_j^T, then x
-    and a covector f; return (x, f, gx, f o g^-1).  Each operation adds
-    c x_j to x_i and subtracts c f_i from f_j."""
-    ops = [(*rng.sample(range(n), 2), _rand_frac(rng)) for _ in range(2 * n)]
-    x = _rand_vec(rng, n)
-    f = _rand_vec(rng, n)
-    gx, f_ginv = list(x), list(f)
+    """Draw g, a product of 2n operations 1 + c e_i e_j^T, then x and a
+    covector f, as ints 60 times their values: (X, F, GX, FG, D) with
+    g x = GX / D and f o g^-1 = FG / D, each operation scaling D by 60."""
+    ops = [(*rng.sample(range(n), 2), _rand_scaled(rng)) for _ in range(2 * n)]
+    x = [_rand_scaled(rng) for _ in range(n)]
+    f = [_rand_scaled(rng) for _ in range(n)]
+    gx, fg, d = x, f, SCALE
     for i, j, c in ops:
-        gx[i] += c * gx[j]
-        f_ginv[j] -= c * f_ginv[i]
-    return x, f, gx, f_ginv
+        t, u = c * gx[j], c * fg[i]  # x_i += c x_j and f_j -= c f_i, over 60 D
+        gx, fg, d = [SCALE * a for a in gx], [SCALE * a for a in fg], SCALE * d
+        gx[i], fg[j] = gx[i] + t, fg[j] - u
+    return x, f, gx, fg, d
 
 
 def _nullity(ncols: int, rows) -> int:
-    """Solution dimension of rows given as {column: coefficient}."""
-    dense = [tuple(r.get(k, ZERO) for k in range(ncols)) for r in rows]
+    """Solution dimension of rows given as {column: int coefficient}."""
+    dense = [tuple(r.get(k, 0) for k in range(ncols)) for r in rows]
     return ncols - len(linalg.rref(dense, ncols)[1])
 
 
@@ -127,25 +119,26 @@ def _stabilizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X fixes the line through (e1, e_n*)}."""
     # unknowns: X[i][j] at i * n + j, then the eigenvalue c at n * n
     c = n * n
-    rows = [{i * n: ONE} for i in range(n)]  # X e1 = c e1
-    rows[0][c] = -ONE
-    rows += [{(n - 1) * n + j: ONE} for j in range(n)]  # e_n* X = -c e_n*
-    rows[-1][c] = ONE
-    rows.append({i * n + i: ONE for i in range(n)})  # trace zero
+    rows = [{i * n: 1} for i in range(n)]  # X e1 = c e1
+    rows[0][c] = -1
+    rows += [{(n - 1) * n + j: 1} for j in range(n)]  # e_n* X = -c e_n*
+    rows[-1][c] = 1
+    rows.append({i * n + i: 1 for i in range(n)})  # trace zero
     return _nullity(c + 1, rows)
 
 
 def _normalizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X e1 in C e1, X W <= W} for W = span(e1..e_{n-1})."""
-    rows = [{i * n: ONE} for i in range(1, n)]  # first column upper
-    rows += [{(n - 1) * n + j: ONE} for j in range(n - 1)]  # last row only in the corner
-    rows.append({i * n + i: ONE for i in range(n)})  # trace zero
+    rows = [{i * n: 1} for i in range(1, n)]  # first column upper
+    rows += [{(n - 1) * n + j: 1} for j in range(n - 1)]  # last row only in the corner
+    rows.append({i * n + i: 1 for i in range(n)})  # trace zero
     return _nullity(n * n, rows)
 
 
 def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
-    """Unimodular action preserves the evaluation pairing; the point
-    stabilizer has codimension one inside the flag normalizer."""
+    """Unimodular action preserves the evaluation pairing, compared on ints
+    as in `check_sp_embedding`; the point stabilizer has codimension one
+    inside the flag normalizer."""
     if n < 3:
         # a line in C^2 determines its hyperplane, so the point/flag
         # stabilizer gap below only exists from n = 3 on
@@ -157,9 +150,11 @@ def check_sl_embedding(n: int, trials: int = 20, seed: int = 0) -> dict:
     rng = random.Random(seed)
     worst = ZERO
     for _ in range(trials):
-        x, f, gx, f_ginv = _sl_trial(rng, n)
-        r = sum(a * b for a, b in zip(f_ginv, gx)) - sum(a * b for a, b in zip(f, x))
-        worst = max(worst, abs(r))
+        x, f, gx, fg, d = _sl_trial(rng, n)
+        # (f o g^-1)(g x) - f(x), times D^2
+        r = sum(map(mul, fg, gx)) - sum(map(mul, f, x)) * (d // SCALE) ** 2
+        if r:
+            worst = max(worst, abs(Fraction(r, d * d)))
     stab = _stabilizer_dimension(n)
     norm = _normalizer_dimension(n)
     return {

@@ -183,18 +183,20 @@ def _witness_weights(k: int) -> list:
 
 
 def _residual(rows, x) -> Fraction:
-    """The first nonzero row . x over the sparse int rows (row, k) of
-    `solve`, or 0.  x is scaled to ints too, so the int dot products decide;
-    the residual is unscaled only for the row that fails."""
+    """The first nonzero row . x over the sparse rows, or 0.  x is scaled
+    to ints, so on `assemble`'s int rows the int dot products decide; the
+    residual is unscaled only for the row that fails."""
     xs, m = linalg.int_row(x)
-    for row, k in rows:
+    for row in rows:
         r = sum([xs[u] * c for u, c in row])
         if r:
-            return Fraction(r, k * m)
+            return Fraction(r, m)
     return ZERO
 
 
 def solve(system: AssembledSystem) -> FormSolution:
+    """Solve the rows as the module describes.  Input contract: each row holds
+    at most two nonzero (unknown, coefficient) pairs, ints or Fractions."""
     labels, pairs = system.unknowns.labels, system.unknowns.pairs
     paired = set()
     for pair in pairs:
@@ -204,25 +206,18 @@ def solve(system: AssembledSystem) -> FormSolution:
                 raise ValueError(f"label {labels[i]!r} lies in two unknown pairs")
             paired.add(i)
     nunk = len(pairs)
-    # the rows are ratio edges a x_u + b x_v = 0 and forced zeros a x_u = 0,
-    # each kept as sparse ints times the lcm k of its denominators: that
-    # keeps every ratio and puts the residual checks on ints
-    rows = []
     forced = set()
     edges = [[] for _ in range(nunk)]
     for row in system.rows:
         row = [(u, c) for u, c in row if c]
         if len(row) > 2:
             raise ValueError("a row has more than two nonzero entries")
-        k = lcm(*(c.denominator for _, c in row))
-        row = [(u, c.numerator * (k // c.denominator)) for u, c in row]
         if len(row) == 2:
             (u, a), (v, b) = row
             edges[u].append((v, a, b))
             edges[v].append((u, b, a))
         elif row:
             forced.add(row[0][0])
-        rows.append((row, k))
     # one basis vector per component with a consistent ratio on every edge and
     # no forced zero, scaled to 1 at its largest unknown: the RREF nullspace.
     # The value of u is num[u] / den[u]; den[u] == 0 marks u unvisited.
@@ -253,8 +248,7 @@ def solve(system: AssembledSystem) -> FormSolution:
         b = [ZERO] * nunk
         for u in component:
             b[u] = Fraction(num[u], den[u])
-        residual = _residual(rows, b)
-        if residual:
+        if residual := _residual(system.rows, b):
             raise ResidualNonzero(f"nullspace basis has residual {residual}")
         basis.append(tuple(b))
     # the generic determinant is a product of the unknowns as linear forms
@@ -268,7 +262,7 @@ def solve(system: AssembledSystem) -> FormSolution:
         for u in component:
             witness[u] = Fraction(w * num[u], den[u])
     witness = tuple(witness)
-    if _residual(rows, witness):
+    if _residual(system.rows, witness):
         raise ResidualNonzero("witness fails the assembled constraints")
     if linalg.det(gram_matrix(system.unknowns, linalg.int_row(witness)[0])) == 0:
         raise AssertionError("witness Gram determinant is zero")

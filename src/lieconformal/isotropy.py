@@ -127,10 +127,9 @@ def case2_normal(rs: RootSystem):
             "forced Cartan part has codimension > 1", witness=[rs.roots[i] for i in span]
         )
     normal = [sum(c * coords[k][x] for c, k in zip(null[0], simples)) for x in range(rs.dim)]
-    lead = next(x for x in normal if x)
-    normal = [x / lead for x in normal]
-    den = math.lcm(*(x.denominator for x in normal))
-    return tuple(int(2 * den * x) for x in normal)
+    normal = linalg.int_row(normal)[0]
+    g = math.gcd(*normal) * (1 if next(filter(None, normal)) > 0 else -1)  # lead stays > 0
+    return tuple(2 * x // g for x in normal)
 
 
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:

@@ -12,17 +12,17 @@ become ints, and root i is the i-th in the lexicographic order of those
 coordinates.  Positivity is read off the expansion in the simple roots.
 
 A root is found by its base-32 key, the sum of v2[k] * 32**k over its
-doubled coordinates v2: `find` and `index_of` look the key up in
-`by_key`.  Keys add like the vectors, so delta - r and delta - w_i - w_j
-are found as `kd - keys[r]` and `kd - w_i - w_j` from the key kd of delta,
-with no coordinate tuple.  Only vectors in the key box have a key: `dim`
-int entries, each in [-8, 8], which holds every root (in [-4, 4]) and
-every sum or difference of two roots.  A vector off the box matches no
-root.  Equal keys mean equal vectors: two int vectors whose entries
-differ by less than 32 have equal keys only if they are equal (their
-lowest differing entry would be a multiple of 32), and every lookup
-compares a root with a vector in [-20, 20] (at most, the end eta - 4 xi
-of a root string in `chevalley`), so their entries differ by at most 24.
+doubled coordinates v2: `index_of` looks the key up in `by_key`.  Keys add
+like the vectors, so delta - r and delta - w_i - w_j are found as
+`kd - keys[r]` and `kd - w_i - w_j` from the key kd of delta, with no
+coordinate tuple.  Only vectors in the key box have a key: `dim` int
+entries, each in [-8, 8], which holds every root (in [-4, 4]) and every
+sum or difference of two roots.  A vector off the box matches no root.
+Equal keys mean equal vectors: two int vectors whose entries differ by
+less than 32 have equal keys only if they are equal (their lowest
+differing entry would be a multiple of 32), and every lookup compares a
+root with a vector in [-20, 20] (at most, the end eta - 4 xi of a root
+string in `chevalley`), so their entries differ by at most 24.
 
 Root addition is sparse: `sums[i]` holds the (j, t) pairs with root i +
 root j = root t, unsorted, and `_sum_rows` moves one row per Weyl orbit
@@ -30,8 +30,8 @@ through `refl`, so no |Phi|^2 table is built; a lone sum is looked up by key.
 
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
-`Distortion`s, through the `roots`, `simples` and `positives` views and
-the vector helpers below.
+`Distortion`s, through the `roots` and `simples` views and the vector
+helpers below.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def ratio(n, d: int):
 class RootSystem:
     """The roots of one system and the integer tables over them.
 
-    Every table is indexed by root index; `roots`, `simples` and
-    `positives` are the same roots as Fraction vectors.  A system compares
-    by identity: `build` caches, so each (label, rank) is one object.
+    Every table is indexed by root index; `roots` and `simples` are the
+    same roots as Fraction vectors.  A system compares by identity: `build`
+    caches, so each (label, rank) is one object.
     """
 
     label: str
@@ -104,7 +104,6 @@ class RootSystem:
     dim: int
     roots: tuple[Vec, ...]
     simples: tuple[Vec, ...]
-    positives: tuple[Vec, ...]  # by height, then lex
     coords: tuple  # doubled coordinates of root i
     keys: tuple  # base-32 key of coords[i], in the key box
     by_key: dict  # key -> i, the one way to find a root
@@ -114,7 +113,7 @@ class RootSystem:
     norm: array  # squared norm of the doubled root, 4 |r|^2
     height: array
     expansions: tuple  # integer simple-root expansion of root i
-    positive_idx: tuple  # indices of `positives`, in that order
+    positive_idx: tuple  # indices of the positive roots, by height, then lex
     is_positive: bytes
     simple_idx: tuple  # indices of `simples`
 
@@ -128,13 +127,9 @@ class RootSystem:
             return None
         return _key(v2)
 
-    def find(self, v2) -> int:
-        """Index of the root with doubled coordinates v2, or -1."""
-        return self.by_key.get(self.key(v2), -1)
-
     def index_of(self, v) -> int:
         """Index of the root vector v, or -1 when v is not a root."""
-        return self.find(doubled(v))
+        return self.by_key.get(self.key(doubled(v)), -1)
 
 
 def _key(v2) -> int:
@@ -278,7 +273,6 @@ def build(label: str, rank: int) -> RootSystem:
         dim=dim,
         roots=roots,
         simples=tuple(roots[k] for k in simple_idx),
-        positives=tuple(roots[p] for _, p in positives),
         coords=coords,
         keys=keys,
         by_key=by_key,

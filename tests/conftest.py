@@ -9,6 +9,11 @@ def vadd(a, b) -> tuple:
     return tuple(map(add, a, b))
 
 
+def positives(rs) -> tuple:
+    """The positive roots of a system as Fraction vectors, by height, then lex."""
+    return tuple(rs.roots[i] for i in rs.positive_idx)
+
+
 def dense_sums(rs) -> tuple:
     """The dense sum table of a root system, as a reference for its sparse
     `sums` rows: entry [i][j] is the index of root i + root j, or -1.  Made

@@ -40,6 +40,7 @@ from lieconformal.rootsys import (
     vec,
     vsub,
 )
+from conftest import positives
 from test_classify import vector_pairs
 
 DATA = Path(__file__).parent / "data"
@@ -83,9 +84,9 @@ def rebuild_config(v):
         cfg = derive_isotropy(rs, delta, PARABOLIC)
     elif v.case == CASE2:
         low = minimal_root(rs)
-        cfg = derive_isotropy(rs, Distortion(low, as_root=low), CASE2)
+        cfg = derive_isotropy(rs, Distortion(low), CASE2)
     else:
-        cfg = derive_isotropy(rs, Distortion(v.delta, as_root=v.delta), CASE1)
+        cfg = derive_isotropy(rs, Distortion(v.delta), CASE1)
     assert validate(cfg).ok
     return rs, cfg
 
@@ -239,7 +240,7 @@ def test_criterion_7_property_suite():
         rs = build(label, int(label[1]))
         ok = ok and len(rs.roots) == count
         low = minimal_root(rs)
-        ok = ok and all(rs.index_of(vsub(low, p)) < 0 for p in rs.positives)
+        ok = ok and all(rs.index_of(vsub(low, p)) < 0 for p in positives(rs))
     # determinism across regeneration
     ok = ok and structure_constants(build("F4", 4)).table == cached_constants("F4", 4).table
     # Weyl-invariance of feasibility for every surviving configuration

@@ -14,8 +14,7 @@ from lieconformal.cli import run
 from lieconformal.constructions import (
     _g2_relations,
     _omega,
-    _rand_frac,
-    _rand_vec,
+    _rand_scaled,
     _sl_trial,
     _sp_trial,
     BracketRelation,
@@ -35,21 +34,35 @@ from lieconformal.isotropy import PARABOLIC, derive_isotropy, parabolic_distorti
 from lieconformal.rootsys import MAX_RANK, build, vec
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def trials_at(n):
+    """100 trials, or 10 at MAX_RANK, where the sl denominators reach 60^65."""
+    return 10 if n == MAX_RANK else 100
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, MAX_RANK])
 def test_sp_embedding_exact(n):
     """Symplectic conjugation preserves omega with residual exactly 0."""
-    out = check_sp_embedding(n, trials=100, seed=1000 + n)
+    out = check_sp_embedding(n, trials=trials_at(n), seed=1000 + n)
     assert out["ok"]
     assert out["max_residual"] == 0
-    assert out["trials"] == 100
+    assert out["trials"] == trials_at(n)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, MAX_RANK])
 def test_sl_embedding_exact(n):
-    out = check_sl_embedding(n, trials=100, seed=2000 + n)
+    out = check_sl_embedding(n, trials=trials_at(n), seed=2000 + n)
     assert out["ok"]
     assert out["max_residual"] == 0
     assert out["codimension"] == 1
+
+
+def rand_frac(rng):
+    """Oracle: a draw as the Fraction it stands for."""
+    return Fraction(_rand_scaled(rng), 60)
+
+
+def rand_vec(rng, n):
+    return [rand_frac(rng) for _ in range(n)]
 
 
 def identity(n):
@@ -65,8 +78,8 @@ def random_symplectic(rng, n):
     multiplied out column by column."""
     m = identity(2 * n)
     for _ in range(3):
-        v = _rand_vec(rng, 2 * n)
-        c = _rand_frac(rng)
+        v = rand_vec(rng, 2 * n)
+        c = rand_frac(rng)
         cols = [[a + c * _omega(n, col, v) * b for a, b in zip(col, v)] for col in zip(*m)]
         m = [list(row) for row in zip(*cols)]
     return m
@@ -77,7 +90,7 @@ def random_unimodular(rng, n):
     m, inv = identity(n), identity(n)
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
-        c = _rand_frac(rng)
+        c = rand_frac(rng)
         for k in range(n):
             m[i][k] += c * m[j][k]
             inv[k][j] -= c * inv[k][i]
@@ -94,7 +107,7 @@ def test_sp_trial_matches_the_matrix(n):
         x, y = [Fraction(a, 60) for a in x], [Fraction(a, 60) for a in y]
         sx, sy = [Fraction(a, d) for a in sx], [Fraction(a, d) for a in sy]
         s = random_symplectic(oracle, n)
-        assert (x, y) == (_rand_vec(oracle, 2 * n), _rand_vec(oracle, 2 * n))
+        assert (x, y) == (rand_vec(oracle, 2 * n), rand_vec(oracle, 2 * n))
         assert (sx, sy) == (mat_vec(s, x), mat_vec(s, y))
         assert rng.getstate() == oracle.getstate()
 
@@ -120,15 +133,39 @@ def test_a_non_symplectic_step_fails_the_sp_check(monkeypatch, capsys):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_sl_trial_matches_the_matrix(n):
     """Applying the elementary operations to x and f gives g x and f o g^-1,
-    from the same draws, for seeds 0-49."""
+    from the same draws, for seeds 0-49: x = X / 60 and g x = GX / D on the
+    int vectors, with D = 60^(2n + 1)."""
     for seed in range(50):
         rng, oracle = random.Random(seed), random.Random(seed)
-        x, f, gx, f_ginv = _sl_trial(rng, n)
+        x, f, gx, f_ginv, d = _sl_trial(rng, n)
+        x, f = [Fraction(a, 60) for a in x], [Fraction(a, 60) for a in f]
+        gx, f_ginv = [Fraction(a, d) for a in gx], [Fraction(a, d) for a in f_ginv]
         g, ginv = random_unimodular(oracle, n)
-        assert (x, f) == (_rand_vec(oracle, n), _rand_vec(oracle, n))
+        assert (x, f) == (rand_vec(oracle, n), rand_vec(oracle, n))
         assert gx == mat_vec(g, x)
         assert f_ginv == mat_vec(list(zip(*ginv)), f)
+        assert d == 60 ** (2 * n + 1)
         assert rng.getstate() == oracle.getstate()
+
+
+def test_a_non_unimodular_step_fails_the_sl_check(monkeypatch, capsys):
+    """Doubling the first coordinate of g x after the elementary operations,
+    a last step of determinant 2, breaks the pairing: the sl check reports a
+    nonzero residual and `check-examples` exits 1."""
+    real = constructions._sl_trial
+
+    def stretched(rng, n):
+        x, f, gx, f_ginv, d = real(rng, n)
+        gx[0] *= 2
+        return x, f, gx, f_ginv, d
+
+    monkeypatch.setattr(constructions, "_sl_trial", stretched)
+    out = check_sl_embedding(3, trials=10, seed=5)
+    assert not out["ok"]
+    assert out["max_residual"] > 0
+    assert out["codimension"] == 1
+    assert run(["check-examples", "--construction", "sl", "--n", "3", "--seed", "5"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["sl"]["ok"] is False
 
 
 CHECK_EXAMPLES_OUTPUT = (

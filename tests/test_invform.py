@@ -55,9 +55,9 @@ def make_config(label, rank, case, *, alpha_idx=None, m=None):
         delta = parabolic_distortion(rs, rs.simples[alpha_idx])
     elif case == CASE2:
         low = minimal_root(rs)
-        delta = Distortion(low, as_root=low)
+        delta = Distortion(low)
     else:
-        delta = Distortion(vneg(m), as_root=vneg(m))
+        delta = Distortion(vneg(m))
     cfg = derive_isotropy(rs, delta, case)
     assert validate(cfg).ok
     return cached_constants(label, rank), cfg
@@ -355,11 +355,12 @@ def test_verify_invariance_matches_the_dense_loop(rank8_survivors):
     assert failed and passed
 
 
-def test_solve_scales_fraction_rows_to_ints():
-    """Sparse ratio rows with denominators 2 and 3 give the basis and witness
-    of the same rows times 6 and of `linalg.nullspace` on the densified rows;
-    a basis vector moved off the solution space fails the int residual
-    check, whose message carries the residual of the unscaled Fraction row."""
+def test_solve_takes_fraction_rows():
+    """Sparse ratio rows with denominators 2 and 3, which `solve` walks as
+    they are, give the basis and witness of the same rows times 6 and of
+    `linalg.nullspace` on the densified rows; a basis vector moved off the
+    solution space fails the residual check, whose message carries the
+    residual of the Fraction row."""
     h, t = Fraction(1, 2), Fraction(1, 3)
     rows = [((0, h), (1, -t)), ((1, 2 * t), (2, h)), ((0, 1), (2, h)), ()]
     unknowns = FormUnknowns(labels=list(range(4)), pairs=[(i, i) for i in range(4)])
@@ -376,8 +377,8 @@ def test_solve_scales_fraction_rows_to_ints():
     real = invform._residual
     moved = Fraction(1, 7)
 
-    def off_the_solution_space(int_rows, x):
-        return real(int_rows, (x[0] + moved, *x[1:]))
+    def off_the_solution_space(sparse_rows, x):
+        return real(sparse_rows, (x[0] + moved, *x[1:]))
 
     x = (sol.basis[0][0] + moved, *sol.basis[0][1:])
     unscaled = next(

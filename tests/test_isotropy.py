@@ -34,13 +34,12 @@ from lieconformal.rootsys import (
     vec,
     vsub,
 )
-from conftest import vadd
+from conftest import positives, vadd
 from test_rootsys import halved, vneg, weyl_reflect
 
 
 def case1_distortion(rs, m):
-    d = vneg(m)
-    return Distortion(d, as_root=d)
+    return Distortion(vneg(m))
 
 
 def as_vectors(rs, indices):
@@ -214,7 +213,7 @@ def test_case1_b3_eliminated_by_partner_multiplicity():
 def test_case2_a3_derives_and_validates():
     rs = build("A", 3)
     low = minimal_root(rs)
-    cfg = derive_isotropy(rs, Distortion(low, as_root=low), CASE2)
+    cfg = derive_isotropy(rs, Distortion(low), CASE2)
     assert validate(cfg).ok
     # the Cartan part of h is a hyperplane
     assert cfg.nu2 is not None
@@ -225,7 +224,7 @@ def test_case2_b3_inconsistent():
     rs = build("B", 3)
     low = minimal_root(rs)
     with pytest.raises(Inconsistent):
-        derive_isotropy(rs, Distortion(low, as_root=low), CASE2)
+        derive_isotropy(rs, Distortion(low), CASE2)
 
 
 @pytest.mark.parametrize("label,rank,idx", [
@@ -239,8 +238,8 @@ def test_parabolic_derives_and_validates(label, rank, idx):
     assert cfg.alpha == rs.simple_idx[idx]
     # h contains the Borel: every positive root except none is in h plus Cartan
     h = as_vectors(rs, cfg.h_roots)
-    assert set(rs.positives) <= h
-    missing = [r for r in rs.positives if vneg(r) not in h]
+    assert set(positives(rs)) <= h
+    missing = [r for r in positives(rs) if vneg(r) not in h]
     assert all(r is not None for r in missing) and missing
 
 
@@ -250,7 +249,7 @@ def test_parabolic_h_is_maximal():
     alpha = rs.simples[2]
     cfg = derive_isotropy(rs, parabolic_distortion(rs, alpha), PARABOLIC)
     h = as_vectors(rs, cfg.h_roots)
-    for r in rs.positives:
+    for r in positives(rs):
         coeff = rs.expansions[rs.index_of(r)][2]
         assert (vneg(r) in h) == (coeff == 0)
 

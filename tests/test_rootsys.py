@@ -23,7 +23,7 @@ from lieconformal.rootsys import (
     vec,
     vsub,
 )
-from conftest import dense_sums, vadd
+from conftest import dense_sums, positives, vadd
 
 
 def vneg(a):
@@ -56,6 +56,11 @@ def orbit_rep(rs, pair):
     return max(pair_orbit(rs, tuple(rs.index_of(r) for r in pair)))
 
 
+def find(rs, v2):
+    """The key lookup `index_of` makes once the vector is doubled to v2."""
+    return rs.by_key.get(rs.key(v2), -1)
+
+
 def height(rs, r):
     return rs.height[rs.index_of(r)]
 
@@ -85,7 +90,7 @@ def test_root_counts(label, rank):
     """Root cardinality matches the classical count for each type."""
     rs = build(label, rank)
     assert len(rs.roots) == ROOT_COUNTS[(label, rank)]
-    assert len(rs.positives) == len(rs.roots) // 2
+    assert len(rs.positive_idx) == len(rs.roots) // 2
     assert len(rs.simples) == rank
 
 
@@ -102,7 +107,7 @@ def test_minimal_root_property(label, rank):
     rs = build(label, rank)
     low = minimal_root(rs)
     assert is_root(rs, low)
-    for p in rs.positives:
+    for p in positives(rs):
         assert not is_root(rs, vsub(low, p))
 
 
@@ -122,10 +127,10 @@ def test_expansions_are_integral_and_one_signed(label, rank):
 
 def test_positives_sorted_by_height_then_lex():
     rs = build("F4", 4)
-    keys = [(height(rs, p), p) for p in rs.positives]
+    keys = [(height(rs, p), p) for p in positives(rs)]
     assert keys == sorted(keys)
-    assert rs.positives[:4] == tuple(sorted(rs.simples, reverse=True)[::-1]) or set(
-        rs.positives[:4]
+    assert positives(rs)[:4] == tuple(sorted(rs.simples, reverse=True)[::-1]) or set(
+        positives(rs)[:4]
     ) == set(rs.simples)
 
 
@@ -386,21 +391,20 @@ def test_root_core_matches_vector_ops(label, rank):
     expansions = vector_expansions(vsimples, roots)
     roots2 = [doubled_ints(r) for r in roots]
     simples2 = [doubled_ints(s) for s in vsimples]
-    positives = sorted(
+    by_height = sorted(
         (sum(expansions[r]), r) for r in roots if all(c >= 0 for c in expansions[r])
     )
     assert rs.dim == dim
     assert rs.roots == roots
     assert all(repr(a) == repr(b) for a, b in zip(rs.roots, roots))
     assert rs.simples == tuple(vsimples)
-    assert rs.positives == tuple(r for _, r in positives)
     index = {r: i for i, r in enumerate(roots)}
-    positive_set = set(rs.positives)
-    assert [roots[i] for i in rs.positive_idx] == list(rs.positives)
+    positive_set = {r for _, r in by_height}
+    assert [roots[i] for i in rs.positive_idx] == [r for _, r in by_height]
     assert [roots[i] for i in rs.simple_idx] == list(rs.simples)
     for i, r in enumerate(roots):
         assert tuple(Fraction(x, 2) for x in rs.coords[i]) == r
-        assert rs.find(rs.coords[i]) == rs.index_of(r) == i
+        assert find(rs, rs.coords[i]) == rs.index_of(r) == i
         assert roots[rs.neg[i]] == vneg(r)
         assert rs.norm[i] == 4 * dot(r, r)
         assert rs.expansions[i] == expansions[r]
@@ -469,7 +473,7 @@ def test_sum_rows_and_pair_orbits_are_weyl_closed(data):
 
 @pytest.mark.parametrize("label,rank", KEY_SYSTEMS)
 def test_find_matches_tuple_lookup(label, rank):
-    """`find`'s key lookup agrees with a tuple-keyed dict on every root and
+    """`index_of`'s key lookup agrees with a tuple-keyed dict on every root and
     on every sum of two roots, which, as the roots are closed under
     negation, are also every difference; at rank 32, where that is millions
     of sums, on every root plus or minus each simple root.  Vectors off the
@@ -479,18 +483,18 @@ def test_find_matches_tuple_lookup(label, rank):
     rs = build(label, rank)
     coords, dim = rs.coords, rs.dim
     oracle = {c: i for i, c in enumerate(coords)}
-    assert all(rs.find(c) == i for c, i in oracle.items())
+    assert all(find(rs, c) == i for c, i in oracle.items())
     if rank <= 16:
         partners = [coords[j:] for j in range(len(coords))]
     else:
         simples = [coords[k] for k in rs.simple_idx] + [coords[rs.neg[k]] for k in rs.simple_idx]
         partners = [simples] * len(coords)
     sums = {tuple(map(add, r, s)) for r, ss in zip(coords, partners) for s in ss}
-    assert all(rs.find(v) == oracle.get(v, -1) for v in sums)
+    assert all(find(rs, v) == oracle.get(v, -1) for v in sums)
     for i, r in enumerate(coords):
         k = min(i % dim, dim - 2)
         for x in (9, -9, 16, -16, Fraction(1, 3)):
-            assert rs.find(r[:k] + (x,) + r[k + 1 :]) == -1
+            assert find(rs, r[:k] + (x,) + r[k + 1 :]) == -1
         alias = r[:k] + (r[k] + 32, r[k + 1] - 1) + r[k + 2 :]
-        assert rootsys._key(alias) == rs.keys[i] and rs.find(alias) == -1
-        assert rs.find(r[:-1]) == rs.find(r + (0,)) == -1
+        assert rootsys._key(alias) == rs.keys[i] and find(rs, alias) == -1
+        assert find(rs, r[:-1]) == find(rs, r + (0,)) == -1
