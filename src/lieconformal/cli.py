@@ -72,8 +72,10 @@ def _read_json(path, context=""):
     """The JSON value in the file at `path`; ValueError, its message led by
     `context`, if the file is unreadable, not UTF-8 JSON or nested too deep."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        # read as text mode would: \r\n and a lone \r become \n
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{context}{exc}") from None
 

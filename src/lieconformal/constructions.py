@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import mul
 
@@ -115,6 +116,7 @@ def _nullity(ncols: int, rows) -> int:
     return ncols - len(linalg.rref(dense, ncols)[1])
 
 
+@lru_cache(maxsize=None)
 def _stabilizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X fixes the line through (e1, e_n*)}."""
     # unknowns: X[i][j] at i * n + j, then the eigenvalue c at n * n
@@ -127,6 +129,7 @@ def _stabilizer_dimension(n: int) -> int:
     return _nullity(c + 1, rows)
 
 
+@lru_cache(maxsize=None)
 def _normalizer_dimension(n: int) -> int:
     """dim of {X in sl(n): X e1 in C e1, X W <= W} for W = span(e1..e_{n-1})."""
     rows = [{i * n: 1} for i in range(1, n)]  # first column upper

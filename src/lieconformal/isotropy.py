@@ -8,6 +8,11 @@ Borel and with itself; any contradiction (a paired root pulled into the
 kernel, an opposite pair whose coroot leaves the allowed Cartan part, the
 closure swallowing the whole algebra) is raised as `Inconsistent` and
 counts as an elimination verdict for the candidate, not as an error.
+
+From pairing to verdict the layer works on masks over root indices: a
+`bytearray` with one 0/1 entry per root for the paired roots, the kernel
+and its normalizer p.  A config keeps its kernel and normalizer as
+frozensets of root indices, built once the checks pass.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import compress
+from operator import add
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
@@ -89,14 +96,14 @@ def partner(rs: RootSystem, kd, label):
     return rs.by_key.get(m) if m else CARTAN_LABEL
 
 
-def _paired(rs: RootSystem, kd) -> set:
-    """Indices of the roots that delta pairs (kd = `rs.key` of doubled
-    delta): the roots r for which `partner` finds delta - r a root or zero,
-    in one pass."""
+def _paired(rs: RootSystem, kd) -> bytearray:
+    """Mask over the root indices of the roots that delta pairs (kd =
+    `rs.key` of doubled delta): 1 for the roots r for which `partner` finds
+    delta - r a root or zero, in one pass."""
     if kd is None:
-        return set()
+        return bytearray(len(rs.keys))
     by_key = rs.by_key
-    return {i for i, k in enumerate(rs.keys) if kd - k in by_key or k == kd}
+    return bytearray([kd - k in by_key or k == kd for k in rs.keys])
 
 
 @lru_cache(maxsize=None)
@@ -136,82 +143,98 @@ def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
     return Distortion(vsub(minimal_root(rs), check_dim(rs, alpha)))
 
 
-def _closure(rs: RootSystem, d2, forced, nu2) -> set:
-    """Close the forced kernel root indices; return the stable set.
+def _closure(rs: RootSystem, d2, forced, nu2) -> bytearray:
+    """Close the forced kernel root indices; return the stable set as a
+    mask over root indices.
 
     The kernel must be closed under brackets with p = positives + kernel,
     contain the whole sl2 of each of its roots on which delta vanishes,
     and (with a Cartan hyperplane nu-perp) contain every positive root
     not proportional to nu.  All three rules only ever add roots, so a
-    worklist reaches the same least fixed point as repeated sweeps.  Every
-    kernel root joins p when it is added, so of two kernel roots the one
-    swept later meets the other in p.  A sweep of x walks the sum row of x
-    and keeps the pairs whose other summand is in p.
+    worklist reaches the same least fixed point as repeated sweeps.  A
+    root enters the masks `in_s` (kernel) and `in_p` (p) and the worklist
+    once, when it is added, so of two kernel roots the one swept later
+    meets the other in p.  A sweep of x walks the sum row of x and keeps
+    the pairs whose other summand is in p.
     """
     sums, neg, coords = rs.sums, rs.neg, rs.coords
-    seeds = list(forced)
+    in_s = bytearray(len(coords))
+    in_p = bytearray(rs.is_positive)
+    work = []
+    for x in forced:
+        if not in_s[x]:
+            in_s[x] = in_p[x] = 1
+            work.append(x)
     if nu2 is not None:
         # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
         # the ideal property forces its root space into the kernel
         nn = dot(nu2, nu2)
         for lam in rs.positive_idx:
-            lc = dot(coords[lam], nu2)
-            if lc * lc != rs.norm[lam] * nn:
-                seeds.append(lam)
-    in_s = bytearray(len(coords))
-    in_p = bytearray(rs.is_positive)
-    work = []
-
-    def put(x):
-        in_s[x] = in_p[x] = 1
-        work.append(x)
-
-    for x in seeds:
-        if not in_s[x]:
-            put(x)
+            if not in_s[lam]:
+                lc = dot(coords[lam], nu2)
+                if lc * lc != rs.norm[lam] * nn:
+                    in_s[lam] = 1  # positive, so already in p
+                    work.append(lam)
     while work:
         x = work.pop()
         pairs = iter(sums[x])
         for g, t in zip(pairs, pairs):
-            if in_p[g] and not in_s[t]:
-                put(t)
-        if not in_s[neg[x]] and dot(d2, coords[x]) == 0:
-            put(neg[x])  # the whole sl2 of x sits inside h
-    return {i for i, flag in enumerate(in_s) if flag}
+            if not in_s[t] and in_p[g]:
+                in_s[t] = in_p[t] = 1
+                work.append(t)
+        y = neg[x]
+        if not in_s[y] and dot(d2, coords[x]) == 0:
+            in_s[y] = in_p[y] = 1  # the whole sl2 of x sits inside h
+            work.append(y)
+    return in_s
 
 
-def _final_checks(rs: RootSystem, s: set, nu2, paired: set):
+def _pairing_mismatch(in_s, paired) -> int:
+    """The least root index at which the kernel mask breaks the pairing
+    rule, or -1: a paired kernel root wins over an unpaired root outside
+    the kernel, whatever their order."""
+    state = bytes(map(add, in_s, paired))  # 2: paired in h, 0: unpaired outside h
+    bad = state.find(2)
+    return bad if bad >= 0 else state.find(0)
+
+
+def _final_checks(rs: RootSystem, in_s: bytearray, nu2, paired: bytearray):
+    """Raise Inconsistent unless the kernel mask `in_s` is exactly the
+    unpaired roots (`paired` is the mask of `_paired`), leaves a root
+    outside, and, with a Cartan hyperplane nu-perp, keeps the coroot of
+    every kernel root whose opposite is in p inside nu-perp.  Each failure
+    names the least root index that breaks it."""
     roots = rs.roots
-    bad = sorted(s & paired)
-    if bad:
+    bad = _pairing_mismatch(in_s, paired)
+    if bad >= 0:
+        if in_s[bad]:
+            raise Inconsistent(
+                f"paired root {roots[bad]} forced into the kernel", witness=roots[bad]
+            )
         raise Inconsistent(
-            f"paired root {roots[bad[0]]} forced into the kernel", witness=roots[bad[0]]
+            f"unpaired root {roots[bad]} left outside the kernel", witness=roots[bad]
         )
-    missing = sorted(set(range(len(roots))) - paired - s)
-    if missing:
-        raise Inconsistent(
-            f"unpaired root {roots[missing[0]]} left outside the kernel",
-            witness=roots[missing[0]],
-        )
-    if len(s) == len(roots):
+    if in_s.find(0) < 0:
         raise Inconsistent("kernel closure swallows the whole algebra")
     if nu2 is not None:
-        for beta in sorted(s):
-            opposite = rs.neg[beta]
-            if (opposite in s or rs.is_positive[opposite]) and dot(nu2, rs.coords[beta]) != 0:
+        neg, is_positive, coords = rs.neg, rs.is_positive, rs.coords
+        for beta in compress(range(len(in_s)), in_s):
+            opposite = neg[beta]
+            if (in_s[opposite] or is_positive[opposite]) and dot(nu2, coords[beta]) != 0:
                 raise Inconsistent(
                     f"coroot of {roots[beta]} escapes the Cartan hyperplane", witness=roots[beta]
                 )
 
 
-def _config(rs, case_tag, d2, s, nu2, alpha) -> IsotropyConfig:
+def _config(rs, case_tag, d2, in_s, nu2, alpha) -> IsotropyConfig:
+    h = frozenset(compress(range(len(in_s)), in_s))
     return IsotropyConfig(
         case_tag=case_tag,
         system=rs,
         d2=d2,
         nu2=nu2,
-        h_roots=frozenset(s),
-        p_roots=frozenset(s.union(rs.positive_idx)),
+        h_roots=h,
+        p_roots=h.union(rs.positive_idx),
         alpha=alpha,
     )
 
@@ -222,7 +245,6 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
     dvec = check_dim(rs, delta.functional)
     d2 = doubled(dvec)
     kd = rs.key(d2)
-    paired = _paired(rs, kd)
 
     if case_tag in (CASE1, CASE2):
         if rs.label == "A1xA1":
@@ -232,10 +254,16 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             raise Inconsistent("distortion must be a root in this case", witness=dvec)
         if rs.is_positive[d]:
             raise Inconsistent("distortion root must be negative", witness=dvec)
-        forced = set(range(len(rs.roots))) - paired
         alpha = None
+        if case_tag == CASE2:
+            if d != minimal_root_index(rs):
+                raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
+            nu2 = case2_normal(rs)
+            if nu2 is None:
+                raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
+        paired = _paired(rs, kd)
         if case_tag == CASE1:
-            candidates = [a for a in rs.positive_idx if dot(d2, rs.coords[a]) == 0 and a in paired]
+            candidates = [a for a in rs.positive_idx if paired[a] and dot(d2, rs.coords[a]) == 0]
             if not candidates:
                 raise Inconsistent("no orthogonal pairing partner for the distortion")
             if len(candidates) > 1:
@@ -245,22 +273,16 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
                 )
             alpha = candidates[0]
             nu2 = rs.coords[alpha]
-        else:
-            if d != minimal_root_index(rs):
-                raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
-            nu2 = case2_normal(rs)
-            if nu2 is None:
-                raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
-        s = _closure(rs, d2, forced, nu2)
-        _final_checks(rs, s, nu2, paired)
-        return _config(rs, case_tag, d2, s, nu2, alpha)
+        in_s = _closure(rs, d2, [i for i, f in enumerate(paired) if not f], nu2)
+        _final_checks(rs, in_s, nu2, paired)
+        return _config(rs, case_tag, d2, in_s, nu2, alpha)
 
     if case_tag in (PARABOLIC, LOWRANK) and rs.label == "A1xA1":
         a, b = (rs.coords[k] for k in rs.simple_idx)
         if d2 != tuple(-x - y for x, y in zip(a, b)):
             raise Inconsistent("product-of-Borels distortion mismatch", witness=dvec)
         # the kernel is the Borel of both factors
-        return _config(rs, LOWRANK, d2, set(rs.positive_idx), None, None)
+        return _config(rs, LOWRANK, d2, rs.is_positive, None, None)
 
     # parabolic: delta = minimal root - alpha for a single simple root alpha
     alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
@@ -269,24 +291,27 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
         )
     a_index = rs.simple_idx.index(alpha)
-    forced = set(rs.positive_idx)
-    forced.update(rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0)
-    s = _closure(rs, d2, forced, None)
-    _final_checks(rs, s, None, paired)
+    forced = list(rs.positive_idx)
+    forced += [rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0]
+    in_s = _closure(rs, d2, forced, None)
+    _final_checks(rs, in_s, None, _paired(rs, kd))
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
-    return _config(rs, tag, d2, s, None, alpha)
+    return _config(rs, tag, d2, in_s, None, alpha)
 
 
 def validate(config: IsotropyConfig) -> ValidationReport:
     """Independent re-check of all structural invariants of a configuration.
 
+    The kernel and normalizer are read once into masks over root indices,
+    the same representation as the closure, but no closure code is shared.
     A failed check carries as witness its lexicographically least failing
     root (or root pair), as vectors.
     """
     rs = config.system
     d2, nu2, alpha = config.d2, config.nu2, config.alpha
-    s = config.h_roots
-    pos = set(rs.positive_idx)
+    s, p = config.h_roots, config.p_roots
+    n = len(rs.roots)
+    in_s, in_p = bytearray(map(s.__contains__, range(n))), bytearray(map(p.__contains__, range(n)))
     checks = []
 
     def record(name, ok, witness=None):
@@ -294,33 +319,31 @@ def validate(config: IsotropyConfig) -> ValidationReport:
 
     # h is a subalgebra and an ideal of p = (Cartan + positives + h)
     witness = None
-    p = config.p_roots
-    for b in sorted(s):
+    for b in compress(range(n), in_s):
         pairs = iter(rs.sums[b])
-        g = min((g for g, t in zip(pairs, pairs) if g in p and t not in s), default=None)
-        if g is not None:
-            witness = (rs.roots[b], rs.roots[g])
+        escaped = [g for g, t in zip(pairs, pairs) if not in_s[t] and in_p[g]]
+        if escaped:
+            witness = (rs.roots[b], rs.roots[min(escaped)])
             break
     record("bracket closure of h under p", witness is None, witness)
 
     witness = None
     if nu2 is not None:
-        for b in sorted(s):
+        for b in compress(range(n), in_s):
             opposite = rs.neg[b]
-            if (opposite in s or opposite in pos) and dot(nu2, rs.coords[b]) != 0:
+            if (in_s[opposite] or rs.is_positive[opposite]) and dot(nu2, rs.coords[b]) != 0:
                 witness = rs.roots[b]
                 break
     record("coroots of opposite kernel pairs stay in the Cartan part", witness is None, witness)
 
     kd = rs.key(d2)
-    paired = _paired(rs, kd)
-    bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
+    bad = _pairing_mismatch(in_s, _paired(rs, kd))
     record(
-        "kernel matches the pairing rule exactly", not bad, rs.roots[bad[0]] if bad else None
+        "kernel matches the pairing rule exactly", bad < 0, rs.roots[bad] if bad >= 0 else None
     )
 
-    record("h is a proper subalgebra", len(s) < len(rs.roots))
-    record("p is a proper subalgebra", len(config.p_roots) < len(rs.roots))
+    record("h is a proper subalgebra", len(s) < n)
+    record("p is a proper subalgebra", len(p) < n)
 
     if config.case_tag == CASE1:
         record("Case1 distortion is a root", kd in rs.by_key)
@@ -334,14 +357,14 @@ def validate(config: IsotropyConfig) -> ValidationReport:
     elif config.case_tag == CASE2:
         low = rs.coords[minimal_root_index(rs)]
         record("Case2 distortion is the minimal root", d2 == low)
-        record("positive spaces inside h", pos <= s)
+        record("positive spaces inside h", s.issuperset(rs.positive_idx))
         record("Case2 Cartan part is a hyperplane", nu2 is not None)
     elif config.case_tag == PARABOLIC:
-        record("Borel inside h", pos <= s and nu2 is None)
-        missing = [rs.roots[k] for k in rs.simple_idx if rs.neg[k] not in s]
+        record("Borel inside h", s.issuperset(rs.positive_idx) and nu2 is None)
+        missing = [rs.roots[k] for k in rs.simple_idx if not in_s[rs.neg[k]]]
         record("exactly one simple root escapes h", len(missing) == 1, missing)
     else:  # LowRank
-        record("Borel(s) inside h", pos <= s and nu2 is None)
+        record("Borel(s) inside h", s.issuperset(rs.positive_idx) and nu2 is None)
 
     report = ValidationReport(ok=all(c[1] for c in checks), checks=checks)
     if report.ok:

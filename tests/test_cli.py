@@ -311,6 +311,46 @@ def test_solve_config_not_an_object(tmp_path, capsys, content):
     assert captured.err == "error: config must be a JSON object\n"
 
 
+B3_LINES = (
+    b'{"label": "B",', b' "rank": 3,', b' "case": "Parabolic",', b' "alpha": ["0", "0", "1"]'
+)
+
+
+@pytest.mark.parametrize("content,line", [
+    # a syntax error past the first line break: line and column count \r\n as one break
+    (b"\r\n".join(B3_LINES) + b",,\r\n}\r\n",
+     "Expecting property name enclosed in double quotes: line 4 column 27 (char 75)"),
+    # a lone \r is a line break too
+    (b"\r".join(B3_LINES) + b" x\r}\r", "Expecting ',' delimiter: line 4 column 27 (char 75)"),
+    (b"\xef\xbb\xbf" + b"".join(B3_LINES) + b"}\n",
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{"label": "B",\n "rank": 3, "case": "Parab\xffolic", "alpha": ["0", "0", "1"]}\n',
+     "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte"),
+    # a raw \r\n inside a string reads as one raw \n, a control character
+    (b'{"label": "B",\r\n "rank": 3, "case": "Para\r\nbolic", "alpha": ["0", "0", "1"]}\n',
+     "Invalid control character at: line 2 column 26 (char 40)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_solve_config_bytes_read_as_text(tmp_path, capsys, content, line):
+    """A config file is decoded as UTF-8 with \\r\\n and a lone \\r read as
+    \\n, so each malformed file names the same line and column as a
+    text-mode read does; the error lines are pinned."""
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    rc = run(["solve", str(path)])
+    assert (rc, capsys.readouterr()) == (2, ("", f"error: {line}\n"))
+
+
+@pytest.mark.parametrize("sep", [b"\r\n", b"\r"])
+def test_solve_config_with_crlf_or_cr_breaks(tmp_path, capsys, sep):
+    """A well-formed config with \\r\\n or \\r line breaks solves as the
+    pinned b3_alpha_e3 config does."""
+    path = tmp_path / "config.json"
+    path.write_bytes(sep.join(B3_LINES + (b"}",)) + sep)
+    rc, out = capture(capsys, ["solve", str(path)])
+    assert rc == 0 and out == (DATA / "b3_alpha_e3_solve.json").read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["dump-roots", "B", "300"],
     ["dump-roots", "A", "33"],

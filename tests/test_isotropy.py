@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieconformal.classify import _systems
 from lieconformal.errors import Inconsistent
@@ -11,9 +12,12 @@ from lieconformal.isotropy import (
     CARTAN_LABEL,
     CASE1,
     CASE2,
+    LOWRANK,
     PARABOLIC,
     Distortion,
     IsotropyConfig,
+    _closure,
+    _final_checks,
     _paired,
     case2_normal,
     derive_isotropy,
@@ -44,6 +48,14 @@ def case1_distortion(rs, m):
 
 def as_vectors(rs, indices):
     return {rs.roots[i] for i in indices}
+
+
+def paired_set(rs, kd) -> set:
+    """The root indices that the `_paired` mask marks; the mask has one 0/1
+    entry per root."""
+    mask = _paired(rs, kd)
+    assert len(mask) == len(rs.roots) and set(mask) <= {0, 1}
+    return {i for i, flag in enumerate(mask) if flag}
 
 
 def case2_normal_oracle(rs):
@@ -101,7 +113,7 @@ def test_pairing_partner_rule():
     """r is paired exactly when delta - r is a root or zero."""
     rs = build("C", 3)
     d = case1_distortion(rs, vec(1, 1, 0))
-    paired = _paired(rs, rs.key(doubled(d.functional)))
+    paired = paired_set(rs, rs.key(doubled(d.functional)))
     r = vec(1, -1, 0)
     assert rs.index_of(r) in paired
     assert vsub(d.functional, r) == vec(-2, 0, 0) and rs.index_of(vec(-2, 0, 0)) >= 0
@@ -124,7 +136,7 @@ def test_partner_is_an_involution_on_the_paired_labels():
     assert CARTAN_LABEL in paired and len(paired) > 2
     for l in paired:
         assert partner(rs, kd, partner(rs, kd, l)) == l
-    assert set(paired) - {CARTAN_LABEL} == _paired(rs, kd)
+    assert set(paired) - {CARTAN_LABEL} == paired_set(rs, kd)
 
 
 def test_paired_is_the_set_view_of_partner():
@@ -137,7 +149,7 @@ def test_paired_is_the_set_view_of_partner():
         rs = build(v.label, v.rank)
         kd = rs.key(doubled(v.delta))
         want = {i for i in range(len(rs.coords)) if partner(rs, kd, i) is not None}
-        assert _paired(rs, kd) == want
+        assert paired_set(rs, kd) == want
         judged += 1
     assert judged == 215
 
@@ -183,7 +195,7 @@ def test_paired_and_partner_match_tuple_lookup(rank8_survivors):
             kd = rs.key(v2)
             want = {l: tuple_partner(rs, at, v2, l) for l in labels}
             assert {l: partner(rs, kd, l) for l in labels} == want
-            assert _paired(rs, kd) == {
+            assert paired_set(rs, kd) == {
                 i for i in range(len(rs.coords)) if want[i] is not None
             }
             off_box += kd is None
@@ -423,3 +435,294 @@ def test_validate_rejects_an_unpaired_case1_root():
     assert validate(cfg).ok and cfg.alpha == rs.index_of(vec(1, -1, 0))
     broken = replace(cfg, alpha=rs.index_of(vec(0, 0, 2)), validated=False)
     assert set(failed_checks(broken)) == {"Case1 orthogonal root"}
+
+
+# ------------------------------------------------- set-based closure oracle
+
+
+def set_closure(rs, d2, forced, nu2) -> set:
+    """Reference for `_closure` on root-index sets: sweep the sum row of
+    every added root until nothing more joins."""
+    sums, neg, coords = rs.sums, rs.neg, rs.coords
+    seeds = list(forced)
+    if nu2 is not None:
+        nn = dot(nu2, nu2)
+        for lam in rs.positive_idx:
+            lc = dot(coords[lam], nu2)
+            if lc * lc != rs.norm[lam] * nn:
+                seeds.append(lam)
+    s, p = set(), set(rs.positive_idx)
+    work = []
+
+    def put(x):
+        s.add(x)
+        p.add(x)
+        work.append(x)
+
+    for x in seeds:
+        if x not in s:
+            put(x)
+    while work:
+        x = work.pop()
+        pairs = iter(sums[x])
+        for g, t in zip(pairs, pairs):
+            if g in p and t not in s:
+                put(t)
+        if neg[x] not in s and dot(d2, coords[x]) == 0:
+            put(neg[x])
+    return s
+
+
+def set_final_checks(rs, s, nu2, paired):
+    """Reference for `_final_checks` on root-index sets, by set algebra."""
+    roots = rs.roots
+    bad = sorted(s & paired)
+    if bad:
+        raise Inconsistent(
+            f"paired root {roots[bad[0]]} forced into the kernel", witness=roots[bad[0]]
+        )
+    missing = sorted(set(range(len(roots))) - paired - s)
+    if missing:
+        raise Inconsistent(
+            f"unpaired root {roots[missing[0]]} left outside the kernel",
+            witness=roots[missing[0]],
+        )
+    if len(s) == len(roots):
+        raise Inconsistent("kernel closure swallows the whole algebra")
+    if nu2 is not None:
+        for beta in sorted(s):
+            opposite = rs.neg[beta]
+            if (opposite in s or rs.is_positive[opposite]) and dot(nu2, rs.coords[beta]) != 0:
+                raise Inconsistent(
+                    f"coroot of {roots[beta]} escapes the Cartan hyperplane", witness=roots[beta]
+                )
+
+
+def oracle_derive(rs, delta, case_tag):
+    """`derive_isotropy` on root-index sets, with the pairing set from
+    `partner`: (case tag, h_roots, p_roots, alpha), or the same exception."""
+    d2 = doubled(delta.functional)
+    kd = rs.key(d2)
+    paired = {i for i in range(len(rs.roots)) if partner(rs, kd, i) is not None}
+    if rs.label == "A1xA1":
+        derive_isotropy(rs, delta, case_tag)  # the product-of-Borels branch has no closure
+        pos = frozenset(rs.positive_idx)
+        return LOWRANK, pos, pos, None
+    if case_tag in (CASE1, CASE2):
+        d = rs.by_key.get(kd, -1)
+        if d < 0:
+            raise Inconsistent("distortion must be a root in this case", witness=delta.functional)
+        if rs.is_positive[d]:
+            raise Inconsistent("distortion root must be negative", witness=delta.functional)
+        alpha = None
+        if case_tag == CASE1:
+            candidates = [a for a in rs.positive_idx if dot(d2, rs.coords[a]) == 0 and a in paired]
+            if not candidates:
+                raise Inconsistent("no orthogonal pairing partner for the distortion")
+            if len(candidates) > 1:
+                raise Inconsistent(
+                    "multiple orthogonal pairing partners",
+                    witness=tuple(rs.roots[a] for a in candidates),
+                )
+            alpha = candidates[0]
+            nu2 = rs.coords[alpha]
+        else:
+            if d != minimal_root_index(rs):
+                raise Inconsistent(
+                    "Case2 distortion must be the minimal root", witness=delta.functional
+                )
+            nu2 = case2_normal(rs)
+            if nu2 is None:
+                raise Inconsistent(
+                    "forced coroots fill the whole Cartan", witness=delta.functional
+                )
+        forced = set(range(len(rs.roots))) - paired
+        tag = case_tag
+    else:
+        alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
+        if alpha not in rs.simple_idx:
+            raise Inconsistent(
+                "distortion is not (minimal root - simple root)",
+                witness=vsub(minimal_root(rs), delta.functional),
+            )
+        a_index = rs.simple_idx.index(alpha)
+        forced = set(rs.positive_idx)
+        forced.update(rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0)
+        nu2 = None
+        tag = LOWRANK if rs.rank == 1 else PARABOLIC
+    s = set_closure(rs, d2, forced, nu2)
+    set_final_checks(rs, s, nu2, paired)
+    return tag, frozenset(s), frozenset(s.union(rs.positive_idx)), alpha
+
+
+def outcome(derive, rs, delta, case_tag):
+    """What a derivation gives: the exception type, message and witness, or
+    the (case tag, h_roots, p_roots, alpha) of the config."""
+    try:
+        cfg = derive(rs, delta, case_tag)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    if isinstance(cfg, IsotropyConfig):
+        return cfg.case_tag, cfg.h_roots, cfg.p_roots, cfg.alpha
+    return cfg
+
+
+def test_derive_isotropy_matches_the_set_oracle():
+    """On every candidate of `classify_all(12)` with a distortion, those
+    the root stage eliminates included, and on the off-lattice and off-box
+    configs of tests/data, the mask-based derivation raises the same
+    message and witness as the set-based oracle, or returns the same
+    kernel, normalizer and alpha."""
+    import json
+    from pathlib import Path
+
+    from lieconformal.classify import classify_all
+    from lieconformal.cli import _config_from_json
+
+    cases = [
+        (build(v.label, v.rank), Distortion(v.delta), v.case)
+        for v in classify_all(12).verdicts
+        if v.delta is not None
+    ]
+    data = Path(__file__).parent / "data"
+    for name in ("b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"):
+        cases.append(_config_from_json(json.loads((data / f"{name}.json").read_text())))
+    kinds = set()
+    for rs, delta, case_tag in cases:
+        want = outcome(oracle_derive, rs, delta, case_tag)
+        assert outcome(derive_isotropy, rs, delta, case_tag) == want
+        kinds.add(want[1].split(" (")[0] if want[0] is Inconsistent else "config")
+    assert {
+        "config",
+        "paired root",
+        "unpaired root",
+        "multiple orthogonal pairing partners",
+        "distortion is not",
+        "distortion must be a root in this case",
+    } <= kinds, kinds
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_closure_reaches_the_set_oracle_fixed_point(data):
+    """On B4, F4 and E6, a random forced subset, a distortion drawn from
+    the roots or from small integer vectors, and an optional Cartan normal
+    close to the oracle's fixed point.  The final checks raise what the
+    oracle's raise, both against the distortion's pairing and against the
+    complement of the kernel, which passes the pairing rule and so reaches
+    the whole-algebra and coroot checks."""
+    rs = build(*data.draw(st.sampled_from([("B", 4), ("F4", 4), ("E6", 6)])))
+    n = len(rs.roots)
+    forced = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 8))
+    d2 = data.draw(
+        st.sampled_from(rs.coords)
+        | st.tuples(*[st.integers(-4, 4)] * rs.dim).filter(any)
+    )
+    nu2 = data.draw(st.none() | st.sampled_from(rs.coords))
+    in_s = _closure(rs, d2, forced, nu2)
+    want = set_closure(rs, d2, forced, nu2)
+    assert {i for i, flag in enumerate(in_s) if flag} == want
+    kd = rs.key(d2)
+
+    def verdict(check, *args):
+        try:
+            check(*args)
+        except Inconsistent as exc:
+            return str(exc), exc.witness
+        return None
+
+    paired = {i for i in range(n) if partner(rs, kd, i) is not None}
+    assert verdict(_final_checks, rs, in_s, nu2, _paired(rs, kd)) == verdict(
+        set_final_checks, rs, want, nu2, paired
+    )
+    outside = bytearray(1 - flag for flag in in_s)
+    assert verdict(_final_checks, rs, in_s, nu2, outside) == verdict(
+        set_final_checks, rs, want, nu2, set(range(n)) - want
+    )
+    # a random pairing mostly breaks the rule both ways, in either index order
+    drawn = data.draw(st.sets(st.integers(0, n - 1)))
+    mask = bytearray(i in drawn for i in range(n))
+    assert verdict(_final_checks, rs, in_s, nu2, mask) == verdict(
+        set_final_checks, rs, want, nu2, drawn
+    )
+
+
+def test_final_checks_name_a_coroot_whose_opposite_is_positive():
+    """A kernel root whose opposite is a positive root outside the kernel
+    still has its coroot checked against the Cartan hyperplane."""
+    rs = build("B", 3)
+    nu = rs.simple_idx[0]
+    in_s = bytearray(len(rs.roots))
+    in_s[rs.neg[nu]] = 1
+    outside = bytearray(1 - flag for flag in in_s)
+    with pytest.raises(Inconsistent) as exc:
+        _final_checks(rs, in_s, rs.coords[nu], outside)
+    assert exc.value.witness == rs.roots[rs.neg[nu]]
+    assert str(exc.value) == f"coroot of {rs.roots[rs.neg[nu]]} escapes the Cartan hyperplane"
+
+
+def set_validate_witnesses(cfg) -> list:
+    """Reference witnesses of `validate`'s bracket-closure, coroot and
+    pairing checks, by set algebra on the config's frozensets."""
+    rs, s, p, nu2 = cfg.system, cfg.h_roots, cfg.p_roots, cfg.nu2
+    bracket = coroot = None
+    for b in sorted(s):
+        pairs = iter(rs.sums[b])
+        g = min((g for g, t in zip(pairs, pairs) if g in p and t not in s), default=None)
+        if g is not None:
+            bracket = (rs.roots[b], rs.roots[g])
+            break
+    if nu2 is not None:
+        pos = set(rs.positive_idx)
+        for b in sorted(s):
+            opposite = rs.neg[b]
+            if (opposite in s or opposite in pos) and dot(nu2, rs.coords[b]) != 0:
+                coroot = rs.roots[b]
+                break
+    kd = rs.key(cfg.d2)
+    paired = {i for i in range(len(rs.roots)) if partner(rs, kd, i) is not None}
+    bad = sorted(s & paired) + sorted(set(range(len(rs.roots))) - paired - s)
+    return [bracket, coroot, rs.roots[bad[0]] if bad else None]
+
+
+def test_validate_masks_match_the_set_checks(rank8_survivors):
+    """On every rank-8 survivor config and seven seeded corruptions of each
+    (a root dropped from or added to h and p, a root toggled in p or in h
+    alone, a full Cartan with a wrong alpha, -alpha added to h and p),
+    `validate`'s bracket-closure, coroot and pairing checks give the
+    witnesses of the set algebra."""
+    rng = random.Random(3232)
+    failed = coroots = 0
+    for system, _ in rank8_survivors:
+        cfg = system.config
+        n = len(cfg.system.roots)
+        variants = [cfg]
+        for kind in range(7):
+            h, p, x = set(cfg.h_roots), set(cfg.p_roots), rng.randrange(n)
+            if kind == 6 and cfg.alpha is not None:
+                # its opposite alpha is positive and outside h
+                h.add(cfg.system.neg[cfg.alpha])
+                p.add(cfg.system.neg[cfg.alpha])
+            if kind == 0:
+                h.discard(x)
+                p.discard(x)
+            elif kind == 1:
+                h.add(x)
+                p.add(x)
+            elif kind in (2, 3):
+                p ^= {x}
+            elif kind == 4:
+                h ^= {x}
+            variants.append(replace(
+                cfg, h_roots=frozenset(h), p_roots=frozenset(p), validated=False,
+                nu2=None if kind == 5 else cfg.nu2,
+                alpha=rng.randrange(n) if kind == 5 else cfg.alpha,
+            ))
+        for v in variants:
+            report = validate(v)
+            want = set_validate_witnesses(v)
+            assert [c[2] for c in report.checks[:3]] == want
+            assert [c[1] for c in report.checks[:3]] == [w is None for w in want]
+            failed += not report.ok
+            coroots += report.checks[1][2] is not None
+    assert failed > 100 and coroots > 0
