@@ -28,6 +28,7 @@ from .isotropy import CASE1, CASE2, LOWRANK, PARABOLIC, Distortion, derive_isotr
 from .rootsys import (
     EXCEPTIONAL_RANK,
     MAX_RANK,
+    SERIES_MIN_RANK,
     RootSystem,
     Vec,
     build,
@@ -73,16 +74,10 @@ class ClassificationReport:
 
 
 def _systems(max_rank: int):
-    out = [build("A", n) for n in range(1, max_rank + 1)]
-    out += [build("B", n) for n in range(2, max_rank + 1)]
-    out += [build("C", n) for n in range(2, max_rank + 1)]
-    out += [build("D", n) for n in range(3, max_rank + 1)]
-    out += [
-        build(label, EXCEPTIONAL_RANK[label])
-        for label in ("G2", "F4", "E6", "E7", "E8", "A1xA1")
-        if EXCEPTIONAL_RANK[label] <= max_rank
-    ]
-    return out
+    out = []
+    for label, least in SERIES_MIN_RANK.items():
+        out += [build(label, n) for n in range(least, max_rank + 1)]
+    return out + [build(label, n) for label, n in EXCEPTIONAL_RANK.items() if n <= max_rank]
 
 
 def enumerate_case1(rs: RootSystem):

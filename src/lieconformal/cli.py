@@ -155,7 +155,9 @@ def _config_from_json(data):
     rs = build(label, rank)
     alpha = _config_vec(data, "alpha")
     dvec = _config_vec(data, "delta")
-    if case in (PARABOLIC, LOWRANK) and alpha is not None:
+    if alpha is not None and (dvec is not None or case not in (PARABOLIC, LOWRANK)):
+        raise ValueError("alpha needs a Parabolic or LowRank config without a delta")
+    if alpha is not None:
         delta = isotropy.parabolic_distortion(rs, alpha)
     elif dvec is not None:
         delta = Distortion(dvec)

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row tuples of ints or Fractions.  `rref` (and so
-`nullspace`) and `det` eliminate fraction-free on ints, each row scaled to
-ints and each row update divided by its gcd; `rref` returns Fractions and
-`det` one Fraction, rebuilt from the pivots and the tracked scale factors.
-The systems have few rows: the Case2 normal reduces at most rank + 1 rows
-of rank <= 32 columns, the sl stabilizer of `constructions` at most
-2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and the solver's witness
-determinant is square in the quotient labels.
+`nullspace`) and `det` share one fraction-free Gauss-Jordan pass on ints,
+`_eliminate`, which scales each row to ints, divides each row update by its
+gcd and tracks how the determinant scales; `rref` returns Fractions and
+`det` one Fraction.  The systems have few rows: the Case2 normal reduces at
+most rank + 1 rows of rank <= 32 columns, the sl stabilizer of
+`constructions` at most 2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and
+the solver's witness determinant is square in the quotient labels.
 """
 
 from __future__ import annotations
@@ -28,23 +28,28 @@ def int_row(row) -> tuple[list, int]:
     return [x.numerator * (m // x.denominator) for x in row], m
 
 
-def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _eliminate(rows, ncols: int) -> tuple[list, list[int], int, int]:
+    """Fraction-free Gauss-Jordan on ints: (work, pivot columns, num, den).
 
-    Rows may hold ints or Fractions.  The elimination is fraction-free:
-    each row is scaled to ints, a row update is an integer combination
-    divided by the gcd of the result, and the pivot rows are divided by
-    their pivots once, at the end.  Scaling a row changes no row space, so
-    the result is the unique RREF, as Fractions.
+    Each row is scaled to ints by `int_row`.  Only a row with a nonzero
+    entry f in the pivot column is updated, to p * row - f * (pivot row)
+    for the pivot p, and then divided by its gcd.  Row i of `work` is the
+    pivot row of pivots[i], zero in every other pivot column, and the rows
+    past the pivots are zero.  det(rows) = num / den * det(work): den takes
+    each row's lcm and each update's p, num each swap's sign and each gcd.
     """
-    work = [int_row(r)[0] for r in rows]
+    scaled = [int_row(row) for row in rows]
+    work = [row for row, _ in scaled]
+    num, den = 1, math.prod(m for _, m in scaled)
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            num = -num
         top = work[r]
         p = top[c]
         for i, row in enumerate(work):
@@ -52,11 +57,25 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
             if i != r and f:
                 row = [p * a - f * b for a, b in zip(row, top)]
                 g = math.gcd(*row)
-                work[i] = [a // g for a in row] if g > 1 else row  # g is 0 on a zero row
+                if g > 1:  # g is 0 on a zero row
+                    row = [a // g for a in row]
+                    num *= g
+                work[i] = row
+                den *= p
         pivots.append(c)
-        r += 1
-        if r == len(work):
+        if r + 1 == len(work):
             break
+    return work, pivots, num, den
+
+
+def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Rows may hold ints or Fractions.  Scaling a row changes no row space,
+    so the pivot rows of `_eliminate`, each divided by its pivot, are the
+    unique RREF, as Fractions.
+    """
+    work, pivots, _, _ = _eliminate(rows, ncols)
     reduced = []
     for row, c in zip(work, pivots):
         p = row[c]
@@ -82,39 +101,10 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
 
 
 def det(rows: list[Row]) -> Fraction:
-    """Determinant by fraction-free elimination on ints.
-
-    Rows may hold ints or Fractions.  Each row is scaled to ints; a row is
-    updated only where its entry in the pivot column is nonzero, as an
-    integer combination that multiplies the determinant by the pivot, and
-    is divided by the gcd of the result.  The determinant is the product of
-    the pivots over the tracked scale factors.
-    """
-    n = len(rows)
-    work = []
-    num = den = 1  # det(rows) = num / den * det(the block of work left to eliminate)
-    for r in rows:
-        r, m = int_row(r)
-        work.append(r)
-        den *= m
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            num = -num
-        top = work[c]
-        p = top[c]
-        num *= p
-        for i in range(c + 1, n):
-            f = work[i][c]
-            if f:
-                row = [p * a - f * b for a, b in zip(work[i], top)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [a // g for a in row]
-                    num *= g
-                work[i] = row
-                den *= p
-    return Fraction(num, den)
+    """Determinant of a square matrix of ints or Fractions: 0 without a
+    pivot in every column, else the product of the pivots, which
+    `_eliminate` leaves on the diagonal, times the tracked num / den."""
+    work, pivots, num, den = _eliminate(rows, len(rows))
+    if len(pivots) < len(rows):
+        return ZERO
+    return Fraction(num * math.prod(row[i] for i, row in enumerate(work)), den)

@@ -46,7 +46,9 @@ from .errors import DimensionMismatch, InvalidRank, NotARoot, Reducible
 
 Vec = tuple[Fraction, ...]
 
-EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2, "A1xA1": 2}
+# the least rank of each series and the rank of each other system, in `classify` order
+SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8, "A1xA1": 2}
 
 # the largest rank built: B32 and C32 have 2,048 roots, and their dense
 # structure-constants table of |Phi|^2 bytes (4 MB, growing as the fourth
@@ -147,24 +149,17 @@ def _chain(n: int) -> list:
     ]
 
 
-def _simple_roots(label: str, rank: int) -> tuple[int, list]:
-    """Ambient dimension and the canonical simple roots, on doubled coordinates."""
-    n = rank
+def _simple_roots(label: str, n: int) -> tuple[int, list]:
+    """Ambient dimension and the canonical simple roots of rank n, on doubled coordinates."""
+    if label in SERIES_MIN_RANK and n < SERIES_MIN_RANK[label]:
+        raise InvalidRank(f"{label} series needs rank >= {SERIES_MIN_RANK[label]}")
     if label == "A":
-        if n < 1:
-            raise InvalidRank("A series needs rank >= 1")
         return n + 1, _chain(n + 1)
     if label == "B":
-        if n < 2:
-            raise InvalidRank("B series needs rank >= 2")
         return n, _chain(n) + [(0,) * (n - 1) + (2,)]
     if label == "C":
-        if n < 2:
-            raise InvalidRank("C series needs rank >= 2")
         return n, _chain(n) + [(0,) * (n - 1) + (4,)]
     if label == "D":
-        if n < 3:
-            raise InvalidRank("D series needs rank >= 3")
         return n, _chain(n) + [(0,) * (n - 2) + (2, 2)]
     if label == "G2":
         return 3, [(2, -2, 0), (-4, 2, 2)]
@@ -222,9 +217,8 @@ def build(label: str, rank: int) -> RootSystem:
     """Construct the canonical root system for (label, rank)."""
     if rank > MAX_RANK:
         raise InvalidRank(f"rank {rank} exceeds the maximum rank {MAX_RANK}")
-    if label in EXCEPTIONAL_RANK:
-        if rank != EXCEPTIONAL_RANK[label]:
-            raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
+    if label in EXCEPTIONAL_RANK and rank != EXCEPTIONAL_RANK[label]:
+        raise InvalidRank(f"{label} has rank {EXCEPTIONAL_RANK[label]}")
     dim, simple_coords = _simple_roots(label, rank)
     simple_keys = list(map(_key, simple_coords))
     # cartan[k][j] = <simple k, coroot of simple j>

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from lieconformal.classify import (
+    _systems,
     classify_all,
     enumerate_case1,
     enumerate_case2,
@@ -79,8 +80,11 @@ def test_case1_orbits_partition_constrained_pairs(label, rank):
 
 
 def test_case1_reducible_rejected():
+    """Neither Case1 nor Case2 is enumerated on the reducible A1xA1."""
     with pytest.raises(Reducible):
         enumerate_case1(build("A1xA1", 2))
+    with pytest.raises(Reducible):
+        enumerate_case2(build("A1xA1", 2))
 
 
 def test_case2_candidate_only_when_cartan_room():
@@ -149,11 +153,20 @@ def test_classify_rank8_matches_expected():
 
 
 def test_max_rank_bounds_exceptional_systems():
-    """Exceptional systems are judged only when their rank is within max_rank."""
+    """Exceptional systems are judged only when their rank is within max_rank.
+    The systems are built series by series from each least rank, then G2,
+    F4, E6, E7, E8 and A1xA1: the classify order that fixtures record."""
     report = classify_all(2)
     systems = {(v.label, v.rank) for v in report.verdicts}
     assert systems == {("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G2", 2), ("A1xA1", 2)}
     assert report.matches_expected
+    assert [(rs.label, rs.rank) for rs in _systems(8)] == [
+        *[("A", n) for n in range(1, 9)],
+        *[("B", n) for n in range(2, 9)],
+        *[("C", n) for n in range(2, 9)],
+        *[("D", n) for n in range(3, 9)],
+        ("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8), ("A1xA1", 2),
+    ]
 
 
 def test_classify_rank12_stress(rank12_solver_systems):

@@ -217,6 +217,45 @@ def test_solve_off_lattice_config(capsys, name):
     assert json.loads(out)["feasible"] is False
 
 
+CLOSURE_VERDICT = (
+    '{"dimension":0,"feasible":false,"inconsistent":"%s","unknowns":[],"witness":[]}\n'
+)
+
+
+@pytest.mark.parametrize("config,rc,out,err", [
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "delta": ["1", "0", "0"]},
+        0, CLOSURE_VERDICT % "distortion root must be negative", "", id="case1-positive-root",
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case2", "delta": ["-1", "0", "0"]},
+        0, CLOSURE_VERDICT % "Case2 distortion must be the minimal root", "",
+        id="case2-not-minimal",
+    ),
+    pytest.param(
+        {"label": "A", "rank": 3, "case": "Case1", "delta": ["-1", "1", "0", "0"]},
+        0, CLOSURE_VERDICT % "no orthogonal pairing partner for the distortion", "",
+        id="case1-no-partner",
+    ),
+    pytest.param(
+        {"label": "A1xA1", "rank": 2, "case": "LowRank", "delta": ["1", "-1", "1", "-1"]},
+        0, CLOSURE_VERDICT % "product-of-Borels distortion mismatch", "", id="lowrank-mismatch",
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "delta": ["0", "0", "0"]},
+        2, "", "error: distortion functional must be nonzero\n", id="case1-zero",
+    ),
+])
+def test_solve_closure_verdicts(tmp_path, capsys, config, rc, out, err):
+    """Each closure elimination that no classify candidate reaches prints its
+    pinned verdict, and a zero distortion is an input error."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(["solve", str(path)]) == rc
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_solve_missing_file(capsys):
     rc = run(["solve", "/nonexistent/config.json"])
     capsys.readouterr()
@@ -256,6 +295,19 @@ def assert_usage_error(rc, captured):
         {"label": "B", "rank": 3, "case": "Parabolic", "alpha": "001"}, id="alpha-string"
     ),
     pytest.param({"label": "B", "rank": 300, "case": "Case2"}, id="rank-above-bound"),
+    pytest.param(
+        {"label": "G2", "rank": 2, "case": "Parabolic", "alpha": ["1", "-1", "0"],
+         "delta": ["0", "0", "0"]},
+        id="parabolic-alpha-and-delta",
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "alpha": ["0", "0", "1"],
+         "delta": ["-1", "0", "0"]},
+        id="case1-alpha-and-delta",
+    ),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case2", "alpha": ["0", "0", "1"]}, id="case2-alpha"
+    ),
     *(
         pytest.param(
             {"label": "B", "rank": 3, "case": case, key: [entry, "0", "-1"]},
@@ -269,7 +321,8 @@ def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, request, config):
     """A reducible Case1 system, an unknown case tag, a non-object config, a
     number too large for a rational, a vector of the wrong length, an entry
     with a zero denominator, a rank or label of the wrong JSON type, a vector
-    that is not a list of rationals or a rank above the bound ends with one
+    that is not a list of rationals, a rank above the bound, or an alpha
+    beside a delta or outside a Parabolic or LowRank config ends with one
     error line and exit 2, never a traceback or a verdict.  A vector entry
     that is a boolean, null, a list or an object names its key."""
     path = tmp_path / "config.json"

@@ -192,11 +192,21 @@ def test_a3_case2_feasible_with_cartan_pair():
     assert any("cartan" in p for p in paired_labels)
 
 
-def test_gram_matrix_nondegenerate_on_witness():
+def test_gram_matrix_nondegenerate_on_witness(rank8_survivors):
+    """The witness Gram is nondegenerate.  Each quotient label lies in one
+    unknown pair, so on each rank-8 survivor `det` equals the product over
+    the pairs of c for a self-pair and -c^2 for an off-diagonal pair, c the
+    witness value of the pair."""
     sc, cfg = make_config("B", 3, PARABOLIC, alpha_idx=2)
     sol = solve(assemble(sc, cfg))
     g = gram_matrix(assemble(sc, cfg).unknowns, sol.nondegenerate_witness)
     assert det(g) != 0
+    for system, solution in rank8_survivors:
+        unknowns, witness = system.unknowns, solution.nondegenerate_witness
+        product = 1
+        for (i, j), c in zip(unknowns.pairs, witness, strict=True):
+            product *= c if i == j else -c * c
+        assert det(gram_matrix(unknowns, witness)) == product != 0
 
 
 def test_gram_matrix_is_symmetric_on_the_pairs():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -165,12 +166,19 @@ def test_is_root_and_errors():
 
 
 def test_invalid_rank():
-    with pytest.raises(InvalidRank):
-        build("B", 1)
-    with pytest.raises(InvalidRank):
-        build("E8", 7)
-    with pytest.raises(InvalidRank):
-        build("Z", 3)
+    """A series below its least rank, an exceptional system at another rank
+    and an unknown label at any rank each name their fault."""
+    for label, rank, message in [
+        ("A", 0, "A series needs rank >= 1"),
+        ("B", 1, "B series needs rank >= 2"),
+        ("C", 1, "C series needs rank >= 2"),
+        ("D", 2, "D series needs rank >= 3"),
+        ("E8", 7, "E8 has rank 8"),
+        ("Z", 3, "unknown series label 'Z'"),
+        ("Z", -1, "unknown series label 'Z'"),
+    ]:
+        with pytest.raises(InvalidRank, match=f"^{re.escape(message)}$"):
+            build(label, rank)
 
 
 def test_build_rejects_simple_roots_that_do_not_split(monkeypatch):
