@@ -19,7 +19,7 @@ from . import constructions, isotropy
 from .chevalley import cached_constants
 from .errors import Unalignable
 from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
-from .rootsys import EXCEPTIONAL_RANK, build, format_vec, minimal_root, parse_vec
+from .rootsys import EXCEPTIONAL_RANK, build, check_dim, format_vec, minimal_root, parse_vec
 
 
 def _fraction_str(obj):
@@ -127,16 +127,16 @@ def _print_table(report):
     print(f"survivors: {len(report.survivors)}")
 
 
-def _config_vec(data, key):
-    """The rationals of a config entry `key`, or None when it is absent or
-    empty; ValueError unless it is a list of strings and numbers (no
-    boolean, null, list or object entry)."""
+def _config_vec(data, key, rs):
+    """The rationals of a config entry `key`, or None when it is absent;
+    ValueError unless it is a list of `rs.dim` strings and numbers (no
+    boolean, null, list or object entry), an empty list included."""
     entries = data.get(key)
     if entries is None:
         return None
     if not isinstance(entries, list) or any(type(e) not in (str, int, float) for e in entries):
         raise ValueError(f"{key} must be a list of rationals")
-    return parse_vec(entries) if entries else None
+    return check_dim(rs, parse_vec(entries))
 
 
 def _config_from_json(data):
@@ -153,8 +153,8 @@ def _config_from_json(data):
     if not isinstance(case, str):
         raise ValueError("case must be a string")
     rs = build(label, rank)
-    alpha = _config_vec(data, "alpha")
-    dvec = _config_vec(data, "delta")
+    alpha = _config_vec(data, "alpha", rs)
+    dvec = _config_vec(data, "delta", rs)
     if alpha is not None and (dvec is not None or case not in (PARABOLIC, LOWRANK)):
         raise ValueError("alpha needs a Parabolic or LowRank config without a delta")
     if alpha is not None:

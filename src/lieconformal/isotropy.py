@@ -9,6 +9,10 @@ kernel, an opposite pair whose coroot leaves the allowed Cartan part, the
 closure swallowing the whole algebra) is raised as `Inconsistent` and
 counts as an elimination verdict for the candidate, not as an error.
 
+The closure sweeps every seed of Case1 and Case2 but, of a parabolic
+candidate, only what the sl2 rule adds to p_alpha, the roots with
+alpha-coefficient >= 0, closed as coefficients add under root sums.
+
 From pairing to verdict the layer works on masks over root indices: a
 `bytearray` with one 0/1 entry per root for the paired roots, the kernel
 and its normalizer p.  A config keeps its kernel and normalizer as
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress
-from operator import add
+from operator import add, or_
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
@@ -31,6 +35,7 @@ from .rootsys import (
     check_dim,
     dot,
     doubled,
+    halved,
     minimal_root,
     minimal_root_index,
     ratio,
@@ -140,31 +145,29 @@ def case2_normal(rs: RootSystem):
 
 
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
-    return Distortion(vsub(minimal_root(rs), check_dim(rs, alpha)))
+    low = rs.coords[minimal_root_index(rs)]
+    return Distortion(halved([m - a for m, a in zip(low, doubled(check_dim(rs, alpha)))]))
 
 
-def _closure(rs: RootSystem, d2, forced, nu2) -> bytearray:
-    """Close the forced kernel root indices; return the stable set as a
-    mask over root indices.
+def _closure(rs: RootSystem, d2, in_s: bytearray, work: list, nu2) -> bytearray:
+    """Close the seed mask `in_s` over root indices in place and return it.
 
     The kernel must be closed under brackets with p = positives + kernel,
     contain the whole sl2 of each of its roots on which delta vanishes,
     and (with a Cartan hyperplane nu-perp) contain every positive root
     not proportional to nu.  All three rules only ever add roots, so a
     worklist reaches the same least fixed point as repeated sweeps.  A
-    root enters the masks `in_s` (kernel) and `in_p` (p) and the worklist
-    once, when it is added, so of two kernel roots the one swept later
-    meets the other in p.  A sweep of x walks the sum row of x and keeps
-    the pairs whose other summand is in p.
+    sweep of x walks the sum row of x and keeps the pairs whose other
+    summand is in p.  `work` lists the seeds to sweep, all of them for
+    Case1 and Case2.  Seeds left out must obey the first two rules among
+    the seeds, as p_alpha does: alpha-coefficients add under root sums,
+    so roots with coefficients >= 0 sum to another, and the sl2 rule
+    adds only -b for positive b with coefficient > 0 and delta(b) = 0.
+    A root enters `in_s`, p and the worklist once, when it is added, so
+    of two kernel roots the one swept later meets the other in p.
     """
     sums, neg, coords = rs.sums, rs.neg, rs.coords
-    in_s = bytearray(len(coords))
-    in_p = bytearray(rs.is_positive)
-    work = []
-    for x in forced:
-        if not in_s[x]:
-            in_s[x] = in_p[x] = 1
-            work.append(x)
+    in_p = bytearray(map(or_, rs.is_positive, in_s))
     if nu2 is not None:
         # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
         # the ideal property forces its root space into the kernel
@@ -273,7 +276,8 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
                 )
             alpha = candidates[0]
             nu2 = rs.coords[alpha]
-        in_s = _closure(rs, d2, [i for i, f in enumerate(paired) if not f], nu2)
+        unpaired = [i for i, f in enumerate(paired) if not f]
+        in_s = _closure(rs, d2, bytearray(map((1).__sub__, paired)), unpaired, nu2)
         _final_checks(rs, in_s, nu2, paired)
         return _config(rs, case_tag, d2, in_s, nu2, alpha)
 
@@ -291,9 +295,14 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
         )
     a_index = rs.simple_idx.index(alpha)
-    forced = list(rs.positive_idx)
-    forced += [rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a_index] == 0]
-    in_s = _closure(rs, d2, forced, None)
+    in_s, work = bytearray(rs.is_positive), []  # p_alpha, and the sl2 additions to sweep
+    for b in rs.positive_idx:
+        if not rs.expansions[b][a_index]:
+            in_s[rs.neg[b]] = 1
+        elif dot(d2, rs.coords[b]) == 0:
+            in_s[rs.neg[b]] = 1
+            work.append(rs.neg[b])
+    in_s = _closure(rs, d2, in_s, work, None)
     _final_checks(rs, in_s, None, _paired(rs, kd))
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
     return _config(rs, tag, d2, in_s, None, alpha)

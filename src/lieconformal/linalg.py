@@ -3,11 +3,11 @@
 Matrices are lists of row tuples of ints or Fractions.  `rref` (and so
 `nullspace`) and `det` share one fraction-free Gauss-Jordan pass on ints,
 `_eliminate`, which scales each row to ints, divides each row update by its
-gcd and tracks how the determinant scales; `rref` returns Fractions and
-`det` one Fraction.  The systems have few rows: the Case2 normal reduces at
-most rank + 1 rows of rank <= 32 columns, the sl stabilizer of
-`constructions` at most 2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and
-the solver's witness determinant is square in the quotient labels.
+gcd and lists how the determinant scales; `rref` returns Fractions and `det`,
+alone multiplying that list, one Fraction.  The systems have few rows: the
+Case2 normal reduces at most rank + 1 rows of rank <= 32 columns, the sl
+stabilizer of `constructions` at most 2n + 1 = 65 rows of n^2 + 1 = 1,025
+columns, and the solver's witness determinant is square in the quotient labels.
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ def int_row(row) -> tuple[list, int]:
     return [x.numerator * (m // x.denominator) for x in row], m
 
 
-def _eliminate(rows, ncols: int) -> tuple[list, list[int], int, int]:
+def _eliminate(rows, ncols: int) -> tuple[list, list[int], list, list]:
     """Fraction-free Gauss-Jordan on ints: (work, pivot columns, num, den).
 
     Each row is scaled to ints by `int_row`.  Only a row with a nonzero
     entry f in the pivot column is updated, to p * row - f * (pivot row)
     for the pivot p, and then divided by its gcd.  Row i of `work` is the
     pivot row of pivots[i], zero in every other pivot column, and the rows
-    past the pivots are zero.  det(rows) = num / den * det(work): den takes
-    each row's lcm and each update's p, num each swap's sign and each gcd.
+    past the pivots are zero.  det(rows) = prod(num) / prod(den) * det(work):
+    den lists each row's lcm and each update's p, num each gcd and -1 per swap.
     """
     scaled = [int_row(row) for row in rows]
     work = [row for row, _ in scaled]
-    num, den = 1, math.prod(m for _, m in scaled)
+    num, den = [], [m for _, m in scaled]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -49,7 +49,7 @@ def _eliminate(rows, ncols: int) -> tuple[list, list[int], int, int]:
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            num = -num
+            num.append(-1)
         top = work[r]
         p = top[c]
         for i, row in enumerate(work):
@@ -59,9 +59,9 @@ def _eliminate(rows, ncols: int) -> tuple[list, list[int], int, int]:
                 g = math.gcd(*row)
                 if g > 1:  # g is 0 on a zero row
                     row = [a // g for a in row]
-                    num *= g
+                    num.append(g)
                 work[i] = row
-                den *= p
+                den.append(p)
         pivots.append(c)
         if r + 1 == len(work):
             break
@@ -103,8 +103,8 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
 def det(rows: list[Row]) -> Fraction:
     """Determinant of a square matrix of ints or Fractions: 0 without a
     pivot in every column, else the product of the pivots, which
-    `_eliminate` leaves on the diagonal, times the tracked num / den."""
+    `_eliminate` leaves on the diagonal, times its recorded factors."""
     work, pivots, num, den = _eliminate(rows, len(rows))
     if len(pivots) < len(rows):
         return ZERO
-    return Fraction(num * math.prod(row[i] for i, row in enumerate(work)), den)
+    return Fraction(math.prod(num + [row[i] for i, row in enumerate(work)]), math.prod(den))

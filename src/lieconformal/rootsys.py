@@ -208,8 +208,9 @@ _HALF = {x: Fraction(x, 2) for x in range(-8, 9)}
 
 
 def halved(v2) -> Vec:
-    """The Fraction vector with doubled coordinates v2, each in [-8, 8]."""
-    return tuple(_HALF[x] for x in v2)
+    """The Fraction vector with doubled coordinates v2: from the table for
+    ints in [-8, 8], exactly for any other int or Fraction entry."""
+    return tuple(_HALF[x] if x in _HALF else Fraction(x, 2) for x in v2)
 
 
 @lru_cache(maxsize=None)

@@ -308,6 +308,11 @@ def assert_usage_error(rc, captured):
     pytest.param(
         {"label": "B", "rank": 3, "case": "Case2", "alpha": ["0", "0", "1"]}, id="case2-alpha"
     ),
+    pytest.param({"label": "B", "rank": 3, "case": "Case2", "delta": []}, id="delta-empty"),
+    pytest.param(
+        {"label": "B", "rank": 3, "case": "Case1", "alpha": [], "delta": ["-1", "0", "0"]},
+        id="alpha-empty",
+    ),
     *(
         pytest.param(
             {"label": "B", "rank": 3, "case": case, key: [entry, "0", "-1"]},
@@ -324,7 +329,8 @@ def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, request, config):
     that is not a list of rationals, a rank above the bound, or an alpha
     beside a delta or outside a Parabolic or LowRank config ends with one
     error line and exit 2, never a traceback or a verdict.  A vector entry
-    that is a boolean, null, a list or an object names its key."""
+    that is a boolean, null, a list or an object names its key, and an
+    empty vector, even one beside a delta, names the dimension."""
     path = tmp_path / "config.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     rc = run(["solve", str(path)])
@@ -333,6 +339,8 @@ def test_solve_bad_config_is_a_usage_error(tmp_path, capsys, request, config):
     key, _, kind = request.node.callspec.id.partition("-")
     if key in ("delta", "alpha") and kind in ("bool", "null-entry", "list-entry", "object-entry"):
         assert captured.err == f"error: {key} must be a list of rationals\n"
+    if kind == "empty":
+        assert captured.err == "error: expected dimension 3, got 0\n"
 
 
 @pytest.mark.parametrize("config,message", [

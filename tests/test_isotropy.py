@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import gt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +254,26 @@ def test_parabolic_derives_and_validates(label, rank, idx):
     assert set(positives(rs)) <= h
     missing = [r for r in positives(rs) if vneg(r) not in h]
     assert all(r is not None for r in missing) and missing
+
+
+def test_parabolic_seeds_are_the_nonnegative_alpha_coefficients():
+    """The parabolic seeds, the Borel plus the opposites of the positive
+    roots without alpha, are exactly the roots whose alpha-coefficient is
+    >= 0, and no pair of `sums` with both summands among them leaves them,
+    for every simple root of every system up to rank 16 and for the first,
+    middle and last simple root of B32, C32 and D32; so the closure need
+    not sweep them."""
+    cases = [(rs, a) for rs in _systems(16) for a in range(rs.rank)]
+    cases += [(build(label, 32), a) for label in "BCD" for a in (0, 15, 31)]
+    for rs, a in cases:
+        seeds = set(rs.positive_idx)
+        seeds.update(rs.neg[b] for b in rs.positive_idx if rs.expansions[b][a] == 0)
+        mask = bytes(e[a] >= 0 for e in rs.expansions)
+        assert seeds == {i for i, flag in enumerate(mask) if flag}
+        for x in seeds:
+            row = rs.sums[x]
+            leaving = map(gt, map(mask.__getitem__, row[::2]), map(mask.__getitem__, row[1::2]))
+            assert not any(leaving), (rs, a, x)
 
 
 def test_parabolic_h_is_maximal():
@@ -569,8 +590,9 @@ def outcome(derive, rs, delta, case_tag):
 
 def test_derive_isotropy_matches_the_set_oracle():
     """On every candidate of `classify_all(12)` with a distortion, those
-    the root stage eliminates included, and on the off-lattice and off-box
-    configs of tests/data, the mask-based derivation raises the same
+    the root stage eliminates included, on every parabolic candidate of
+    B16, C16, D16, E7 and E8, and on the off-lattice and off-box configs
+    of tests/data, the mask-based derivation raises the same
     message and witness as the set-based oracle, or returns the same
     kernel, normalizer and alpha."""
     import json
@@ -584,6 +606,8 @@ def test_derive_isotropy_matches_the_set_oracle():
         for v in classify_all(12).verdicts
         if v.delta is not None
     ]
+    for rs in (build("B", 16), build("C", 16), build("D", 16), build("E7", 7), build("E8", 8)):
+        cases += [(rs, parabolic_distortion(rs, a), PARABOLIC) for a in rs.simples]
     data = Path(__file__).parent / "data"
     for name in ("b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"):
         cases.append(_config_from_json(json.loads((data / f"{name}.json").read_text())))
@@ -603,23 +627,37 @@ def test_derive_isotropy_matches_the_set_oracle():
 
 
 @given(data=st.data())
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=120, deadline=None)
 def test_closure_reaches_the_set_oracle_fixed_point(data):
-    """On B4, F4 and E6, a random forced subset, a distortion drawn from
-    the roots or from small integer vectors, and an optional Cartan normal
-    close to the oracle's fixed point.  The final checks raise what the
-    oracle's raise, both against the distortion's pairing and against the
-    complement of the kernel, which passes the pairing rule and so reaches
-    the whole-algebra and coroot checks."""
+    """On B4, F4 and E6, a distortion drawn from the roots or from small
+    integer vectors and either a random forced subset, all of it to sweep,
+    with an optional Cartan normal, or the parabolic seeds of a random
+    simple root alpha (every root with alpha-coefficient >= 0) with only
+    their sl2 additions to sweep, close to the oracle's fixed point, which
+    sweeps every seed.  The final checks raise what the oracle's raise,
+    both against the distortion's pairing and against the complement of
+    the kernel, which passes the pairing rule and so reaches the
+    whole-algebra and coroot checks."""
     rs = build(*data.draw(st.sampled_from([("B", 4), ("F4", 4), ("E6", 6)])))
     n = len(rs.roots)
-    forced = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 8))
     d2 = data.draw(
         st.sampled_from(rs.coords)
         | st.tuples(*[st.integers(-4, 4)] * rs.dim).filter(any)
     )
-    nu2 = data.draw(st.none() | st.sampled_from(rs.coords))
-    in_s = _closure(rs, d2, forced, nu2)
+    if data.draw(st.booleans()):
+        a = data.draw(st.integers(0, rs.rank - 1))
+        forced = {i for i, e in enumerate(rs.expansions) if e[a] >= 0}
+        work = [
+            rs.neg[b] for b in rs.positive_idx
+            if rs.expansions[b][a] > 0 and dot(d2, rs.coords[b]) == 0
+        ]
+        nu2 = None
+    else:
+        forced = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 8))
+        work = sorted(forced)
+        nu2 = data.draw(st.none() | st.sampled_from(rs.coords))
+    seeds = bytearray(i in forced or i in work for i in range(n))
+    in_s = _closure(rs, d2, seeds, work, nu2)
     want = set_closure(rs, d2, forced, nu2)
     assert {i for i, flag in enumerate(in_s) if flag} == want
     kd = rs.key(d2)
