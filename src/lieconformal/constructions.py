@@ -249,47 +249,12 @@ def check_g2_relations() -> dict:
     return _consistency_verdict(cached_constants("G2", 2), _g2_relations())
 
 
-def so7_relations():
-    return [
-        BracketRelation(vec(1, -1, 0), vec(-1, 0, 0), vec(0, -1, 0), Fraction(-2)),
-        BracketRelation(vec(1, -1, 0), vec(-1, 0, -1), vec(0, -1, -1), Fraction(-2)),
-        BracketRelation(vec(0, 1, -1), vec(0, -1, 0), vec(0, 0, -1), Fraction(-2)),
-        BracketRelation(vec(0, 1, -1), vec(-1, -1, 0), vec(-1, 0, -1), Fraction(-2)),
-        BracketRelation(vec(-1, 0, 1), vec(0, 0, -1), vec(-1, 0, 0), Fraction(-2)),
-        BracketRelation(vec(-1, 0, 1), vec(0, -1, -1), vec(-1, -1, 0), Fraction(-2)),
-    ]
-
-
-def so8_relations():
-    return [
-        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, 0, -1), vec(0, -1, 0, -1), Fraction(-2)),
-        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, -1, 0), vec(0, -1, -1, 0), Fraction(-2)),
-        BracketRelation(vec(0, 1, -1, 0), vec(0, -1, 0, -1), vec(0, 0, -1, -1), Fraction(-2)),
-        BracketRelation(vec(0, 1, -1, 0), vec(-1, -1, 0, 0), vec(-1, 0, -1, 0), Fraction(-2)),
-        BracketRelation(vec(-1, 0, 1, 0), vec(0, 0, -1, -1), vec(-1, 0, 0, -1), Fraction(-2)),
-        BracketRelation(vec(-1, 0, 1, 0), vec(0, -1, -1, 0), vec(-1, -1, 0, 0), Fraction(-2)),
-    ]
-
-
 def _consistency_verdict(sc, relations) -> dict:
     try:
         result = verify_relations_up_to_rescaling(sc, relations)
     except NoWitness as exc:
         return {"consistent": False, "conflict": str(exc)}
     return {"consistent": True, **result}
-
-
-def check_so7_relations() -> dict:
-    """The six displayed so(7) cycle relations are NOT simultaneously
-    realizable under any rescaling over C: the cycle through all six has
-    product -1, which no rescaling changes, and the conflict names it.  This
-    is why the corresponding candidate is feasible."""
-    return _consistency_verdict(cached_constants("B", 3), so7_relations())
-
-
-def check_so8_relations() -> dict:
-    """Same verdict as check_so7_relations for the displayed so(8) cycles."""
-    return _consistency_verdict(cached_constants("D", 4), so8_relations())
 
 
 G2_REFERENCE_FORM = {

@@ -9,9 +9,14 @@ kernel, an opposite pair whose coroot leaves the allowed Cartan part, the
 closure swallowing the whole algebra) is raised as `Inconsistent` and
 counts as an elimination verdict for the candidate, not as an error.
 
-The closure sweeps every seed of Case1 and Case2 but, of a parabolic
-candidate, only what the sl2 rule adds to p_alpha, the roots with
-alpha-coefficient >= 0, closed as coefficients add under root sums.
+The closure adds roots by two rules, bracket closure under p = positives
++ kernel and the sl2 of each kernel root on which delta vanishes, to what
+each case forces: for Case1 the unpaired roots and, as the Cartan part
+alpha-perp forces every positive root not proportional to alpha, all
+positive roots but alpha (the system is reduced); for Case2 the unpaired
+roots, every positive root among them, as delta = -theta pairs none; for
+a parabolic candidate p_alpha, the roots with alpha-coefficient >= 0, a
+closed set as coefficients add under root sums, and its sl2 additions.
 
 From pairing to verdict the layer works on masks over root indices: a
 `bytearray` with one 0/1 entry per root for the paired roots, the kernel
@@ -25,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress
-from operator import add, or_
+from operator import add
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
@@ -149,45 +154,31 @@ def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
     return Distortion(halved([m - a for m, a in zip(low, doubled(check_dim(rs, alpha)))]))
 
 
-def _closure(rs: RootSystem, d2, in_s: bytearray, work: list, nu2) -> bytearray:
-    """Close the seed mask `in_s` over root indices in place and return it.
+def _closure(rs: RootSystem, d2, in_s: bytearray, work: list) -> bytearray:
+    """Mark the roots listed in `work` in the mask `in_s` over root indices,
+    close it in place by the bracket and sl2 rules and return it.
 
-    The kernel must be closed under brackets with p = positives + kernel,
-    contain the whole sl2 of each of its roots on which delta vanishes,
-    and (with a Cartan hyperplane nu-perp) contain every positive root
-    not proportional to nu.  All three rules only ever add roots, so a
-    worklist reaches the same least fixed point as repeated sweeps.  A
-    sweep of x walks the sum row of x and keeps the pairs whose other
-    summand is in p.  `work` lists the seeds to sweep, all of them for
-    Case1 and Case2.  Seeds left out must obey the first two rules among
-    the seeds, as p_alpha does: alpha-coefficients add under root sums,
-    so roots with coefficients >= 0 sum to another, and the sl2 rule
-    adds only -b for positive b with coefficient > 0 and delta(b) = 0.
-    A root enters `in_s`, p and the worklist once, when it is added, so
-    of two kernel roots the one swept later meets the other in p.
+    Both rules only add roots, so a worklist reaches the least fixed point
+    of repeated sweeps.  A sweep of x walks the sum row of x and keeps the
+    pairs whose other summand is in p, read as `in_s` or positive.  The
+    caller marks the seeds whose sweep would add only seeds, as p_alpha's
+    do, and lists the rest once, unmarked.  Each root is swept once, after
+    it is marked, so of two kernel roots the one swept later meets the
+    other in p.
     """
-    sums, neg, coords = rs.sums, rs.neg, rs.coords
-    in_p = bytearray(map(or_, rs.is_positive, in_s))
-    if nu2 is not None:
-        # lam vanishes on nu-perp iff lam is proportional to nu; otherwise
-        # the ideal property forces its root space into the kernel
-        nn = dot(nu2, nu2)
-        for lam in rs.positive_idx:
-            if not in_s[lam]:
-                lc = dot(coords[lam], nu2)
-                if lc * lc != rs.norm[lam] * nn:
-                    in_s[lam] = 1  # positive, so already in p
-                    work.append(lam)
+    sums, neg, coords, is_positive = rs.sums, rs.neg, rs.coords, rs.is_positive
+    for x in work:
+        in_s[x] = 1
     while work:
         x = work.pop()
         pairs = iter(sums[x])
         for g, t in zip(pairs, pairs):
-            if not in_s[t] and in_p[g]:
-                in_s[t] = in_p[t] = 1
+            if not in_s[t] and (in_s[g] or is_positive[g]):
+                in_s[t] = 1
                 work.append(t)
         y = neg[x]
         if not in_s[y] and dot(d2, coords[x]) == 0:
-            in_s[y] = in_p[y] = 1  # the whole sl2 of x sits inside h
+            in_s[y] = 1  # the whole sl2 of x sits inside h
             work.append(y)
     return in_s
 
@@ -276,8 +267,12 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
                 )
             alpha = candidates[0]
             nu2 = rs.coords[alpha]
-        unpaired = [i for i, f in enumerate(paired) if not f]
-        in_s = _closure(rs, d2, bytearray(map((1).__sub__, paired)), unpaired, nu2)
+            # alpha-perp forces every positive root but alpha (reduced system)
+            work = [i for i, f in enumerate(paired) if not f or (rs.is_positive[i] and i != alpha)]
+        else:
+            # delta = -theta pairs no positive root: theta + r is never a root
+            work = [i for i, f in enumerate(paired) if not f]
+        in_s = _closure(rs, d2, bytearray(len(paired)), work)
         _final_checks(rs, in_s, nu2, paired)
         return _config(rs, case_tag, d2, in_s, nu2, alpha)
 
@@ -294,15 +289,13 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         raise Inconsistent(
             "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
         )
-    a_index = rs.simple_idx.index(alpha)
-    in_s, work = bytearray(rs.is_positive), []  # p_alpha, and the sl2 additions to sweep
-    for b in rs.positive_idx:
-        if not rs.expansions[b][a_index]:
-            in_s[rs.neg[b]] = 1
-        elif dot(d2, rs.coords[b]) == 0:
-            in_s[rs.neg[b]] = 1
-            work.append(rs.neg[b])
-    in_s = _closure(rs, d2, in_s, work, None)
+    k = rs.simple_idx.index(alpha)
+    p_alpha = bytearray(e[k] >= 0 for e in rs.expansions)
+    # sl2 additions: -b for positive b with alpha-coefficient > 0, delta(b) = 0
+    work = [
+        rs.neg[b] for b in rs.positive_idx if rs.expansions[b][k] and dot(d2, rs.coords[b]) == 0
+    ]
+    in_s = _closure(rs, d2, p_alpha, work)
     _final_checks(rs, in_s, None, _paired(rs, kd))
     tag = LOWRANK if rs.rank == 1 else PARABOLIC
     return _config(rs, tag, d2, in_s, None, alpha)

@@ -206,11 +206,13 @@ def test_solve_infeasible_config(capsys):
 
 
 @pytest.mark.parametrize(
-    "name", ["b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"]
+    "name", ["b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox", "c3_case1_root"]
 )
 def test_solve_off_lattice_config(capsys, name):
     """A distortion off the root lattice, or with an entry past any sum of
-    two roots, is an elimination verdict with a pinned output."""
+    two roots, is an elimination verdict with a pinned output; so is the
+    C3 Case1 root -(e1 + e3), whose closure forces a paired root into the
+    kernel."""
     rc, out = capture(capsys, ["solve", str(DATA / f"{name}.json")])
     assert rc == 0
     assert out == (DATA / f"{name}_solve.json").read_text(encoding="utf-8")

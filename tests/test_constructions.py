@@ -17,15 +17,12 @@ from lieconformal.constructions import (
     _rand_scaled,
     _sl_trial,
     _sp_trial,
+    _consistency_verdict,
     BracketRelation,
     align_g2_form,
     check_g2_relations,
     check_sl_embedding,
-    check_so7_relations,
-    check_so8_relations,
     check_sp_embedding,
-    so7_relations,
-    so8_relations,
     verify_relations_up_to_rescaling,
 )
 from lieconformal.errors import NoWitness, Unalignable
@@ -226,6 +223,41 @@ def test_g2_relations_consistent():
     assert out["relations"] == 6
     assert out["cycles"] == [(1, -1, 1, -1, -1, 1)]
     assert _cycle_product(cached_constants("G2", 2), _g2_relations(), out["cycles"][0]) == 1
+
+
+def so7_relations():
+    return [
+        BracketRelation(vec(1, -1, 0), vec(-1, 0, 0), vec(0, -1, 0), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0), vec(-1, 0, -1), vec(0, -1, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1), vec(0, -1, 0), vec(0, 0, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1), vec(-1, -1, 0), vec(-1, 0, -1), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1), vec(0, 0, -1), vec(-1, 0, 0), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1), vec(0, -1, -1), vec(-1, -1, 0), Fraction(-2)),
+    ]
+
+
+def so8_relations():
+    return [
+        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, 0, -1), vec(0, -1, 0, -1), Fraction(-2)),
+        BracketRelation(vec(1, -1, 0, 0), vec(-1, 0, -1, 0), vec(0, -1, -1, 0), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1, 0), vec(0, -1, 0, -1), vec(0, 0, -1, -1), Fraction(-2)),
+        BracketRelation(vec(0, 1, -1, 0), vec(-1, -1, 0, 0), vec(-1, 0, -1, 0), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1, 0), vec(0, 0, -1, -1), vec(-1, 0, 0, -1), Fraction(-2)),
+        BracketRelation(vec(-1, 0, 1, 0), vec(0, -1, -1, 0), vec(-1, -1, 0, 0), Fraction(-2)),
+    ]
+
+
+def check_so7_relations() -> dict:
+    """The six displayed so(7) cycle relations are NOT simultaneously
+    realizable under any rescaling over C: the cycle through all six has
+    product -1, which no rescaling changes, and the conflict names it.  This
+    is why the corresponding candidate is feasible."""
+    return _consistency_verdict(cached_constants("B", 3), so7_relations())
+
+
+def check_so8_relations() -> dict:
+    """Same verdict as check_so7_relations for the displayed so(8) cycles."""
+    return _consistency_verdict(cached_constants("D", 4), so8_relations())
 
 
 def test_so7_so8_relations_inconsistent():

@@ -240,6 +240,19 @@ def test_case2_b3_inconsistent():
         derive_isotropy(rs, Distortion(low), CASE2)
 
 
+def test_case_seeds_rest_on_two_root_facts():
+    """The facts behind the Case1 and Case2 seeds, checked without the
+    closure on every system up to rank 16 and on B32, C32 and D32: the
+    minimal root -theta pairs no positive root, so Case2's unpaired roots
+    hold every positive root; and no root's double is a root, so alpha is
+    the one positive root proportional to alpha."""
+    for rs in _systems(16) + [build(label, 32) for label in "BCD"]:
+        if rs.label != "A1xA1":
+            paired = _paired(rs, rs.keys[minimal_root_index(rs)])
+            assert not any(paired[i] for i in rs.positive_idx), rs
+        assert not any(rs.key(tuple(2 * x for x in c)) in rs.by_key for c in rs.coords), rs
+
+
 @pytest.mark.parametrize("label,rank,idx", [
     ("B", 3, 0), ("B", 3, 2), ("D", 4, 0), ("G2", 2, 0), ("A", 3, 1),
 ])
@@ -588,16 +601,21 @@ def outcome(derive, rs, delta, case_tag):
     return cfg
 
 
-def test_derive_isotropy_matches_the_set_oracle():
+def test_derive_isotropy_matches_the_set_oracle(monkeypatch):
     """On every candidate of `classify_all(12)` with a distortion, those
-    the root stage eliminates included, on every parabolic candidate of
-    B16, C16, D16, E7 and E8, and on the off-lattice and off-box configs
-    of tests/data, the mask-based derivation raises the same
-    message and witness as the set-based oracle, or returns the same
-    kernel, normalizer and alpha."""
+    the root stage eliminates included, on every root of every irreducible
+    system up to rank 10 as a Case1 and as a Case2 distortion, on every
+    parabolic candidate of B16, C16, D16, E7 and E8, and on the off-lattice
+    and off-box configs of tests/data, the mask-based derivation raises the
+    same message and witness as the set-based oracle, or returns the same
+    kernel, normalizer and alpha.  The oracle applies the nu rule; outcomes
+    alone would not see a dropped Case1 seed, so a spy on `_closure` also
+    checks that every Case1 worklist lists each root once and holds every
+    positive root except alpha."""
     import json
     from pathlib import Path
 
+    from lieconformal import isotropy
     from lieconformal.classify import classify_all
     from lieconformal.cli import _config_from_json
 
@@ -606,16 +624,39 @@ def test_derive_isotropy_matches_the_set_oracle():
         for v in classify_all(12).verdicts
         if v.delta is not None
     ]
+    for rs in _systems(10):
+        if rs.label != "A1xA1":
+            cases += [(rs, Distortion(r), tag) for r in rs.roots for tag in (CASE1, CASE2)]
     for rs in (build("B", 16), build("C", 16), build("D", 16), build("E7", 7), build("E8", 8)):
         cases += [(rs, parabolic_distortion(rs, a), PARABOLIC) for a in rs.simples]
     data = Path(__file__).parent / "data"
     for name in ("b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"):
         cases.append(_config_from_json(json.loads((data / f"{name}.json").read_text())))
+    worklists, closure = [], isotropy._closure
+
+    def spy(rs, d2, in_s, work):
+        worklists.append(list(work))
+        return closure(rs, d2, in_s, work)
+
+    monkeypatch.setattr(isotropy, "_closure", spy)
     kinds = set()
+    nu_rule_adds = 0  # Case1 worklists with a paired root: the nu rule's additions
     for rs, delta, case_tag in cases:
         want = outcome(oracle_derive, rs, delta, case_tag)
+        worklists.clear()
         assert outcome(derive_isotropy, rs, delta, case_tag) == want
         kinds.add(want[1].split(" (")[0] if want[0] is Inconsistent else "config")
+        if case_tag == CASE1 and worklists:
+            [work] = worklists
+            assert len(set(work)) == len(work)
+            d2 = doubled(delta.functional)
+            kd = rs.key(d2)
+            [alpha] = [
+                a for a in rs.positive_idx
+                if dot(d2, rs.coords[a]) == 0 and partner(rs, kd, a) is not None
+            ]
+            assert set(rs.positive_idx) - set(work) == {alpha}, (rs, delta)
+            nu_rule_adds += any(partner(rs, kd, a) is not None for a in work)
     assert {
         "config",
         "paired root",
@@ -624,20 +665,22 @@ def test_derive_isotropy_matches_the_set_oracle():
         "distortion is not",
         "distortion must be a root in this case",
     } <= kinds, kinds
+    assert nu_rule_adds > 0
 
 
 @given(data=st.data())
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_closure_reaches_the_set_oracle_fixed_point(data):
     """On B4, F4 and E6, a distortion drawn from the roots or from small
-    integer vectors and either a random forced subset, all of it to sweep,
-    with an optional Cartan normal, or the parabolic seeds of a random
-    simple root alpha (every root with alpha-coefficient >= 0) with only
-    their sl2 additions to sweep, close to the oracle's fixed point, which
-    sweeps every seed.  The final checks raise what the oracle's raise,
-    both against the distortion's pairing and against the complement of
-    the kernel, which passes the pairing rule and so reaches the
-    whole-algebra and coroot checks."""
+    integer vectors and either a random forced subset with an optional
+    Cartan normal nu, listed unmarked with every positive root not
+    proportional to nu, or the parabolic seeds of a random simple root
+    alpha (every root with alpha-coefficient >= 0) marked with only their
+    sl2 additions listed, close to the oracle's fixed point, which sweeps
+    every seed and applies the nu rule itself.  The final checks raise
+    what the oracle's raise, both against the distortion's pairing and
+    against the complement of the kernel, which passes the pairing rule
+    and so reaches the whole-algebra and coroot checks."""
     rs = build(*data.draw(st.sampled_from([("B", 4), ("F4", 4), ("E6", 6)])))
     n = len(rs.roots)
     d2 = data.draw(
@@ -651,13 +694,20 @@ def test_closure_reaches_the_set_oracle_fixed_point(data):
             rs.neg[b] for b in rs.positive_idx
             if rs.expansions[b][a] > 0 and dot(d2, rs.coords[b]) == 0
         ]
+        seeds = bytearray(i in forced for i in range(n))
         nu2 = None
     else:
         forced = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 8))
-        work = sorted(forced)
         nu2 = data.draw(st.none() | st.sampled_from(rs.coords))
-    seeds = bytearray(i in forced or i in work for i in range(n))
-    in_s = _closure(rs, d2, seeds, work, nu2)
+        listed = set(forced)
+        if nu2 is not None:
+            nn = dot(nu2, nu2)
+            listed.update(
+                lam for lam in rs.positive_idx if dot(rs.coords[lam], nu2) ** 2 != rs.norm[lam] * nn
+            )
+        work = sorted(listed)
+        seeds = bytearray(n)
+    in_s = _closure(rs, d2, seeds, work)
     want = set_closure(rs, d2, forced, nu2)
     assert {i for i, flag in enumerate(in_s) if flag} == want
     kd = rs.key(d2)
