@@ -93,7 +93,7 @@ def _read_expected(path) -> list:
 
 
 def _cmd_classify(args) -> int:
-    expected = _read_expected(args.expect) if args.expect else None
+    expected = None if args.expect is None else _read_expected(args.expect)
     report = classify_mod.classify_all(args.max_rank, args.case)
     survivors = sorted(
         (_survivor_key_dict(v.survivor_key()) for v in report.survivors),
@@ -269,9 +269,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process; parsing
-    leaves it unchanged, so `run` may be called again and again."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subcommand parsers by name, built once per
+    process; parsing leaves them unchanged, so `run` may be called again."""
     parser = _Parser(
         prog="lieconformal",
         description="Exact classification of essential conformal homogeneous structures.",
@@ -305,16 +305,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("label")
     p.add_argument("rank", type=int)
     p.set_defaults(func=_cmd_dump_constants)
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
-    """Run one subcommand and return its exit code.  This is the one place
-    where bad input becomes exit 2: every input error, argparse's included,
-    is a ValueError and prints one `error:` line; any other exception is a
-    bug and keeps its traceback."""
+    """Run one subcommand and return its exit code.  The parser of the
+    subcommand that argv[0] names parses the rest; only an argv that names
+    none meets the top-level parser.  Help and usage errors are argparse's
+    own, byte for byte.  This is the one place where bad input becomes exit
+    2: every input error, argparse's included, is a ValueError and prints
+    one `error:` line; any other exception is a bug and keeps its traceback."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:  # reported under the top-level prog, as parse_args does
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

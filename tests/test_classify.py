@@ -79,6 +79,48 @@ def test_case1_orbits_partition_constrained_pairs(label, rank):
     assert covered == constrained
 
 
+def steinberg_case1(rs):
+    """The Case1 pair orbit representatives without `pair_orbit` or `refl`.
+    The greatest root m of a length is dominant, so by Steinberg's theorem
+    its stabilizer in W is the Weyl group of the roots orthogonal to m,
+    which is transitive on the roots of each length in each irreducible
+    component of that subsystem; such a class of roots a, with m + a a
+    root, is one orbit, and its greatest root is the representative."""
+    coords = rs.coords
+    roots = set(coords)
+    reps = []
+    for n in set(rs.norm):
+        m = max(i for i, x in enumerate(rs.norm) if x == n)
+        perp = [a for a in range(len(coords)) if dot(coords[m], coords[a]) == 0]
+        component = {}
+        for a in perp:  # flood the non-orthogonality graph of m-perp
+            if a in component:
+                continue
+            component[a], stack = a, [a]
+            while stack:
+                b = stack.pop()
+                for c in perp:
+                    if c not in component and dot(coords[b], coords[c]) != 0:
+                        component[c] = a
+                        stack.append(c)
+        best = {}
+        for a in perp:
+            if tuple(x + y for x, y in zip(coords[m], coords[a])) in roots:
+                cls = (component[a], rs.norm[a])
+                best[cls] = max(best.get(cls, a), a)
+        reps += [(m, a) for a in best.values()]
+    return sorted(reps, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "label,rank", [(rs.label, rs.rank) for rs in _systems(16) if rs.label != "A1xA1"]
+)
+def test_case1_orbits_from_steinberg(label, rank):
+    """`enumerate_case1` agrees with the orbits that Steinberg's theorem gives."""
+    rs = build(label, rank)
+    assert enumerate_case1(rs) == steinberg_case1(rs)
+
+
 def test_case1_reducible_rejected():
     """Neither Case1 nor Case2 is enumerated on the reducible A1xA1."""
     with pytest.raises(Reducible):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from lieconformal import classify, constructions
-from lieconformal.cli import _emit, run
+from lieconformal.cli import _build_parser, _emit, run
 from lieconformal.errors import ResidualNonzero, Unalignable
 from lieconformal.rootsys import vec
 
@@ -438,6 +438,16 @@ def test_classify_expect_bad_shape_is_a_usage_error(tmp_path, capsys, content):
     assert_usage_error(rc, capsys.readouterr())
 
 
+@pytest.mark.parametrize("path", ["", "/nonexistent/expect.json"])
+def test_classify_expect_unreadable_is_a_usage_error(capsys, path):
+    """An --expect path that names no readable file, the empty path
+    included, ends with one error line and exit 2."""
+    rc = run(["classify", "--max-rank", "2", "--expect", path])
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    assert captured.err.startswith("error: cannot read expected survivors: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["classify", "--max-rank", "2", "--format", "json", "--expect"],
@@ -544,6 +554,54 @@ def test_check_examples_embeddings(capsys):
 def test_usage_error_exit_code():
     assert run([]) == 2
     assert run(["no-such-command"]) == 2
+
+
+def reference_run(argv):
+    """`run` as one top-level parse_args pass, then the subcommand: the
+    oracle that `run`'s direct dispatch to a subcommand's parser must match."""
+    parser, _ = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:
+        return exc.code
+
+
+CFG = str(DATA / "b3_alpha_e3.json")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["-h", "solve"],
+    ["no-such-command"],
+    ["no-such-command", "solve", CFG],
+    ["solve"],
+    ["solve", "-h"],
+    ["solve", CFG, "--help"],
+    ["solve", CFG],
+    ["solve", CFG, "extra"],
+    ["solve", CFG, "extra", "--more"],
+    ["solve", "a", "b"],
+    ["--", "solve", CFG],
+    ["solve", "--", CFG],
+    ["solve", CFG, "--"],
+    ["classify", "--max", "2", "--format", "json"],
+    ["classify", "--max-rank=2", "--format=json", "--case=case2"],
+    ["classify", "--max-rank", "2", "--bogus"],
+    ["classify", "-x"],
+    ["dump-roots", "A"],
+    ["check-examples", "--construction", "g2", "--n"],
+])
+def test_dispatch_matches_one_top_level_pass(capsys, argv):
+    """The direct dispatch gives the exit code and the bytes on stdout and
+    stderr that one top-level parse_args pass gives, help and usage errors
+    included."""
+    got = run(argv), *capsys.readouterr()
+    assert got == (reference_run(argv), *capsys.readouterr())
 
 
 def test_console_script_subprocess():
