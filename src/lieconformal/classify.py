@@ -45,6 +45,8 @@ STAGE_CLOSURE = "IsotropyClosure"
 STAGE_SOLVER = "SolverFeasibility"
 STAGE_SURVIVOR = "Survivor"
 
+CASE_FILTERS = ("case1", "case2", "parabolic", "all")  # `--case` choices, in help order
+
 
 @dataclass
 class CandidateVerdict:
@@ -208,6 +210,8 @@ def _survivor_tag(rs: RootSystem, case: str, alpha) -> tuple:
 def expected_survivors(max_rank: int, cases: str = "all") -> set:
     """Survivor table implied by the classification theorem, including
     low-rank coincidences (reported with notes, never suppressed)."""
+    if cases not in CASE_FILTERS:
+        raise ValueError(f"unknown case filter {cases!r}, expected one of {CASE_FILTERS}")
     out = set()
 
     def add(label, rank, case, alpha, delta, tag):
@@ -252,6 +256,7 @@ def expected_survivors(max_rank: int, cases: str = "all") -> set:
 def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
     if not 2 <= max_rank <= MAX_RANK:
         raise ValueError(f"max_rank must be between 2 and {MAX_RANK}")
+    expected = expected_survivors(max_rank, cases)  # raises on an unknown filter
     verdicts = []
     for rs in _systems(max_rank):
         if cases in ("all", "case1") and rs.label != "A1xA1":
@@ -271,5 +276,5 @@ def classify_all(max_rank: int, cases: str = "all") -> ClassificationReport:
         cases=cases,
         verdicts=verdicts,
         survivors=survivors,
-        matches_expected=(got == expected_survivors(max_rank, cases)),
+        matches_expected=(got == expected),
     )

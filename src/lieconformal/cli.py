@@ -280,7 +280,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("classify", help="run the exhaustive candidate search")
     p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--case", choices=("case1", "case2", "parabolic", "all"), default="all")
+    p.add_argument("--case", choices=classify_mod.CASE_FILTERS, default="all")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--expect", default=None, help="path to an expected-survivors JSON file")
     p.set_defaults(func=_cmd_classify)

@@ -9,14 +9,16 @@ kernel, an opposite pair whose coroot leaves the allowed Cartan part, the
 closure swallowing the whole algebra) is raised as `Inconsistent` and
 counts as an elimination verdict for the candidate, not as an error.
 
-The closure adds roots by two rules, bracket closure under p = positives
-+ kernel and the sl2 of each kernel root on which delta vanishes, to what
-each case forces: for Case1 the unpaired roots and, as the Cartan part
-alpha-perp forces every positive root not proportional to alpha, all
-positive roots but alpha (the system is reduced); for Case2 the unpaired
-roots, every positive root among them, as delta = -theta pairs none; for
-a parabolic candidate p_alpha, the roots with alpha-coefficient >= 0, a
-closed set as coefficients add under root sums, and its sl2 additions.
+Every case runs the same closure and the same final checks.  The closure
+adds roots by two rules, bracket closure under p = positives + kernel and
+the sl2 of each kernel root on which delta vanishes, to what each case
+forces: for Case1 the unpaired roots and, as the Cartan part alpha-perp
+forces every positive root not proportional to alpha, all positive roots
+but alpha (the system is reduced); for Case2 the unpaired roots, every
+positive root among them, as delta = -theta pairs none; for a parabolic
+candidate p_alpha, the roots with alpha-coefficient >= 0, a closed set as
+coefficients add under root sums, and its sl2 additions; for the product
+of Borels on A1xA1, the positive roots, which leave nothing to sweep.
 
 From pairing to verdict the layer works on masks over root indices: a
 `bytearray` with one 0/1 entry per root for the paired roots, the kernel
@@ -201,13 +203,10 @@ def _final_checks(rs: RootSystem, in_s: bytearray, nu2, paired: bytearray):
     roots = rs.roots
     bad = _pairing_mismatch(in_s, paired)
     if bad >= 0:
+        r = roots[bad]
         if in_s[bad]:
-            raise Inconsistent(
-                f"paired root {roots[bad]} forced into the kernel", witness=roots[bad]
-            )
-        raise Inconsistent(
-            f"unpaired root {roots[bad]} left outside the kernel", witness=roots[bad]
-        )
+            raise Inconsistent(f"paired root {r} forced into the kernel", witness=r)
+        raise Inconsistent(f"unpaired root {r} left outside the kernel", witness=r)
     if in_s.find(0) < 0:
         raise Inconsistent("kernel closure swallows the whole algebra")
     if nu2 is not None:
@@ -220,25 +219,18 @@ def _final_checks(rs: RootSystem, in_s: bytearray, nu2, paired: bytearray):
                 )
 
 
-def _config(rs, case_tag, d2, in_s, nu2, alpha) -> IsotropyConfig:
-    h = frozenset(compress(range(len(in_s)), in_s))
-    return IsotropyConfig(
-        case_tag=case_tag,
-        system=rs,
-        d2=d2,
-        nu2=nu2,
-        h_roots=h,
-        p_roots=h.union(rs.positive_idx),
-        alpha=alpha,
-    )
-
-
 def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> IsotropyConfig:
+    """The kernel h that delta forces in case `case_tag`.  Each case checks
+    delta, then marks in the mask or lists to sweep what it forces: Case1
+    lists the unpaired roots and the positive roots but alpha, Case2 the
+    unpaired roots; Parabolic (LowRank at rank 1) marks p_alpha and lists
+    its sl2 additions; LowRank on A1xA1 marks the positive roots."""
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
     dvec = check_dim(rs, delta.functional)
     d2 = doubled(dvec)
     kd = rs.key(d2)
+    nu2 = alpha = None
 
     if case_tag in (CASE1, CASE2):
         if rs.label == "A1xA1":
@@ -248,7 +240,6 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             raise Inconsistent("distortion must be a root in this case", witness=dvec)
         if rs.is_positive[d]:
             raise Inconsistent("distortion root must be negative", witness=dvec)
-        alpha = None
         if case_tag == CASE2:
             if d != minimal_root_index(rs):
                 raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
@@ -256,15 +247,14 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             if nu2 is None:
                 raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
         paired = _paired(rs, kd)
+        in_s = bytearray(len(paired))
         if case_tag == CASE1:
             candidates = [a for a in rs.positive_idx if paired[a] and dot(d2, rs.coords[a]) == 0]
             if not candidates:
                 raise Inconsistent("no orthogonal pairing partner for the distortion")
             if len(candidates) > 1:
-                raise Inconsistent(
-                    "multiple orthogonal pairing partners",
-                    witness=tuple(rs.roots[a] for a in candidates),
-                )
+                witness = tuple(rs.roots[a] for a in candidates)
+                raise Inconsistent("multiple orthogonal pairing partners", witness=witness)
             alpha = candidates[0]
             nu2 = rs.coords[alpha]
             # alpha-perp forces every positive root but alpha (reduced system)
@@ -272,33 +262,31 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         else:
             # delta = -theta pairs no positive root: theta + r is never a root
             work = [i for i, f in enumerate(paired) if not f]
-        in_s = _closure(rs, d2, bytearray(len(paired)), work)
-        _final_checks(rs, in_s, nu2, paired)
-        return _config(rs, case_tag, d2, in_s, nu2, alpha)
-
-    if case_tag in (PARABOLIC, LOWRANK) and rs.label == "A1xA1":
+    elif rs.label == "A1xA1":
         a, b = (rs.coords[k] for k in rs.simple_idx)
         if d2 != tuple(-x - y for x, y in zip(a, b)):
             raise Inconsistent("product-of-Borels distortion mismatch", witness=dvec)
-        # the kernel is the Borel of both factors
-        return _config(rs, LOWRANK, d2, rs.is_positive, None, None)
+        # the kernel is the Borel of both factors: -(a + b) pairs the negatives
+        case_tag, in_s, work = LOWRANK, bytearray(rs.is_positive), []
+        paired = _paired(rs, kd)
+    else:
+        # parabolic: delta = minimal root - alpha for a single simple root alpha
+        alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
+        if alpha not in rs.simple_idx:
+            witness = vsub(minimal_root(rs), dvec)
+            raise Inconsistent("distortion is not (minimal root - simple root)", witness=witness)
+        k = rs.simple_idx.index(alpha)
+        in_s = bytearray(e[k] >= 0 for e in rs.expansions)  # p_alpha
+        # sl2 additions: -b for positive b with alpha-coefficient > 0, delta(b) = 0
+        work = [
+            rs.neg[b] for b in rs.positive_idx if rs.expansions[b][k] and dot(d2, rs.coords[b]) == 0
+        ]
+        case_tag = LOWRANK if rs.rank == 1 else PARABOLIC
+        paired = _paired(rs, kd)
 
-    # parabolic: delta = minimal root - alpha for a single simple root alpha
-    alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
-    if alpha not in rs.simple_idx:
-        raise Inconsistent(
-            "distortion is not (minimal root - simple root)", witness=vsub(minimal_root(rs), dvec)
-        )
-    k = rs.simple_idx.index(alpha)
-    p_alpha = bytearray(e[k] >= 0 for e in rs.expansions)
-    # sl2 additions: -b for positive b with alpha-coefficient > 0, delta(b) = 0
-    work = [
-        rs.neg[b] for b in rs.positive_idx if rs.expansions[b][k] and dot(d2, rs.coords[b]) == 0
-    ]
-    in_s = _closure(rs, d2, p_alpha, work)
-    _final_checks(rs, in_s, None, _paired(rs, kd))
-    tag = LOWRANK if rs.rank == 1 else PARABOLIC
-    return _config(rs, tag, d2, in_s, None, alpha)
+    _final_checks(rs, _closure(rs, d2, in_s, work), nu2, paired)
+    h = frozenset(compress(range(len(in_s)), in_s))
+    return IsotropyConfig(case_tag, rs, d2, nu2, h, h.union(rs.positive_idx), alpha=alpha)
 
 
 def validate(config: IsotropyConfig) -> ValidationReport:

@@ -3,13 +3,16 @@ from collections import Counter
 import pytest
 
 from lieconformal.classify import (
+    STAGE_ROOTS,
     _systems,
     classify_all,
     enumerate_case1,
     enumerate_case2,
     expected_survivors,
+    judge,
 )
 from lieconformal.errors import Reducible
+from lieconformal.isotropy import Distortion
 from lieconformal.rootsys import build, dot, pair_orbit, vec
 from conftest import dense_sums
 from test_rootsys import CLASSIFY_SYSTEMS
@@ -169,6 +172,27 @@ def test_classify_cases_filter():
 def test_classify_invalid_rank():
     with pytest.raises(ValueError):
         classify_all(1)
+
+
+@pytest.mark.parametrize("cases", ["Parabolic", "case3", "Case1", ""])
+def test_unknown_case_filter_raises(cases):
+    """A filter must be one of the `--case` names: the case tag "Parabolic"
+    is not one, so it selects nothing rather than matching vacuously."""
+    with pytest.raises(ValueError, match="unknown case filter"):
+        classify_all(3, cases)
+    with pytest.raises(ValueError, match="unknown case filter"):
+        expected_survivors(3, cases)
+
+
+def test_root_stage_is_a_sound_shortcut():
+    """Every candidate that the root stage eliminates up to rank 16 (an
+    unpaired root outside a parabolic kernel, or Case2 coroots that fill
+    the Cartan) has no feasible form when judged in full."""
+    roots_stage = [v for v in classify_all(16).verdicts if v.stage == STAGE_ROOTS]
+    assert len(roots_stage) == 577
+    for v in roots_stage:
+        _, _, solution = judge(build(v.label, v.rank), Distortion(v.delta), v.case)
+        assert solution is None or not solution.feasible, v
 
 
 def test_verdicts_cover_all_stages():

@@ -219,6 +219,18 @@ def test_solve_off_lattice_config(capsys, name):
     assert json.loads(out)["feasible"] is False
 
 
+@pytest.mark.parametrize("name", ["a1xa1_borels", "a1_alpha_e1e2"])
+def test_solve_low_rank_config(capsys, name):
+    """The two LowRank candidates, the product of Borels on A1xA1 and the
+    parabolic of A1, are feasible with a one-dimensional solution; the
+    output is pinned byte for byte."""
+    rc, out = capture(capsys, ["solve", str(DATA / f"{name}.json")])
+    assert rc == 0
+    assert out == (DATA / f"{name}_solve.json").read_text(encoding="utf-8")
+    data = json.loads(out)
+    assert data["feasible"] is True and data["dimension"] == 1
+
+
 CLOSURE_VERDICT = (
     '{"dimension":0,"feasible":false,"inconsistent":"%s","unknowns":[],"witness":[]}\n'
 )

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieconformal.classify import _systems
-from lieconformal.errors import Inconsistent
+from lieconformal.errors import Inconsistent, Reducible
 from lieconformal.isotropy import (
     CARTAN_LABEL,
     CASE1,
     CASE2,
+    CASE_TAGS,
     LOWRANK,
     PARABOLIC,
     Distortion,
@@ -539,10 +540,12 @@ def oracle_derive(rs, delta, case_tag):
     kd = rs.key(d2)
     paired = {i for i in range(len(rs.roots)) if partner(rs, kd, i) is not None}
     if rs.label == "A1xA1":
-        derive_isotropy(rs, delta, case_tag)  # the product-of-Borels branch has no closure
-        pos = frozenset(rs.positive_idx)
-        return LOWRANK, pos, pos, None
-    if case_tag in (CASE1, CASE2):
+        if case_tag in (CASE1, CASE2):
+            raise Reducible("Case1/Case2 need an irreducible system")
+        if delta.functional != vneg(vadd(*rs.simples)):
+            raise Inconsistent("product-of-Borels distortion mismatch", witness=delta.functional)
+        forced, nu2, alpha, tag = set(rs.positive_idx), None, None, LOWRANK
+    elif case_tag in (CASE1, CASE2):
         d = rs.by_key.get(kd, -1)
         if d < 0:
             raise Inconsistent("distortion must be a root in this case", witness=delta.functional)
@@ -605,13 +608,15 @@ def test_derive_isotropy_matches_the_set_oracle(monkeypatch):
     """On every candidate of `classify_all(12)` with a distortion, those
     the root stage eliminates included, on every root of every irreducible
     system up to rank 10 as a Case1 and as a Case2 distortion, on every
-    parabolic candidate of B16, C16, D16, E7 and E8, and on the off-lattice
-    and off-box configs of tests/data, the mask-based derivation raises the
-    same message and witness as the set-based oracle, or returns the same
-    kernel, normalizer and alpha.  The oracle applies the nu rule; outcomes
-    alone would not see a dropped Case1 seed, so a spy on `_closure` also
-    checks that every Case1 worklist lists each root once and holds every
-    positive root except alpha."""
+    parabolic candidate of B16, C16, D16, E7 and E8, on every root of A1xA1
+    under all four case tags and its product-of-Borels distortion under
+    Parabolic and LowRank, and on the off-lattice and off-box configs of
+    tests/data, the mask-based derivation raises the same message and
+    witness as the set-based oracle, or returns the same kernel, normalizer
+    and alpha.  The oracle applies the nu rule; outcomes alone would not
+    see a dropped Case1 seed, so a spy on `_closure` also checks that every
+    Case1 worklist lists each root once and holds every positive root
+    except alpha."""
     import json
     from pathlib import Path
 
@@ -629,6 +634,9 @@ def test_derive_isotropy_matches_the_set_oracle(monkeypatch):
             cases += [(rs, Distortion(r), tag) for r in rs.roots for tag in (CASE1, CASE2)]
     for rs in (build("B", 16), build("C", 16), build("D", 16), build("E7", 7), build("E8", 8)):
         cases += [(rs, parabolic_distortion(rs, a), PARABOLIC) for a in rs.simples]
+    rs = build("A1xA1", 2)
+    cases += [(rs, Distortion(r), tag) for r in rs.roots for tag in CASE_TAGS]
+    cases += [(rs, Distortion(vec(-1, 1, -1, 1)), tag) for tag in (PARABOLIC, LOWRANK)]
     data = Path(__file__).parent / "data"
     for name in ("b3_case1_offlattice", "b3_parabolic_offbox", "a3_case2_offbox"):
         cases.append(_config_from_json(json.loads((data / f"{name}.json").read_text())))
@@ -645,7 +653,7 @@ def test_derive_isotropy_matches_the_set_oracle(monkeypatch):
         want = outcome(oracle_derive, rs, delta, case_tag)
         worklists.clear()
         assert outcome(derive_isotropy, rs, delta, case_tag) == want
-        kinds.add(want[1].split(" (")[0] if want[0] is Inconsistent else "config")
+        kinds.add(want[1].split(" (")[0] if isinstance(want[0], type) else "config")
         if case_tag == CASE1 and worklists:
             [work] = worklists
             assert len(set(work)) == len(work)
@@ -664,6 +672,8 @@ def test_derive_isotropy_matches_the_set_oracle(monkeypatch):
         "multiple orthogonal pairing partners",
         "distortion is not",
         "distortion must be a root in this case",
+        "Case1/Case2 need an irreducible system",
+        "product-of-Borels distortion mismatch",
     } <= kinds, kinds
     assert nu_rule_adds > 0
 
