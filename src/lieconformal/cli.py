@@ -19,7 +19,7 @@ from . import constructions, isotropy
 from .chevalley import cached_constants
 from .errors import Unalignable
 from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
-from .rootsys import EXCEPTIONAL_RANK, build, check_dim, format_vec, minimal_root, parse_vec
+from .rootsys import EXCEPTIONAL_RANK, build, check_dim, doubled, format_vec, halved, minimal_root
 
 
 def _fraction_str(obj):
@@ -30,10 +30,11 @@ def _fraction_str(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_fraction_str)
+
+
 def _emit(payload, stream=None):
-    stream = stream or sys.stdout
-    stream.write(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_fraction_str))
-    stream.write("\n")
+    (stream or sys.stdout).write(_ENCODER.encode(payload) + "\n")
 
 
 def _verdict_dict(v) -> dict:
@@ -128,15 +129,16 @@ def _print_table(report):
 
 
 def _config_vec(data, key, rs):
-    """The rationals of a config entry `key`, or None when it is absent;
-    ValueError unless it is a list of `rs.dim` strings and numbers (no
-    boolean, null, list or object entry), an empty list included."""
+    """The doubled coordinates of a config entry `key`, or None when it is
+    absent; ValueError unless it is a list of `rs.dim` strings and numbers
+    (no boolean, null, list or object entry), an empty list included."""
     entries = data.get(key)
     if entries is None:
         return None
     if not isinstance(entries, list) or any(type(e) not in (str, int, float) for e in entries):
         raise ValueError(f"{key} must be a list of rationals")
-    return check_dim(rs, parse_vec(entries))
+    v2 = doubled(entries)
+    return v2 if len(v2) == rs.dim else check_dim(rs, v2)  # check_dim raises the length error
 
 
 def _config_from_json(data):
@@ -158,14 +160,10 @@ def _config_from_json(data):
     if alpha is not None and (dvec is not None or case not in (PARABOLIC, LOWRANK)):
         raise ValueError("alpha needs a Parabolic or LowRank config without a delta")
     if alpha is not None:
-        delta = isotropy.parabolic_distortion(rs, alpha)
-    elif dvec is not None:
-        delta = Distortion(dvec)
-    elif case == CASE2:
-        delta = Distortion(minimal_root(rs))
-    else:
+        dvec = isotropy.parabolic_d2(rs, alpha)
+    elif dvec is None and case != CASE2:
         raise ValueError("config needs a delta or (for parabolic) an alpha")
-    return rs, delta, case
+    return rs, Distortion(minimal_root(rs) if dvec is None else halved(dvec)), case
 
 
 def _cmd_solve(args) -> int:

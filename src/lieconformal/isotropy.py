@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress
-from operator import add
+from operator import add, sub
 
 from . import linalg
 from .errors import Inconsistent, NotValidated, Reducible
@@ -43,10 +43,8 @@ from .rootsys import (
     dot,
     doubled,
     halved,
-    minimal_root,
     minimal_root_index,
     ratio,
-    vsub,
 )
 
 CASE1 = "Case1"
@@ -151,9 +149,13 @@ def case2_normal(rs: RootSystem):
     return tuple(2 * x // g for x in normal)
 
 
+def parabolic_d2(rs: RootSystem, alpha2) -> tuple:
+    """The parabolic distortion, minimal root - alpha, on doubled coordinates."""
+    return tuple(map(sub, rs.coords[minimal_root_index(rs)], alpha2))
+
+
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
-    low = rs.coords[minimal_root_index(rs)]
-    return Distortion(halved([m - a for m, a in zip(low, doubled(check_dim(rs, alpha)))]))
+    return Distortion(halved(parabolic_d2(rs, doubled(check_dim(rs, alpha)))))
 
 
 def _closure(rs: RootSystem, d2, in_s: bytearray, work: list) -> bytearray:
@@ -273,14 +275,17 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
         # parabolic: delta = minimal root - alpha for a single simple root alpha
         alpha = -1 if kd is None else rs.by_key.get(rs.keys[minimal_root_index(rs)] - kd, -1)
         if alpha not in rs.simple_idx:
-            witness = vsub(minimal_root(rs), dvec)
+            witness = halved(parabolic_d2(rs, d2))
             raise Inconsistent("distortion is not (minimal root - simple root)", witness=witness)
         k = rs.simple_idx.index(alpha)
-        in_s = bytearray(e[k] >= 0 for e in rs.expansions)  # p_alpha
-        # sl2 additions: -b for positive b with alpha-coefficient > 0, delta(b) = 0
-        work = [
-            rs.neg[b] for b in rs.positive_idx if rs.expansions[b][k] and dot(d2, rs.coords[b]) == 0
-        ]
+        # mask p_alpha (alpha-coefficient >= 0) and list its sl2 additions,
+        # -b for positive b with alpha-coefficient > 0 and delta(b) = 0
+        in_s, work = bytearray(rs.is_positive), []
+        for b in rs.positive_idx:
+            if not rs.expansions[b][k]:
+                in_s[rs.neg[b]] = 1
+            elif dot(d2, rs.coords[b]) == 0:
+                work.append(rs.neg[b])
         case_tag = LOWRANK if rs.rank == 1 else PARABOLIC
         paired = _paired(rs, kd)
 

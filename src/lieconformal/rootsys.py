@@ -31,7 +31,8 @@ through `refl`, so no |Phi|^2 table is built; a lone sum is looked up by key.
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
 `Distortion`s, through the `roots` and `simples` views and the vector
-helpers below.
+helpers below; a config vector enters through `doubled`, the one edge
+parser, straight onto doubled coordinates.
 """
 
 from __future__ import annotations
@@ -60,21 +61,33 @@ def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def coroot(r: Vec) -> Vec:
     c = Fraction(2) / dot(r, r)
     return tuple(c * x for x in r)
 
 
 def doubled(v) -> tuple:
-    """Coordinates of 2v, as ints where integral: every root maps to ints."""
+    """Coordinates of 2v, as ints where integral: every root maps to ints.
+    This is the one edge parser of config vectors: an entry is a number,
+    read exactly as Fraction reads it, or an ASCII string of an optional
+    sign, digits and an optional "/" and digits.  Any other string, a zero
+    denominator or an infinite float is a ValueError."""
     out = []
-    for x in v:
-        n, d = x.numerator, x.denominator
-        out.append(2 * n if d == 1 else n if d == 2 else Fraction(2 * n, d))
+    try:
+        for x in v:
+            if type(x) is str:
+                num, slash, den = x.partition("/")
+                digits = num[1:] if num[:1] in "+-" else num
+                if not (x.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+                    raise ValueError(f"Invalid literal for Fraction: {x!r}")
+                out.append(ratio(2 * int(num), int(den or 1)))
+            else:  # a number's ratio is in lowest terms
+                n, d = x.as_integer_ratio()
+                out.append(2 * n if d == 1 else n if d == 2 else Fraction(2 * n, d))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v}") from None
+    except OverflowError as exc:  # an infinite float, such as JSON's 1e400
+        raise ValueError(str(exc)) from None
     return tuple(out)
 
 
@@ -333,11 +346,5 @@ def format_vec(v: Vec) -> list[str]:
 
 
 def parse_vec(entries) -> Vec:
-    """A Fraction vector from "p/q" strings; a zero q or an infinite float
-    is a ValueError."""
-    try:
-        return tuple(Fraction(e) for e in entries)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {entries}") from None
-    except OverflowError as exc:  # an infinite float, such as JSON's 1e400
-        raise ValueError(str(exc)) from None
+    """The Fraction vector of the rationals that `doubled` reads."""
+    return halved(doubled(entries))

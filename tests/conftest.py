@@ -1,5 +1,5 @@
 import sys
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -7,6 +7,11 @@ import pytest
 def vadd(a, b) -> tuple:
     """The sum of two coordinate tuples, entry by entry."""
     return tuple(map(add, a, b))
+
+
+def vsub(a, b) -> tuple:
+    """The difference of two coordinate tuples, entry by entry."""
+    return tuple(map(sub, a, b))
 
 
 def positives(rs) -> tuple:

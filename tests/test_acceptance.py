@@ -38,9 +38,8 @@ from lieconformal.rootsys import (
     pair_orbit,
     random_weyl_word,
     vec,
-    vsub,
 )
-from conftest import positives
+from conftest import positives, vsub
 from test_classify import vector_pairs
 
 DATA = Path(__file__).parent / "data"

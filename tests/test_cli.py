@@ -375,6 +375,32 @@ def test_solve_config_names_a_missing_or_bad_key(tmp_path, capsys, config, messa
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("entry", ["1_0", "0.5", " 1", "1e3", "\u0661"])
+def test_solve_entry_outside_the_grammar_is_a_usage_error(tmp_path, capsys, entry):
+    """A vector entry string is an optional sign, ASCII digits and an
+    optional "/" and digits, on every Python: an underscore (which Python
+    3.11's Fraction reads, "1_0" as 10), a decimal point, whitespace, an
+    exponent or a non-ASCII digit exits 2 with one line naming the entry."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"label": "B", "rank": 3, "case": "Parabolic",
+                                "alpha": ["0", "0", entry]}))
+    rc = run(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert_usage_error(rc, captured)
+    assert captured.err == f"error: Invalid literal for Fraction: {entry!r}\n"
+
+
+@pytest.mark.parametrize("alpha", [["0/7", "-0", "+2/2"], [0, 0.0, 1.0], ["0", "0", "3/3"]])
+def test_solve_spellings_of_one_alpha_print_the_same_bytes(tmp_path, capsys, alpha):
+    """Every spelling of B3's e3, as strings or JSON numbers, prints the
+    pinned verdict of the canonical config byte for byte."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"label": "B", "rank": 3, "case": "Parabolic", "alpha": alpha}))
+    rc = run(["solve", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().out == (DATA / "b3_alpha_e3_solve.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("content", ["[1,2,3]", '"x"', "null", "5"])
 def test_solve_config_not_an_object(tmp_path, capsys, content):
     """A config that is JSON but not an object is named as such."""

@@ -42,6 +42,7 @@ from lieconformal.rootsys import (
 )
 from conftest import vadd
 from test_chevalley import VectorElement, vector_bracket
+from test_isotropy import simple_mirrors, vector_translate
 from test_rootsys import halved, vneg
 
 
@@ -733,3 +734,22 @@ def test_assemble_matches_vector_path(monkeypatch):
             assert system.unknowns.pairs == pairs
             assert system.rows == sorted({primitive(row) for row in rows})
     assert survivors == len(report.survivors) == 37
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_weyl_translate_matches_vector_path_property(rank8_survivors, data):
+    """On a drawn rank-8 survivor and a drawn Weyl word of 0 to 16 simple
+    reflections, index transport equals the vector path, and the assembly
+    of the translate equals the vector-path assembly."""
+    system, _ = data.draw(st.sampled_from(rank8_survivors))
+    cfg = system.config
+    rs = cfg.system
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=16))
+    moved = translate_config(cfg, word)
+    assert moved == vector_translate(cfg, simple_mirrors(rs, word))
+    sc = cached_constants(rs.label, rs.rank)
+    pairs, rows = vector_assemble(sc, moved)
+    got = assemble(sc, moved)
+    assert got.unknowns.pairs == pairs
+    assert got.rows == sorted({primitive(row) for row in rows})

@@ -38,9 +38,8 @@ from lieconformal.rootsys import (
     minimal_root_index,
     random_weyl_word,
     vec,
-    vsub,
 )
-from conftest import positives, vadd
+from conftest import positives, vadd, vsub
 from test_rootsys import halved, vneg, weyl_reflect
 
 

@@ -22,9 +22,8 @@ from lieconformal.rootsys import (
     parse_vec,
     random_weyl_word,
     vec,
-    vsub,
 )
-from conftest import dense_sums, positives, vadd
+from conftest import dense_sums, positives, vadd, vsub
 
 
 def vneg(a):
@@ -253,6 +252,57 @@ def test_check_dim_keeps_fraction_tuples():
         assert got == v and type(got) is tuple and all(type(x) is Fraction for x in got)
     with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
         check_dim(rs, v[:2])
+
+
+def rational_corpus(rng) -> list:
+    """Seeded in-grammar rational strings: signs, leading zeros, -0,
+    reducible p/q, denominators 1 and 2, and numerators up to the
+    4,300-digit limit of int's string conversion."""
+    corpus = ["0", "-0", "+0", "007", "-007/014", "+3/6", "0/7", "-0/3", "4/2", "-6/4", "5/1"]
+    for _ in range(400):
+        num = "0" * rng.randrange(3) + str(rng.randrange(10 ** rng.randrange(1, 40)))
+        den = rng.choice([None, "1", "2", "02", str(rng.randrange(1, 10 ** rng.randrange(1, 25)))])
+        corpus.append(rng.choice(["", "+", "-"]) + num + ("" if den is None else "/" + den))
+    for digits in (4298, 4299, 4300):
+        corpus += ["9" * digits, "-" + "1" * digits + "/2", "+" + "7" * digits + "/" + "6" * digits]
+    return corpus
+
+
+def test_doubled_reads_rationals_as_fraction_does():
+    """On in-grammar strings, JSON ints and floats, `doubled` gives the
+    doubled value of Fraction(entry), an int exactly where it is integral,
+    and `parse_vec` gives the Fractions themselves."""
+    corpus = rational_corpus(random.Random(3838))
+    corpus += [0, -5, 12345678901234567890, 0.5, -0.0, 1e-3, 2.0, -7.75, 1e20]
+    for e in corpus:
+        (got,) = rootsys.doubled([e])
+        want = 2 * Fraction(e)
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
+    parsed = parse_vec(corpus)
+    assert parsed == tuple(Fraction(e) for e in corpus)
+    assert all(type(x) is Fraction for x in parsed)
+
+
+@pytest.mark.parametrize("entry", [
+    "1_0", "0.5", " 1", "1 ", "1\n", "1e3", "\u0661", "\uff11", "", "1/", "/2", "+", "--1",
+    "1/-2", "1/2/3", "inf", "nan", "0x10",
+])
+def test_doubled_refuses_strings_outside_the_grammar(entry):
+    """Any string but an optional sign, ASCII digits and an optional "/" and
+    digits is a ValueError naming the entry, whatever Fraction accepts."""
+    with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {entry!r}")):
+        rootsys.doubled(["0", entry])
+
+
+def test_parse_vec_keeps_the_messages_for_bad_numbers():
+    """A zero denominator names the vector, and an infinite or NaN float
+    keeps Fraction's message."""
+    with pytest.raises(ValueError, match=re.escape("zero denominator in ['1', '-3/00']")):
+        parse_vec(["1", "-3/00"])
+    with pytest.raises(ValueError, match="cannot convert Infinity to integer ratio"):
+        parse_vec([float("inf")])
+    with pytest.raises(ValueError, match="cannot convert NaN to integer ratio"):
+        parse_vec(["1", float("nan")])
 
 
 def test_parse_format_roundtrip():
