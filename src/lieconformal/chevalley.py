@@ -44,6 +44,12 @@ class StructureConstants:
             tuple(ratio(8 * x, n) for x in c) for c, n in zip(rs.coords, rs.norm)
         )
 
+    @cached_property
+    def zero(self) -> tuple:
+        """The zero Cartan part, one ``dim``-tuple shared by every element
+        that `bracket` and `verify_invariance` build."""
+        return (0,) * self.system.dim
+
 
 def _ratio(n: int, num: int, den: int) -> int:
     q, r = divmod(n * num, den)
@@ -113,8 +119,9 @@ class AlgebraElement:
     as ints where integral, like ``RootSystem.coords``.  Coefficients stay
     ints while every input is an int.  Invariant: ``coeffs`` never holds a
     zero and ``cartan`` is always a ``dim``-tuple; `__init__` establishes
-    it, and `_element` builds the results of `bracket` and `add`, which keep
-    it already, without the copy and the zero filter.
+    it, and `_element` builds the results of `bracket` and `add` and the
+    generators and label elements of `invform.verify_invariance`, which
+    keep it already, without the copy and the zero filter.
     """
 
     __slots__ = ("system", "cartan", "coeffs")
@@ -177,33 +184,35 @@ def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> Alg
     rs = sc.system
     if x.system is not rs or y.system is not rs:
         raise SystemMismatch("elements belong to a different root system")
-    coords, keys, by_key, neg, table = rs.coords, rs.keys, rs.by_key, rs.neg, sc.table
+    coords, zero = rs.coords, sc.zero
     xc, yc = x.coeffs, y.coeffs
     coeffs: dict = {}
     # the Cartan action, [h, E_r] = r(h) E_r, for each side that has one
-    if yc and any(x.cartan):
+    if yc and x.cartan != zero:
         h2 = x.cartan
         for r, c in yc.items():
             v = dot(coords[r], h2)
             if v:
                 coeffs[r] = c * ratio(v, 4)
-    if xc and any(y.cartan):
+    if xc and y.cartan != zero:
         h2 = y.cartan
         for r, c in xc.items():
             v = dot(coords[r], h2)
             if v:
                 coeffs[r] = coeffs.get(r, 0) - c * ratio(v, 4)
-    cartan = None
-    for a, ca in xc.items():
-        n, ka, opposite = table[a], keys[a], neg[a]
-        for b, cb in yc.items():
-            nb = n[b]
-            if nb:  # nonzero exactly when a + b is a root
-                s = by_key[ka + keys[b]]
-                coeffs[s] = coeffs.get(s, 0) + ca * cb * nb
-            elif b == opposite:
-                c = ca * cb
-                cartan = [u + c * w for u, w in zip(cartan or (0,) * rs.dim, sc.coroots[a])]
+    cartan = zero
+    if xc and yc:
+        keys, by_key, neg, table, coroots = rs.keys, rs.by_key, rs.neg, sc.table, sc.coroots
+        for a, ca in xc.items():
+            n, ka, opposite = table[a], keys[a], neg[a]
+            for b, cb in yc.items():
+                nb = n[b]
+                if nb:  # nonzero exactly when a + b is a root
+                    s = by_key[ka + keys[b]]
+                    coeffs[s] = coeffs.get(s, 0) + ca * cb * nb
+                elif b == opposite:
+                    c = ca * cb
+                    cartan = tuple(u + c * w for u, w in zip(cartan, coroots[a]))
     if 0 in coeffs.values():  # terms cancelled
         coeffs = {r: c for r, c in coeffs.items() if c}
-    return _element(rs, tuple(cartan) if cartan else (0,) * rs.dim, coeffs)
+    return _element(rs, cartan, coeffs)

@@ -19,7 +19,6 @@ then `judge` (kernel closure, then the exact form solver), which the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import sub
 
 from . import invform, isotropy
 from .chevalley import cached_constants
@@ -118,7 +117,7 @@ def eliminate_parabolic(rs: RootSystem, k) -> CandidateVerdict:
         a, b = (coords[s] for s in rs.simple_idx)
         return _verdict(rs, LOWRANK, halved(tuple(-x - y for x, y in zip(a, b))), None)
     low, alpha = minimal_root_index(rs), rs.simple_idx[k]
-    d2 = tuple(map(sub, coords[low], coords[alpha]))
+    d2 = isotropy.parabolic_d2(rs, coords[alpha])
     case = LOWRANK if rs.rank == 1 else PARABOLIC
     # fast root-combinatorial stage: every root space outside the kernel
     # must be paired, i.e. -beta must have a partner for every positive

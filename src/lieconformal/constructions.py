@@ -32,9 +32,14 @@ SCALE = 60
 CUBE = SCALE**3
 
 
+# 60 p / q for every pair p in [-6, 6], q in [1, 6], repeats kept: one
+# entry per pair, so a uniform choice is uniform over the pairs
+_SCALED_DRAWS = tuple(SCALE * p // q for p in range(-6, 7) for q in range(1, 7))
+
+
 def _rand_scaled(rng) -> int:
     """60 p / q for random p in [-6, 6] and q in [1, 6]: an int, as q divides 60."""
-    return SCALE * rng.randint(-6, 6) // rng.randint(1, 6)
+    return rng.choice(_SCALED_DRAWS)
 
 
 def _omega(n, x, y):

@@ -33,7 +33,7 @@ from math import gcd, lcm
 import sympy  # noqa: F401 -- unused; stays until the benchmark change of ROADMAP item 1
 
 from . import linalg
-from .chevalley import AlgebraElement, StructureConstants, bracket
+from .chevalley import AlgebraElement, StructureConstants, _element, bracket
 from .errors import ResidualNonzero
 from .isotropy import CARTAN_LABEL, IsotropyConfig, partner, quotient_basis
 from .rootsys import dot, ratio
@@ -86,9 +86,9 @@ def _generators(sc: StructureConstants, config: IsotropyConfig):
     gens = []
     for k in rs.simple_idx:
         h2 = sc.coroots[k]
-        gens.append((AlgebraElement(rs, cartan=h2), ratio(dot(config.d2, h2), 4)))
+        gens.append((_element(rs, h2, {}), ratio(dot(config.d2, h2), 4)))
     for gamma in sorted(config.p_roots):
-        gens.append((AlgebraElement(rs, coeffs={gamma: 1}), 0))
+        gens.append((_element(rs, sc.zero, {gamma: 1}), 0))
     return gens
 
 
@@ -287,7 +287,7 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
     n = len(labels)
     gram = gram_matrix(unknowns, coeffs)
     positions = {l: i for i, l in enumerate(labels)}
-    nu2 = config.nu2
+    nu2, zero = config.nu2, sc.zero
     if nu2 is not None:
         nn, cartan_at = dot(nu2, nu2), positions[CARTAN_LABEL]
 
@@ -295,14 +295,14 @@ def verify_invariance(sc: StructureConstants, config: IsotropyConfig, coeffs):
         """Coefficients of an element on the quotient labels; the roots of h
         drop out.  The labels are distinct, so no two terms land together."""
         out = {i: c for r, c in elt.coeffs.items() if (i := positions.get(r)) is not None}
-        if nu2 is not None and any(elt.cartan):
+        if nu2 is not None and elt.cartan != zero:
             t = Fraction(dot(nu2, elt.cartan), nn)
             if t:
                 out[cartan_at] = t
         return out
 
     basis_elems = [
-        AlgebraElement(rs, cartan=nu2) if l == CARTAN_LABEL else AlgebraElement(rs, coeffs={l: 1})
+        _element(rs, nu2, {}) if l == CARTAN_LABEL else _element(rs, zero, {l: 1})
         for l in labels
     ]
     # the nonzero entries of each Gram row: B(u_k, u_j) for j in nonzero[k]

@@ -140,6 +140,50 @@ def test_bracket_matches_vector_path(label, rank):
     assert opposite_pairs > 0
 
 
+@pytest.mark.parametrize("label,rank", CLASSIFY_SYSTEMS)
+def test_bracket_matches_vector_path_on_zero_and_cartan_parts(label, rank):
+    """The index bracket equals the vector bracket when either side is the
+    zero element, a pure-Cartan element with Fraction entries, or has a
+    Cartan part spelled with Fraction(0) entries, which counts as zero: the
+    result is the one of the int zero Cartan part, repr included."""
+    sc = cached_constants(label, rank)
+    rs = sc.system
+    rng = random.Random(f"bracket zero {label}{rank}")
+    fraction_zero = (Fraction(0),) * rs.dim
+
+    def roots():
+        return rng.sample(range(len(rs.roots)), rng.randint(1, min(4, len(rs.roots))))
+
+    def pure_cartan():
+        return AlgebraElement(rs, tuple(Fraction(rng.randint(-6, 6), 3) for _ in range(rs.dim)))
+
+    for _ in range(10):
+        xs = roots()
+        ys = roots() + [rs.neg[xs[0]]]
+        coeffs = {r: random_coeff(rng) for r in xs}
+        pool = [
+            AlgebraElement(rs),
+            AlgebraElement(rs, fraction_zero),
+            AlgebraElement(rs, fraction_zero, coeffs),
+            pure_cartan(),
+            pure_cartan(),
+            random_element(rng, rs, xs),
+            random_element(rng, rs, ys),
+        ]
+        for x in pool:
+            for y in pool:
+                out = bracket(sc, x, y)
+                assert to_vector(out) == vector_bracket(sc, to_vector(x), to_vector(y))
+        zero = AlgebraElement(rs)
+        for y in pool:
+            assert bracket(sc, zero, y).is_zero() and bracket(sc, y, zero).is_zero()
+        with_fraction_zero = AlgebraElement(rs, fraction_zero, coeffs)
+        with_int_zero = AlgebraElement(rs, coeffs=coeffs)
+        for y in pool:
+            assert repr(bracket(sc, with_fraction_zero, y)) == repr(bracket(sc, with_int_zero, y))
+            assert repr(bracket(sc, y, with_fraction_zero)) == repr(bracket(sc, y, with_int_zero))
+
+
 PROPERTY_SYSTEMS = [("G2", 2), ("B", 3), ("C", 3), ("A", 4), ("F4", 4)]
 
 coefficients = st.one_of(

@@ -181,6 +181,40 @@ def test_check_examples_output_is_pinned(capsys, seed):
     assert capsys.readouterr().out == CHECK_EXAMPLES_OUTPUT
 
 
+def test_draw_table_holds_every_pair_once():
+    """`_rand_scaled` chooses from one entry per pair (p, q), p in [-6, 6]
+    and q in [1, 6], so its draws are uniform over the pairs: the table is
+    the multiset of the 78 values 60 p / q, each an int."""
+    expected = Counter()
+    for p in range(-6, 7):
+        for q in range(1, 7):
+            value = 60 * Fraction(p, q)
+            assert value.denominator == 1
+            expected[value.numerator] += 1
+    assert len(constructions._SCALED_DRAWS) == 78
+    assert Counter(constructions._SCALED_DRAWS) == expected
+    # seeded draws hit each value at its share of the pairs, within 5 sd
+    rng, draws = random.Random(0), 78_000
+    seen = Counter(_rand_scaled(rng) for _ in range(draws))
+    assert seen.keys() == expected.keys()
+    for value, pairs in expected.items():
+        mean = draws * pairs / 78
+        assert abs(seen[value] - mean) < 5 * (mean * (1 - pairs / 78)) ** 0.5
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_check_examples_report_does_not_depend_on_the_seed(capsys, n):
+    """The report holds only `ok`, counts and a zero residual, so every
+    seed prints the same bytes."""
+    argv = ["check-examples", "--n", str(n), "--trials", "3"]
+    reports = []
+    for seed in range(10):
+        assert run([*argv, "--seed", str(seed)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert json.loads(reports[0])["ok"] is True
+    assert reports == reports[:1] * 10
+
+
 def test_check_examples_all_n8_is_pinned(capsys):
     """The report of every construction at n = 8, 50 trials, seed 7 equals
     the pinned file, which the Fraction draws wrote."""
