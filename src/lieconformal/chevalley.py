@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from operator import add
 
 from .errors import NotARoot, SystemMismatch
-from .rootsys import RootSystem, Vec, build, check_dim, dot, doubled, ratio
+from .rootsys import RootSystem, Vec, build, check_dim, dot, ratio
 
 
 @dataclass(eq=False)
@@ -175,7 +175,7 @@ def elem_e(rs: RootSystem, root: Vec, c=1) -> AlgebraElement:
 def elem_h(rs: RootSystem, v: Vec) -> AlgebraElement:
     """The Cartan element of the ambient vector v; raises DimensionMismatch
     off the ambient space."""
-    return AlgebraElement(rs, cartan=doubled(check_dim(rs, v)))
+    return AlgebraElement(rs, cartan=check_dim(rs, v))
 
 
 def bracket(sc: StructureConstants, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -133,11 +133,11 @@ def judge(rs: RootSystem, delta: Distortion, case_tag: str):
     """Judge one candidate past the root stage: (witness, system, solution).
 
     When the forced kernel h is not closed, the witness is the message of
-    the `Inconsistent` raised by `derive_isotropy` or the failed `validate`
-    checks, and system and solution are None.  Otherwise the witness is
-    None and the assembled form system comes with its solution.  Any other
-    ValueError (reducible system, unknown case tag, wrong dimension)
-    propagates to the caller.
+    the `Inconsistent` raised by `derive_isotropy`, and system and solution
+    are None.  Otherwise the witness is None and the assembled form system
+    comes with its solution.  Any other ValueError (reducible system,
+    unknown case tag, wrong dimension) propagates to the caller; a kernel
+    that `validate` rejects is a bug, an AssertionError, not a verdict.
     """
     try:
         config = derive_isotropy(rs, delta, case_tag)
@@ -145,7 +145,8 @@ def judge(rs: RootSystem, delta: Distortion, case_tag: str):
         return str(exc), None, None
     report = validate(config)
     if not report.ok:
-        return report.failures(), None, None
+        failed = [name for name, ok, _ in report.checks if not ok]
+        raise AssertionError(f"validate rejects the derived kernel: {failed}")
     system = invform.assemble(cached_constants(rs.label, rs.rank), config)
     return None, system, invform.solve(system)
 

@@ -19,7 +19,7 @@ from . import constructions, isotropy
 from .chevalley import cached_constants
 from .errors import Unalignable
 from .isotropy import CASE2, LOWRANK, PARABOLIC, Distortion
-from .rootsys import EXCEPTIONAL_RANK, build, check_dim, doubled, format_vec, halved, minimal_root
+from .rootsys import EXCEPTIONAL_RANK, build, check_dim, format_vec, halved, minimal_root
 
 
 def _fraction_str(obj):
@@ -33,8 +33,8 @@ def _fraction_str(obj):
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_fraction_str)
 
 
-def _emit(payload, stream=None):
-    (stream or sys.stdout).write(_ENCODER.encode(payload) + "\n")
+def _emit(payload):
+    sys.stdout.write(_ENCODER.encode(payload) + "\n")
 
 
 def _verdict_dict(v) -> dict:
@@ -137,8 +137,7 @@ def _config_vec(data, key, rs):
         return None
     if not isinstance(entries, list) or any(type(e) not in (str, int, float) for e in entries):
         raise ValueError(f"{key} must be a list of rationals")
-    v2 = doubled(entries)
-    return v2 if len(v2) == rs.dim else check_dim(rs, v2)  # check_dim raises the length error
+    return check_dim(rs, entries)
 
 
 def _config_from_json(data):

@@ -118,7 +118,7 @@ def _sl_trial(rng, n):
 def _nullity(ncols: int, rows) -> int:
     """Solution dimension of rows given as {column: int coefficient}."""
     dense = [tuple(r.get(k, 0) for k in range(ncols)) for r in rows]
-    return ncols - len(linalg.rref(dense, ncols)[1])
+    return ncols - linalg.rank(dense, ncols)
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,6 @@ from .rootsys import (
     Vec,
     check_dim,
     dot,
-    doubled,
     halved,
     minimal_root_index,
     ratio,
@@ -88,9 +87,6 @@ class IsotropyConfig:
 class ValidationReport:
     ok: bool
     checks: list = field(default_factory=list)
-
-    def failures(self):
-        return [c for c in self.checks if not c[1]]
 
 
 def partner(rs: RootSystem, kd, label):
@@ -155,7 +151,7 @@ def parabolic_d2(rs: RootSystem, alpha2) -> tuple:
 
 
 def parabolic_distortion(rs: RootSystem, alpha: Vec) -> Distortion:
-    return Distortion(halved(parabolic_d2(rs, doubled(check_dim(rs, alpha)))))
+    return Distortion(halved(parabolic_d2(rs, check_dim(rs, alpha))))
 
 
 def _closure(rs: RootSystem, d2, in_s: bytearray, work: list) -> bytearray:
@@ -229,8 +225,7 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
     its sl2 additions; LowRank on A1xA1 marks the positive roots."""
     if case_tag not in CASE_TAGS:
         raise ValueError(f"unknown case tag {case_tag!r}")
-    dvec = check_dim(rs, delta.functional)
-    d2 = doubled(dvec)
+    d2 = check_dim(rs, delta.functional)
     kd = rs.key(d2)
     nu2 = alpha = None
 
@@ -239,15 +234,15 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
             raise Reducible("Case1/Case2 need an irreducible system")
         d = rs.by_key.get(kd, -1)  # kd is None off the key box
         if d < 0:
-            raise Inconsistent("distortion must be a root in this case", witness=dvec)
+            raise Inconsistent("distortion must be a root in this case", witness=halved(d2))
         if rs.is_positive[d]:
-            raise Inconsistent("distortion root must be negative", witness=dvec)
+            raise Inconsistent("distortion root must be negative", witness=halved(d2))
         if case_tag == CASE2:
             if d != minimal_root_index(rs):
-                raise Inconsistent("Case2 distortion must be the minimal root", witness=dvec)
+                raise Inconsistent("Case2 distortion must be the minimal root", witness=halved(d2))
             nu2 = case2_normal(rs)
             if nu2 is None:
-                raise Inconsistent("forced coroots fill the whole Cartan", witness=dvec)
+                raise Inconsistent("forced coroots fill the whole Cartan", witness=halved(d2))
         paired = _paired(rs, kd)
         in_s = bytearray(len(paired))
         if case_tag == CASE1:
@@ -267,7 +262,7 @@ def derive_isotropy(rs: RootSystem, delta: Distortion, case_tag: str) -> Isotrop
     elif rs.label == "A1xA1":
         a, b = (rs.coords[k] for k in rs.simple_idx)
         if d2 != tuple(-x - y for x, y in zip(a, b)):
-            raise Inconsistent("product-of-Borels distortion mismatch", witness=dvec)
+            raise Inconsistent("product-of-Borels distortion mismatch", witness=halved(d2))
         # the kernel is the Borel of both factors: -(a + b) pairs the negatives
         case_tag, in_s, work = LOWRANK, bytearray(rs.is_positive), []
         paired = _paired(rs, kd)

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row tuples of ints or Fractions.  `rref` (and so
-`nullspace`) and `det` share one fraction-free Gauss-Jordan pass on ints,
-`_eliminate`, which scales each row to ints, divides each row update by its
-gcd and lists how the determinant scales; `rref` returns Fractions and `det`,
-alone multiplying that list, one Fraction.  The systems have few rows: the
-Case2 normal reduces at most rank + 1 rows of rank <= 32 columns, the sl
-stabilizer of `constructions` at most 2n + 1 = 65 rows of n^2 + 1 = 1,025
-columns, and the solver's witness determinant is square in the quotient labels.
+Matrices are lists of row tuples of ints or Fractions.  `nullspace`, `rank`
+and `det` share one fraction-free Gauss-Jordan pass on ints, `_eliminate`,
+which scales each row to ints, divides each row update by its gcd and lists
+how the determinant scales; `nullspace` reads Fractions off its int pivot
+rows, `rank` counts its pivots and `det`, alone multiplying that list, returns
+one Fraction.  The systems have few rows: the Case2 normal reduces at most
+rank + 1 rows of rank <= 32 columns, the sl stabilizer of `constructions` at
+most 2n + 1 = 65 rows of n^2 + 1 = 1,025 columns, and the solver's witness
+determinant is square in the quotient labels.
 """
 
 from __future__ import annotations
@@ -68,34 +69,26 @@ def _eliminate(rows, ncols: int) -> tuple[list, list[int], list, list]:
     return work, pivots, num, den
 
 
-def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Rows may hold ints or Fractions.  Scaling a row changes no row space,
-    so the pivot rows of `_eliminate`, each divided by its pivot, are the
-    unique RREF, as Fractions.
-    """
-    work, pivots, _, _ = _eliminate(rows, ncols)
-    reduced = []
-    for row, c in zip(work, pivots):
-        p = row[c]
-        reduced.append(tuple(Fraction(a, p) if a else ZERO for a in row))
-    return reduced, pivots
+def rank(rows: list[Row], ncols: int) -> int:
+    """The rank of rows of ints or Fractions: the pivots of `_eliminate`."""
+    return len(_eliminate(rows, ncols)[1])
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of the right nullspace, one vector per free column.
 
-    Rows may hold ints or Fractions.
+    Rows may hold ints or Fractions.  Scaling a row changes no row space,
+    so the pivot rows of `_eliminate`, each divided by its pivot, are the
+    unique RREF: the basis is its nullspace, as Fractions.
     """
-    red, pivots = rref(rows, ncols)
+    work, pivots, _, _ = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+        for row, p in zip(work, pivots):
+            v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
     return basis
 

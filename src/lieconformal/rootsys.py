@@ -31,8 +31,8 @@ through `refl`, so no |Phi|^2 table is built; a lone sum is looked up by key.
 Every layer, `classify`'s candidates included, works on root indices.
 Fraction vectors appear only in verdicts, messages and input
 `Distortion`s, through the `roots` and `simples` views and the vector
-helpers below; a config vector enters through `doubled`, the one edge
-parser, straight onto doubled coordinates.
+helpers below; a vector from outside enters through `check_dim`, the one
+edge reader, which parses it with `doubled` onto doubled coordinates.
 """
 
 from __future__ import annotations
@@ -296,14 +296,13 @@ def build(label: str, rank: int) -> RootSystem:
     )
 
 
-def check_dim(rs: RootSystem, v) -> Vec:
-    """v as a Fraction vector (a tuple of Fractions is v itself); raises
-    DimensionMismatch off the ambient space."""
-    if len(v) != rs.dim:
-        raise DimensionMismatch(f"expected dimension {rs.dim}, got {len(v)}")
-    if type(v) is tuple and set(map(type, v)) == {Fraction}:
-        return v
-    return tuple(Fraction(x) for x in v)
+def check_dim(rs: RootSystem, v) -> tuple:
+    """`doubled(v)`, the doubled coordinates of v; raises DimensionMismatch
+    off the ambient space, after `doubled` has refused an invalid entry."""
+    v2 = doubled(v)
+    if len(v2) != rs.dim:
+        raise DimensionMismatch(f"expected dimension {rs.dim}, got {len(v2)}")
+    return v2
 
 
 def minimal_root_index(rs: RootSystem) -> int:

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import random
@@ -14,7 +13,8 @@ import pytest
 from lieconformal import classify, constructions
 from lieconformal.cli import _build_parser, _emit, run
 from lieconformal.errors import ResidualNonzero, Unalignable
-from lieconformal.rootsys import vec
+from lieconformal.isotropy import PARABOLIC, ValidationReport, parabolic_distortion
+from lieconformal.rootsys import build, vec
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,14 +24,14 @@ def capture(capsys, argv):
     return rc, capsys.readouterr().out
 
 
-def test_emit_rejects_what_json_cannot_encode():
+def test_emit_rejects_what_json_cannot_encode(capsys):
     """The JSON edge renders a Fraction as "p/q" and refuses any other type
     json cannot encode instead of printing it."""
-    out = io.StringIO()
-    _emit({"x": (Fraction(1, 2), Fraction(3))}, out)
-    assert out.getvalue() == '{"x":["1/2","3"]}\n'
+    _emit({"x": (Fraction(1, 2), Fraction(3))})
+    assert capsys.readouterr().out == '{"x":["1/2","3"]}\n'
     with pytest.raises(TypeError):
-        _emit({"x": {Fraction(1, 2)}}, io.StringIO())
+        _emit({"x": {Fraction(1, 2)}})
+    assert capsys.readouterr().out == ""
 
 
 def test_dump_roots_schema(capsys):
@@ -665,6 +665,19 @@ def test_a_bug_is_not_a_usage_error(monkeypatch, name, argv, exc):
     monkeypatch.setattr(classify, name, fail)
     with pytest.raises(type(exc)):
         run(argv)
+
+
+def test_a_rejected_kernel_is_a_bug(monkeypatch):
+    """A derived kernel that `validate` rejects is no elimination verdict:
+    `judge` raises an AssertionError naming the failed checks only, and
+    `solve` lets it leave `run` like any other bug."""
+    checks = [("bracket closure of h under p", False, None), ("pairing rule", True, None)]
+    monkeypatch.setattr(classify, "validate", lambda config: ValidationReport(False, checks))
+    rs = build("B", 3)
+    with pytest.raises(AssertionError, match=r"\['bracket closure of h under p'\]$"):
+        classify.judge(rs, parabolic_distortion(rs, rs.simples[2]), PARABOLIC)
+    with pytest.raises(AssertionError, match="bracket closure"):
+        run(["solve", str(DATA / "b3_alpha_e3.json")])
 
 
 FUZZ_STRINGS = ["", "x", "B", "G2", "A1xA1", "Case1", "Case2", "Parabolic", "1/2", "1/0", "-1"]

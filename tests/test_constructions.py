@@ -224,6 +224,15 @@ def test_check_examples_all_n8_is_pinned(capsys):
     assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
 
 
+def test_check_examples_sl_n32_is_pinned(capsys):
+    """The sl check at the largest n equals the pinned file: its stabilizer
+    (961) and normalizer (962) dimensions are nullities, through
+    `linalg.rank`, of up to 65 rows of 1,025 columns."""
+    pinned = Path(__file__).parent / "data" / "check_examples_sl_n32.json"
+    assert run(["check-examples", "--construction", "sl", "--n", "32", "--trials", "3"]) == 0
+    assert capsys.readouterr().out == pinned.read_text(encoding="utf-8")
+
+
 def test_sl_embedding_needs_rank_three():
     with pytest.raises(ValueError):
         check_sl_embedding(2)
@@ -404,10 +413,10 @@ def test_hidden_rescaling_is_always_found(data):
         assert _cycle_product(sc, relations, y) == 1
     roots = sorted({v for i, j, t in picked for v in (i, j, t)})
     m = [[(v == i) + (v == j) - (v == t) for v in roots] for i, j, t in picked]
-    rank = len(linalg.rref(m, len(roots))[1])
+    rank = linalg.rank(m, len(roots))
     assert len(out["cycles"]) == len(relations) - rank
     if out["cycles"]:
-        assert len(linalg.rref(out["cycles"], len(relations))[1]) == len(out["cycles"])
+        assert linalg.rank(out["cycles"], len(relations)) == len(out["cycles"])
         first = out["cycles"][0]
         k = next(k for k, y in enumerate(first) if y % 2)
         rel = relations[k]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieconformal.linalg import ONE, ZERO, det, nullspace, rref
+from lieconformal.linalg import ONE, ZERO, det, nullspace, rank
 
 
 def fr(*xs):
@@ -12,27 +12,33 @@ def fr(*xs):
 
 
 def test_rref_identity():
-    """rref of an invertible matrix is the identity."""
-    reduced, pivots = rref([fr(2, 1), fr(1, 3)], 2)
-    assert reduced == [fr(1, 0), fr(0, 1)]
-    assert pivots == [0, 1]
+    """An invertible matrix reduces to the identity: a pivot in every
+    column and no nullspace."""
+    m = [fr(2, 1), fr(1, 3)]
+    assert rank(m, 2) == 2
+    assert nullspace(m, 2) == []
 
 
 def test_rref_keeps_exact_fractions():
-    reduced, _ = rref([fr("1/2", "1/3"), fr("1/5", "1/7")], 2)
-    assert all(isinstance(x, Fraction) for row in reduced for x in row)
-    assert reduced == [fr(1, 0), fr(0, 1)]
+    """Fraction rows of full rank; with their sum as a third column the
+    nullspace is one exact Fraction vector."""
+    m = [fr("1/2", "1/3"), fr("1/5", "1/7")]
+    assert rank(m, 2) == 2
+    (v,) = nullspace([row + (row[0] + row[1],) for row in m], 3)
+    assert v == fr(-1, -1, 1)
+    assert all(type(x) is Fraction for x in v)
 
 
 def test_rref_drops_dependent_rows():
-    reduced, pivots = rref([fr(1, 2), fr(2, 4), fr(3, 6)], 2)
-    assert reduced == [fr(1, 2)]
-    assert pivots == [0]
+    """Three multiples of one row have one pivot and a one-vector nullspace."""
+    m = [fr(1, 2), fr(2, 4), fr(3, 6)]
+    assert rank(m, 2) == 1
+    assert nullspace(m, 2) == [fr(-2, 1)]
 
 
 def test_rank_and_det():
     m = [fr(1, 2, 3), fr(4, 5, 6), fr(7, 8, 9)]
-    assert len(rref(m, 3)[0]) == 2
+    assert rank(m, 3) == 2
     assert det(m) == 0
     assert det([fr(1, 2), fr(3, 4)]) == Fraction(-2)
     assert det([fr("1/2", 0), fr(5, "2/3")]) == Fraction(1, 3)
@@ -109,15 +115,14 @@ def elimination_cases():
     "rows,ncols", [pytest.param(rows, n, id=name) for name, rows, n in elimination_cases()]
 )
 def test_rref_and_nullspace_match_gauss_jordan(rows, ncols):
-    """The fraction-free `rref` gives the reference RREF entry for entry, all
-    Fractions, and `nullspace` the basis read off it, each vector in the
-    kernel."""
+    """The fraction-free `rank` counts the pivots of the reference RREF, and
+    `nullspace` is the basis read off that RREF, all Fractions, each vector
+    in the kernel."""
     expected, pivots = gauss_jordan(rows, ncols)
-    reduced, got_pivots = rref(rows, ncols)
-    assert (reduced, got_pivots) == (expected, pivots)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert rank(rows, ncols) == len(pivots)
     basis = nullspace(rows, ncols)
     assert len(basis) == ncols - len(pivots)
+    assert all(type(x) is Fraction for v in basis for x in v)
     for f, v in zip((c for c in range(ncols) if c not in pivots), basis):
         assert v == tuple(
             ONE if c == f else -expected[pivots.index(c)][f] if c in pivots else ZERO

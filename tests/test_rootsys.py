@@ -8,7 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieconformal import linalg, rootsys
+from lieconformal import rootsys
 from lieconformal.errors import DimensionMismatch, InvalidRank, NotARoot
 from lieconformal.rootsys import (
     MAX_RANK,
@@ -24,6 +24,7 @@ from lieconformal.rootsys import (
     vec,
 )
 from conftest import dense_sums, positives, vadd, vsub
+from test_linalg import gauss_jordan
 
 
 def vneg(a):
@@ -37,8 +38,7 @@ def vscale(c, a):
 
 def weyl_reflect(rs, mirror, v):
     """Reference: the reflection of a Fraction vector in a root mirror."""
-    mirror = check_dim(rs, mirror)
-    v = check_dim(rs, v)
+    mirror, v = tuple(map(Fraction, mirror)), tuple(map(Fraction, v))
     if rs.index_of(mirror) < 0:
         raise NotARoot(f"mirror {mirror} is not a root")
     c = 2 * dot(v, mirror) / dot(mirror, mirror)
@@ -241,17 +241,28 @@ def test_f4_displayed_pairs_share_one_orbit():
     assert orbit_rep(rs, p1) == orbit_rep(rs, p2)
 
 
-def test_check_dim_keeps_fraction_tuples():
-    """A tuple of Fractions passes through as it is; any other entries
-    become the same Fractions; a wrong length is refused with its count."""
+def test_check_dim_returns_doubled_coordinates():
+    """`check_dim` reads a vector onto doubled coordinates: its Fraction,
+    int, float and string spellings give the same tuple, of ints where
+    integral; an entry off the half-integers stays a Fraction; a wrong
+    length is refused with its count, but only after `doubled` has
+    refused an invalid entry."""
     rs = build("B", 3)
-    v = parse_vec(["1/2", "0", "-3"])
-    assert check_dim(rs, v) is v
-    for other in ([Fraction(1, 2), 0, -3], (Fraction(1, 2), 0, -3), ("1/2", "0", "-3")):
-        got = check_dim(rs, other)
-        assert got == v and type(got) is tuple and all(type(x) is Fraction for x in got)
+    for v2, spellings in [
+        ((2, 0, -6), ([1, 0, -3], (1.0, 0.0, -3.0), ("1", "-0", "-6/2"))),
+        ((1, 0, -6), ([Fraction(1, 2), 0, -3], (0.5, 0, -3.0), ("1/2", "0", "-3"))),
+    ]:
+        for v in (halved(v2), *spellings):
+            got = check_dim(rs, v)
+            assert got == v2 and type(got) is tuple and all(type(x) is int for x in got)
+    got = check_dim(rs, ("1/3", 0.25, Fraction(5, 6)))
+    assert got == (Fraction(2, 3), Fraction(1, 2), Fraction(5, 3))
+    assert all(type(x) is Fraction for x in got)
     with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
-        check_dim(rs, v[:2])
+        check_dim(rs, ["1/2", "0"])
+    with pytest.raises(ValueError, match="Invalid literal") as exc:
+        check_dim(rs, ["1/2", "x"])
+    assert type(exc.value) is ValueError
 
 
 def rational_corpus(rng) -> list:
@@ -408,7 +419,7 @@ def vector_expansions(simples, roots):
         tuple(dot(a, b) for b in simples) + tuple(Fraction(int(i == j)) for j in range(k))
         for i, a in enumerate(simples)
     ]
-    red, _ = linalg.rref(gram, 2 * k)
+    red, _ = gauss_jordan(gram, 2 * k)
     den = lcm(*(x.denominator for row in red for x in row[k:]))
     inverse = [[int(x * den) for x in row[k:]] for row in red]
     simples2 = [doubled_ints(s) for s in simples]
